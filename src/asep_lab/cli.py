@@ -27,11 +27,12 @@ from .duality import (chamber_vectors, exhaustive_states,
                       verify_segment_duality)
 from .kpz import (DIRICHLET, ROBIN, KpzParams, she_moment_nested,
                   she_moment_residue_form, scaled_asep_moment)
-from .model import ChamberError, ModelParams, SegmentParams, SegmentState, ValidityError
+from .model import (ChamberError, ModelParams, SegmentParams, SegmentState, ValidityError,
+                    check_chamber)
 from .moments import QuadratureSpec, q_moment
 from .residues import ReductionError
 from .segment_ode import solve_u
-from .simulate import McEstimate, SimConfig, estimate
+from .simulate import SimConfig, estimate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -118,7 +119,7 @@ def _quad(args) -> QuadratureSpec:
 
 def cmd_moments(args) -> int:
     params = _model_params(args)
-    x = _parse_sites(args.x)
+    x = check_chamber(_parse_sites(args.x))
     quad = _quad(args)
     res = q_moment(args.t, x, params, quad)
     row = {"n": len(x), "t": args.t, "value": repr(res.value), "quad_err": repr(res.quad_error)}
@@ -259,8 +260,10 @@ def cmd_kpz(args) -> int:
 def _add_common(sub, rates=True):
     sub.add_argument("--format", choices=["csv", "json"], default="csv")
     sub.add_argument("--output", default=None, help="write to a file instead of stdout")
+    # a string default goes through type=int at parse time, so a malformed
+    # ASEP_LAB_THREADS is reported like a malformed --threads
     sub.add_argument("--threads", type=int,
-                     default=int(os.environ.get("ASEP_LAB_THREADS", "1")))
+                     default=os.environ.get("ASEP_LAB_THREADS", "1"))
     if rates:
         sub.add_argument("--p", default="1", help="right jump rate (exact rational)")
         sub.add_argument("--q", default="1/2", help="left jump rate (exact rational)")
@@ -270,8 +273,15 @@ def _add_common(sub, rates=True):
                          help="boundary density; fills alpha, gamma via Liggett's relation")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line in one line, exit code 2."""
+
+    def error(self, message):
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="asep-lab",
         description="q-moments, dualities and KPZ-limit moments for open ASEP")
     parser.add_argument("--config", default=None,
@@ -343,6 +353,8 @@ def _apply_config(argv: List[str]) -> List[str]:
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise ValidityError("--config needs a file path")
     path = argv[idx + 1]
     rest = argv[:idx] + argv[idx + 2:]
     inject: List[str] = []
@@ -366,7 +378,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         argv = _apply_config(argv)
         args = parser.parse_args(argv)
-    except OSError as exc:
+    except (OSError, ValidityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     start = time.monotonic()

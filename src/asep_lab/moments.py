@@ -8,23 +8,24 @@ the 1/(m_1! m_2! ...) multiplicities cancel.
 
 Quadrature is the tensor-product trapezoid rule, which converges
 geometrically here; the error estimate is the Richardson difference
-against the half-resolution grid.
+against the half-resolution grid.  Only the F-kernels depend on the
+sites, so a call prepares each diagram's other operands once per grid
+(PreparedMoment) and evaluates every site vector it needs on them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import ModelParams, ValidityError
-from .partitions import Partition, canonical_diagrams, partitions_of
+from .partitions import Diagram, Partition, canonical_diagrams, partitions_of
 from .quadrature import circle_nodes, contract_factored
-from .residues import (EvalContext, F_OVER_Z, Factor, ReducedIntegrand, SCALAR,
-                       build_phi, factor_value, reduce_by_diagram,
-                       time_derivative_terms)
+from .residues import (EvalContext, F_OVER_Z, ReducedIntegrand, build_phi,
+                       factor_value, reduce_by_diagram, time_derivative_terms)
 
 _DEFAULT_NODES = (256, 128, 128, 112)
 
@@ -71,30 +72,27 @@ class MomentResult:
         return self.value
 
 
-def _grids(reduced: ReducedIntegrand, ctx: EvalContext, n_nodes: int, radius: float):
-    """Per-dimension nodes/weights and the var -> dimension map."""
-    dims = {v: d for d, v in enumerate(reduced.free_vars)}
-    nodes, weights = {}, {}
-    for v, d in dims.items():
-        z, w = circle_nodes(radius, n_nodes, d)
-        nodes[d], weights[d] = z, w
-    return dims, nodes, weights
-
-
 def _factored_operands(reduced: ReducedIntegrand, ctx: EvalContext,
-                       dims: Dict[int, int], nodes: Dict[int, np.ndarray],
-                       weights: Dict[int, np.ndarray]):
-    """Group factor values into per-dim vectors and per-pair matrices."""
-    n_dims = len(dims)
-    vectors = {d: weights[d].astype(complex).copy() for d in range(n_dims)}
+                       nodes: Dict[int, np.ndarray], weights: Dict[int, np.ndarray]):
+    """Group the site-independent factors into per-dim vectors and per-pair matrices.
+
+    F-factors are set apart as (dim, site slot, argument monomial on the
+    dim's nodes), to be evaluated once the sites are known.
+    """
+    dims = {v: d for d, v in enumerate(reduced.free_vars)}
+    vectors = {d: weights[d].astype(complex) for d in dims.values()}
     matrices: Dict[Tuple[int, int], np.ndarray] = {}
+    kernels = []
     scalar = complex(reduced.sign)
     for m in reduced.prefactor_monos:
         d = dims[m.var]
         vectors[d] *= m.value(ctx.q, {m.var: nodes[d]})
     for f in reduced.factors:
         fvars = f.vars()
-        if not fvars:
+        if f.kind == F_OVER_Z:
+            d = dims[fvars[0]]
+            kernels.append((d, f.site, f.a.value(ctx.q, {fvars[0]: nodes[d]})))
+        elif not fvars:
             scalar *= factor_value(f, ctx, {})
         elif len(fvars) == 1:
             d = dims[fvars[0]]
@@ -110,42 +108,80 @@ def _factored_operands(reduced: ReducedIntegrand, ctx: EvalContext,
                 matrices[key] = matrices[key] * val
             else:
                 matrices[key] = np.asarray(val, dtype=complex)
-    return vectors, matrices, scalar
+    return vectors, matrices, scalar, tuple(kernels)
 
 
-def integrate_reduced(reduced: ReducedIntegrand, ctx: EvalContext, n_nodes: int,
-                      radius: float, time_derivative: bool = False) -> complex:
-    """Tensor trapezoid integral of a reduced integrand over the circle contour.
+@dataclass(frozen=True)
+class _DiagramOperands:
+    """One canonical diagram's reduced integrand on its grids, sites left open."""
 
-    With time_derivative=True, integrates the integrand times its analytic
-    d/dt multiplier (a sum of single-variable terms, handled dimension by
-    dimension).
+    partition: Partition
+    sign: int
+    rows: tuple
+    reduced: ReducedIntegrand
+    nodes: Dict[int, np.ndarray]
+    vectors: Dict[int, np.ndarray]
+    matrices: Dict[Tuple[int, int], np.ndarray]
+    scalar: complex
+    kernels: Tuple[Tuple[int, int, np.ndarray], ...]
+
+    def integral(self, ctx: EvalContext, x: Tuple[int, ...],
+                 time_derivative: bool = False) -> complex:
+        """Trapezoid integral at sites x, or of its analytic d/dt.
+
+        The d/dt multiplier is a sum of single-variable terms, so the
+        derivative is one contraction per dimension.
+        """
+        vectors = dict(self.vectors)
+        for d, slot, m in self.kernels:
+            vectors[d] = vectors[d] * (ctx.f_kernel(m, x[slot]) / m)
+        n_dims = len(vectors)
+        if not time_derivative:
+            return contract_factored(n_dims, vectors, self.matrices, self.scalar)
+        total = 0.0 + 0.0j
+        for var, mults in time_derivative_terms(self.reduced, ctx).items():
+            d = self.reduced.free_vars.index(var)
+            rate = sum(mult(self.nodes[d]) for mult in mults)
+            total += contract_factored(n_dims, {**vectors, d: vectors[d] * rate},
+                                       self.matrices, self.scalar)
+        return total
+
+
+class PreparedMoment:
+    """The n-point moment's diagram operands on one grid, for any site vector.
+
+    Reduction, grids and every site-independent factor (weights, prefactor
+    monomials, pair-factor matrices, scalars) are built once; evaluating at
+    a site vector multiplies in the F-kernels and contracts.  An object
+    lives for one call: nothing is kept between calls.
     """
-    dims, nodes, weights = _grids(reduced, ctx, n_nodes, radius)
-    vectors, matrices, scalar = _factored_operands(reduced, ctx, dims, nodes, weights)
-    n_dims = len(dims)
-    if not time_derivative:
-        return contract_factored(n_dims, vectors, matrices, scalar)
-    total = 0.0 + 0.0j
-    terms = time_derivative_terms(reduced, ctx)
-    for var, mults in terms.items():
-        d = dims[var]
-        mult_vec = sum(m(nodes[d]) for m in mults)
-        replaced = dict(vectors)
-        replaced[d] = vectors[d] * mult_vec
-        total += contract_factored(n_dims, replaced, matrices, scalar)
-    return total
 
+    def __init__(self, reduced: Sequence[Tuple[Partition, int, Diagram, ReducedIntegrand]],
+                 ctx: EvalContext, quad: QuadratureSpec):
+        self.ctx, self.quad = ctx, quad
+        radius = 1.0 / math.sqrt(ctx.q)
+        self.terms = []
+        for lam, sign, diagram, red in reduced:
+            n_nodes = quad.nodes(len(red.free_vars))
+            nodes, weights = {}, {}
+            for d in range(len(red.free_vars)):
+                nodes[d], weights[d] = circle_nodes(radius, n_nodes, d)
+            vectors, matrices, scalar, kernels = _factored_operands(red, ctx, nodes, weights)
+            self.terms.append(_DiagramOperands(lam, sign, diagram.rows, red, nodes, vectors,
+                                               matrices, scalar, kernels))
 
-def _reduced_terms(x: Sequence[int]) -> List[Tuple[Partition, int, ReducedIntegrand, tuple]]:
-    n = len(x)
-    phi = build_phi(x)
-    terms = []
-    for lam in partitions_of(n):
-        sign = (-1) ** (n - len(lam))
-        for d in canonical_diagrams(lam):
-            terms.append((lam, sign, reduce_by_diagram(phi, d), d.rows))
-    return terms
+    @classmethod
+    def fine_and_coarse(cls, n: int, ctx: EvalContext,
+                        quad: QuadratureSpec) -> Tuple["PreparedMoment", "PreparedMoment"]:
+        """Objects on quad and on its half-resolution grid, sharing one reduction."""
+        phi = build_phi(range(n))  # F-factor sites are the slots 0..n-1 of x
+        reduced = [(lam, (-1) ** (n - len(lam)), d, reduce_by_diagram(phi, d))
+                   for lam in partitions_of(n) for d in canonical_diagrams(lam)]
+        return cls(reduced, ctx, quad), cls(reduced, ctx, quad.halved())
+
+    def evaluate(self, x: Tuple[int, ...], time_derivative: bool = False):
+        """(real part, imaginary part, per-partition sums) at sites x."""
+        return _sum_terms(self.terms, self.ctx, self.quad, x, time_derivative)
 
 
 def _eval_context(params: ModelParams, t: float, kernel: str = "plain") -> EvalContext:
@@ -153,18 +189,32 @@ def _eval_context(params: ModelParams, t: float, kernel: str = "plain") -> EvalC
                        rho=float(params.rho), t=float(t), kernel=kernel)
 
 
-def _sum_terms(terms, ctx, quad: QuadratureSpec, radius: float,
-               time_derivative: bool = False):
+def _sum_terms(terms: Sequence[_DiagramOperands], ctx: EvalContext, quad: QuadratureSpec,
+               x: Tuple[int, ...], time_derivative: bool = False):
     per_partition: Dict[Partition, complex] = {}
-    for lam, sign, reduced, rows in terms:
-        n_nodes = quad.nodes(len(reduced.free_vars))
-        val = integrate_reduced(reduced, ctx, n_nodes, radius, time_derivative)
+    for term in terms:
+        val = term.integral(ctx, x, time_derivative)
         if not np.isfinite(val):
-            raise ArithmeticError(f"non-finite contribution from diagram {rows}")
-        per_partition[lam] = per_partition.get(lam, 0.0) + sign * val
+            raise ArithmeticError(f"non-finite contribution from diagram {term.rows} "
+                                  f"on the {quad.nodes_by_dim} grid")
+        lam = term.partition
+        per_partition[lam] = per_partition.get(lam, 0.0) + term.sign * val
     re = math.fsum(v.real for v in per_partition.values())
     im = math.fsum(v.imag for v in per_partition.values())
     return re, im, per_partition
+
+
+def _moment_result(fine: PreparedMoment, coarse: PreparedMoment,
+                   x: Tuple[int, ...]) -> MomentResult:
+    value, imag, per_part = fine.evaluate(x)
+    coarse_value, _, _ = coarse.evaluate(x)
+    return MomentResult(
+        value=value,
+        per_partition={lam: v.real for lam, v in per_part.items()},
+        nodes_by_dim=fine.quad.nodes_by_dim,
+        quad_error=abs(value - coarse_value),
+        imag_residual=abs(imag),
+    )
 
 
 def _validate(params: ModelParams, t: float, x: Sequence[int]):
@@ -189,20 +239,10 @@ def q_moment(t: float, x: Sequence[int], params: ModelParams,
     meaning requires strictly increasing x with x_1 >= 1.
     """
     _validate(params, t, x)
-    quad = quad or QuadratureSpec()
+    x = tuple(int(v) for v in x)
     ctx = _eval_context(params, t, kernel)
-    radius = 1.0 / math.sqrt(ctx.q)
-    terms = _reduced_terms(tuple(int(v) for v in x))
-    value, imag, per_part = _sum_terms(terms, ctx, quad, radius)
-    coarse, _, _ = _sum_terms(terms, ctx, quad.halved(), radius)
-    result = MomentResult(
-        value=value,
-        per_partition={lam: v.real for lam, v in per_part.items()},
-        nodes_by_dim=quad.nodes_by_dim,
-        quad_error=abs(value - coarse),
-        imag_residual=abs(imag),
-    )
-    return result
+    fine, coarse = PreparedMoment.fine_and_coarse(len(x), ctx, quad or QuadratureSpec())
+    return _moment_result(fine, coarse, x)
 
 
 def first_moment(t: float, x: int, params: ModelParams,
@@ -259,12 +299,19 @@ def second_moment_explicit(t: float, x1: int, x2: int, params: ModelParams,
 
 @dataclass
 class FreeEvolutionReport:
-    """Residuals of the lattice ODE characterization at one site vector."""
+    """Residuals of the lattice ODE characterization at one site vector.
+
+    values holds every moment the relations used, by site vector, and
+    quad_error the largest Richardson estimate (fine minus half-resolution
+    grid) among them.
+    """
 
     x: Tuple[int, ...]
     time_derivative: Optional[float] = None
     adjacent: Dict[int, float] = field(default_factory=dict)
     boundary: Optional[float] = None
+    values: Dict[Tuple[int, ...], float] = field(default_factory=dict)
+    quad_error: float = 0.0
 
     def max_residual(self) -> float:
         vals = list(self.adjacent.values())
@@ -281,22 +328,28 @@ def free_evolution_residuals(t: float, x: Sequence[int], params: ModelParams,
     (2) p v(..., x_i, x_i, ...) + q v(..., x_i+1, x_i+1, ...) = (p+q) v(x)
         whenever x_{i+1} = x_i + 1;
     (3) v(0, x_2, ...) = (rho q + 1 - rho) v(1, x_2, ...).
+
+    Every point is evaluated exactly as q_moment evaluates it, on one pair
+    of prepared fine and half-resolution operands shared by all points.
     """
+    _validate(params, t, x)
     x = tuple(int(v) for v in x)
-    quad = quad or QuadratureSpec()
     report = FreeEvolutionReport(x=x)
     p = float(params.p_rate)
     qr = float(params.q_rate)
     n = len(x)
+    fine, coarse = PreparedMoment.fine_and_coarse(n, _eval_context(params, t),
+                                                  quad or QuadratureSpec())
 
     def v(xs) -> float:
-        return q_moment(t, xs, params, quad).value
+        if xs not in report.values:
+            res = _moment_result(fine, coarse, xs)
+            report.values[xs] = res.value
+            report.quad_error = max(report.quad_error, res.quad_error)
+        return report.values[xs]
 
     if all(v_ >= 1 for v_ in x):
-        ctx = _eval_context(params, t)
-        radius = 1.0 / math.sqrt(ctx.q)
-        terms = _reduced_terms(x)
-        dvdt, _, _ = _sum_terms(terms, ctx, quad, radius, time_derivative=True)
+        dvdt, _, _ = fine.evaluate(x, time_derivative=True)
         lattice = -n * (p + qr) * v(x)
         for i in range(n):
             down = x[:i] + (x[i] - 1,) + x[i + 1:]

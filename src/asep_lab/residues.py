@@ -140,9 +140,6 @@ class ReducedIntegrand:
     sign: int = 1
     prefactor_monos: Tuple[Monomial, ...] = ()
 
-    def all_pieces(self) -> List[Factor]:
-        return list(self.factors)
-
 
 def build_phi(x: Sequence[int], n: Optional[int] = None) -> List[Factor]:
     """Atomic-factor list of the n-point integrand for sites x (x_i >= 0).

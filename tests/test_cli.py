@@ -141,3 +141,26 @@ def test_config_file_defaults(tmp_path):
                  "--output", str(out)]) == 0
     assert main(["--config", str(tmp_path / "missing.cfg"), "moments",
                  "--x", "1", "--output", str(out)]) == 2
+
+
+def _assert_one_line_exit_2(proc):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_config_without_path_exits_2():
+    _assert_one_line_exit_2(run_cli(["moments", "--config"]))
+
+
+def test_malformed_threads_env_exits_2(monkeypatch):
+    monkeypatch.setenv("ASEP_LAB_THREADS", "two")
+    proc = run_cli(["moments", "--t", "0.5", "--x", "1", "--rho", "0.9"])
+    _assert_one_line_exit_2(proc)
+    assert "--threads" in proc.stderr
+
+
+def test_moments_rejects_unordered_sites():
+    proc = run_cli(["moments", "--t", "0.5", "--x", "3,1", "--rho", "0.9"])
+    _assert_one_line_exit_2(proc)
+    assert "increasing" in proc.stderr

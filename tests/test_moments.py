@@ -97,3 +97,17 @@ def test_quadrature_spec_validation():
         QuadratureSpec((33, 16))
     spec = QuadratureSpec.with_1d_nodes(256)
     assert spec.nodes(1) == 256 and spec.nodes(5) == spec.nodes(4)
+
+
+def test_free_evolution_reports_quad_error():
+    rep = free_evolution_residuals(1.0, (2, 3), PARAMS)
+    assert math.isfinite(rep.quad_error) and rep.quad_error < 1e-8
+
+
+@pytest.mark.parametrize("x", [(2,), (2, 3), (1, 2, 4)])
+def test_free_evolution_values_equal_q_moment(x):
+    t = 0.7
+    rep = free_evolution_residuals(t, x, PARAMS)
+    assert x in rep.values and len(rep.values) >= 3
+    for xs, value in rep.values.items():
+        assert value == pytest.approx(q_moment(t, xs, PARAMS).value, rel=1e-14, abs=0)

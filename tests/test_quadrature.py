@@ -1,0 +1,47 @@
+import string
+
+import numpy as np
+import pytest
+
+from asep_lab.quadrature import contract_factored
+
+GRID_LENGTHS = (7, 5, 9, 6)
+
+
+def _complete_graph(rng, n_dims):
+    lengths = GRID_LENGTHS[:n_dims]
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    vectors = {d: cplx(lengths[d]) for d in range(n_dims)}
+    matrices = {(d, e): cplx(lengths[d], lengths[e])
+                for d in range(n_dims) for e in range(d + 1, n_dims)}
+    return vectors, matrices
+
+
+def _einsum_reference(n_dims, vectors, matrices, scalar):
+    letters = string.ascii_lowercase
+    subs = [letters[d] for d in range(n_dims)]
+    ops = [vectors[d] for d in range(n_dims)]
+    for (d, e), mat in sorted(matrices.items()):
+        subs.append(letters[d] + letters[e])
+        ops.append(mat)
+    return scalar * complex(np.einsum(",".join(subs) + "->", *ops))
+
+
+@pytest.mark.parametrize("n_dims", [1, 2, 3, 4])
+def test_contract_factored_matches_einsum(n_dims):
+    rng = np.random.default_rng(100 + n_dims)
+    vectors, matrices = _complete_graph(rng, n_dims)
+    scalar = 0.7 - 0.2j
+    got = contract_factored(n_dims, vectors, matrices, scalar)
+    want = _einsum_reference(n_dims, vectors, matrices, scalar)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_contract_factored_rejects_missing_pair():
+    vectors, matrices = _complete_graph(np.random.default_rng(7), 3)
+    del matrices[(0, 2)]
+    with pytest.raises(ValueError, match=r"\(0, 2\)"):
+        contract_factored(3, vectors, matrices)
