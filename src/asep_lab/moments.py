@@ -62,6 +62,19 @@ class QuadratureSpec:
 
 @dataclass
 class MomentResult:
+    """A q-moment with its quadrature diagnostics.
+
+    `quad_error` is |fine - coarse| between the grid and its halved() grid.
+    `imag_residual` is |Im| of the diagram sum, whose exact value is real.
+    For n <= 3 it reads 1e-17 to 1e-14 at q <= 1/2 and stays far below
+    `quad_error` elsewhere (2.7e-11 against 1.1e-5 at q=3/5, rho=4/5,
+    x=(1,2,4), t=0).  At n = 4 it is not an error estimate: at q=1/2,
+    rho=9/10, x=(1,3,5,6) it reads 0.0531 at t=0.5 on the default grid and
+    on (512, 256, 256, 160) alike, and 0.0707 at t=0, where the value is 1
+    to 4e-14.  Single diagrams there keep imaginary parts that cancel only
+    partly across partitions; the cause is not yet known.
+    """
+
     value: float
     per_partition: Dict[Partition, float]
     nodes_by_dim: Tuple[int, ...]

@@ -3,17 +3,18 @@
 Rejection-free event scheduling: one exponential clock at the total active
 rate, then a categorical pick among the active transitions.  The half-line
 state is a sparse set of occupied sites, so the infinite-lattice dynamics
-are simulated exactly with no truncation.  Each trajectory draws from its
-own seed-derived stream, making estimates reproducible bit-for-bit
-regardless of execution order or worker count.
+are simulated exactly with no truncation.  Trajectory i draws from
+PCG64DXSM(SeedSequence(seed)).jumped(i), so estimates are reproducible
+bit-for-bit regardless of execution order or worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,36 +48,62 @@ class McEstimate:
 
 
 class _Draws:
-    """Buffered uniform/exponential draws from one numpy Generator."""
+    """Buffered uniform/exponential draws from one numpy Generator.
 
-    def __init__(self, rng: np.random.Generator, block: int = 256):
+    Blocks are small because a trajectory has only a few events on average,
+    and are kept as Python floats so that the event loops do float
+    arithmetic rather than numpy-scalar arithmetic.
+    """
+
+    BLOCK = 16
+
+    def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._block = block
-        self._uni = rng.random(block)
-        self._exp = rng.standard_exponential(block)
+        self._uni = rng.random(self.BLOCK).tolist()
+        self._exp = rng.standard_exponential(self.BLOCK).tolist()
         self._iu = 0
         self._ie = 0
 
     def uniform(self) -> float:
-        if self._iu >= len(self._uni):
-            self._uni = self._rng.random(self._block)
+        if self._iu >= self.BLOCK:
+            self._uni = self._rng.random(self.BLOCK).tolist()
             self._iu = 0
         v = self._uni[self._iu]
         self._iu += 1
         return v
 
     def exponential(self) -> float:
-        if self._ie >= len(self._exp):
-            self._exp = self._rng.standard_exponential(self._block)
+        if self._ie >= self.BLOCK:
+            self._exp = self._rng.standard_exponential(self.BLOCK).tolist()
             self._ie = 0
         v = self._exp[self._ie]
         self._ie += 1
         return v
 
 
-def _rng_for(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
+# the step numpy's PCG64DXSM.jumped() advances by, about 2**128 / phi
+_JUMP = 0x9e3779b97f4a7c15f39cc0605cedc835
+
+
+class _Streams:
+    """One call's (or one worker chunk's) position on the stream of a seed.
+
+    Restoring the start state and advancing by i jump steps puts the shared
+    generator exactly where PCG64DXSM(SeedSequence(seed)).jumped(i) starts,
+    without building a seed sequence and a generator per trajectory.
+    """
+
+    def __init__(self, seed: int):
+        self.bits = np.random.PCG64DXSM(np.random.SeedSequence(seed))
+        self.start = self.bits.state
+        self.rng = np.random.Generator(self.bits)
+
+
+def _rng_for(streams: _Streams, index: int) -> np.random.Generator:
+    """The generator of trajectory `index`, equal to its jumped(index) stream."""
+    streams.bits.state = streams.start
+    streams.bits.advance(index * _JUMP)
+    return streams.rng
 
 
 def _run_halfline(p: float, q: float, alpha: float, gamma: float,
@@ -122,11 +149,8 @@ def _run_halfline(p: float, q: float, alpha: float, gamma: float,
                 break
 
 
-def _run_segment(params: SegmentParams, t_end: float, draws: _Draws) -> Tuple[tuple, int]:
-    ell = params.ell
-    p, q = float(params.p_rate), float(params.q_rate)
-    alpha, gamma = float(params.alpha), float(params.gamma)
-    beta, delta = float(params.beta), float(params.delta)
+def _run_segment(ell: int, p: float, q: float, alpha: float, gamma: float,
+                 beta: float, delta: float, t_end: float, draws: _Draws) -> Tuple[tuple, int]:
     eta = [0] * (ell - 1)
     n_ell = 0
     t = 0.0
@@ -173,16 +197,31 @@ def _run_segment(params: SegmentParams, t_end: float, draws: _Draws) -> Tuple[tu
                 break
 
 
+def _halfline_finals(params: ModelParams, t_end: float, seed: int,
+                     start: int, stop: int) -> Iterator[frozenset]:
+    """Final occupied sets of trajectories start, ..., stop - 1."""
+    rates = tuple(float(r) for r in (params.p_rate, params.q_rate, params.alpha, params.gamma))
+    streams = _Streams(seed)
+    for i in range(start, stop):
+        yield _run_halfline(*rates, t_end, _Draws(_rng_for(streams, i)))
+
+
+def _segment_finals(params: SegmentParams, t_end: float, seed: int,
+                    start: int, stop: int) -> Iterator[Tuple[tuple, int]]:
+    """Final (occupations, through-count) of trajectories start, ..., stop - 1."""
+    rates = tuple(float(r) for r in (params.p_rate, params.q_rate, params.alpha,
+                                     params.gamma, params.beta, params.delta))
+    streams = _Streams(seed)
+    for i in range(start, stop):
+        yield _run_segment(params.ell, *rates, t_end, _Draws(_rng_for(streams, i)))
+
+
 def _halfline_chunk(args) -> np.ndarray:
     params, t_end, seed, start, stop, observables = args
-    p, q = float(params.p_rate), float(params.q_rate)
-    alpha, gamma = float(params.alpha), float(params.gamma)
     qratio = float(params.q)
     out = np.empty((stop - start, len(observables)))
-    for i in range(start, stop):
-        occ = _run_halfline(p, q, alpha, gamma, t_end, _Draws(_rng_for(seed, i)))
-        for j, obs in enumerate(observables):
-            out[i - start, j] = h_product(occ, obs, qratio)
+    for row, occ in enumerate(_halfline_finals(params, t_end, seed, start, stop)):
+        out[row] = [h_product(occ, obs, qratio) for obs in observables]
     return out
 
 
@@ -190,23 +229,16 @@ def _segment_chunk(args) -> np.ndarray:
     params, t_end, seed, start, stop, observables = args
     qratio = float(params.q)
     out = np.empty((stop - start, len(observables)))
-    for i in range(start, stop):
-        eta, n_ell = _run_segment(params, t_end, _Draws(_rng_for(seed, i)))
-        for j, obs in enumerate(observables):
-            out[i - start, j] = h_product_segment(eta, n_ell, obs, qratio)
+    for row, (eta, n_ell) in enumerate(_segment_finals(params, t_end, seed, start, stop)):
+        out[row] = [h_product_segment(eta, n_ell, obs, qratio) for obs in observables]
     return out
 
 
 def simulate_halfline(config: SimConfig, max_states: Optional[int] = None) -> List[AsepState]:
     """Final configurations, one exact CTMC sample per trajectory."""
     count = config.trajectories if max_states is None else min(max_states, config.trajectories)
-    out = []
-    p, q = float(config.params.p_rate), float(config.params.q_rate)
-    alpha, gamma = float(config.params.alpha), float(config.params.gamma)
-    for i in range(count):
-        occ = _run_halfline(p, q, alpha, gamma, config.t_end, _Draws(_rng_for(config.seed, i)))
-        out.append(AsepState(occ))
-    return out
+    finals = _halfline_finals(config.params, config.t_end, config.seed, 0, count)
+    return [AsepState(occ) for occ in finals]
 
 
 def simulate_segment(config: SimConfig, max_states: Optional[int] = None) -> List[SegmentState]:
@@ -214,11 +246,8 @@ def simulate_segment(config: SimConfig, max_states: Optional[int] = None) -> Lis
     if not isinstance(config.params, SegmentParams):
         raise TypeError("segment simulation needs SegmentParams")
     count = config.trajectories if max_states is None else min(max_states, config.trajectories)
-    out = []
-    for i in range(count):
-        eta, n_ell = _run_segment(config.params, config.t_end, _Draws(_rng_for(config.seed, i)))
-        out.append(SegmentState(eta, n_ell))
-    return out
+    finals = _segment_finals(config.params, config.t_end, config.seed, 0, count)
+    return [SegmentState(eta, n_ell) for eta, n_ell in finals]
 
 
 def _estimates_from_values(values: np.ndarray, observables, trajectories) -> List[McEstimate]:
@@ -234,21 +263,30 @@ def _estimates_from_values(values: np.ndarray, observables, trajectories) -> Lis
     return out
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def estimate(config: SimConfig, threads: int = 1) -> List[McEstimate]:
     """Monte Carlo means and standard errors of the H-observables.
 
-    Identical output for any thread count: trajectory i always uses the
-    stream spawned from (seed, i).
+    Identical output for any thread count: trajectory i always draws from
+    PCG64DXSM(SeedSequence(seed)).jumped(i).  At most one worker process
+    runs per usable CPU, whatever `threads` asks for.
     """
     chunk_fn = _segment_chunk if isinstance(config.params, SegmentParams) else _halfline_chunk
     n = config.trajectories
-    if threads <= 1:
+    workers = min(threads, n, _usable_cpus())
+    if workers <= 1:
         values = chunk_fn((config.params, config.t_end, config.seed, 0, n, config.observables))
     else:
-        bounds = np.linspace(0, n, threads + 1).astype(int)
-        jobs = [(config.params, config.t_end, config.seed, int(a), int(b), config.observables)
-                for a, b in zip(bounds, bounds[1:]) if b > a]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        bounds = [k * n // workers for k in range(workers + 1)]
+        jobs = [(config.params, config.t_end, config.seed, a, b, config.observables)
+                for a, b in zip(bounds, bounds[1:])]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(chunk_fn, jobs))
         values = np.vstack(parts)
     return _estimates_from_values(values, config.observables, n)
@@ -275,8 +313,9 @@ def dual_reweighted_estimate(params: SegmentParams, x0: Sequence[int], t_end: fl
     if initial is None:
         initial = SegmentState.empty(ell)
     values = np.empty(trajectories)
+    streams = _Streams(seed)
     for i in range(trajectories):
-        draws = _Draws(_rng_for(seed, i))
+        draws = _Draws(_rng_for(streams, i))
         x = list(x0)
         n = len(x)
         t = 0.0

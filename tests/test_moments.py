@@ -111,3 +111,11 @@ def test_free_evolution_values_equal_q_moment(x):
     assert x in rep.values and len(rep.values) >= 3
     for xs, value in rep.values.items():
         assert value == pytest.approx(q_moment(t, xs, PARAMS).value, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("q, rho", [(F(1, 2), F(9, 10)), (F(2, 5), 1)])
+def test_imag_residual_is_negligible_up_to_three_points(q, rho):
+    params = ModelParams.from_density(1, q, rho)
+    for t in (0.0, 0.5, 1.0):
+        for x in ((2,), (1, 3), (1, 2, 4)):
+            assert q_moment(t, x, params).imag_residual < 1e-12

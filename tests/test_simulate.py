@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from asep_lab.model import ModelParams, SegmentParams, SegmentState
 from asep_lab.moments import first_moment
+from asep_lab import simulate
 from asep_lab.segment_ode import solve_u, stationary_distribution
 from asep_lab.simulate import (SimConfig, dual_reweighted_estimate, estimate,
                                simulate_halfline, simulate_segment)
@@ -120,3 +122,74 @@ def test_config_validation():
         SimConfig(PARAMS, 1.0, 0, seed=0)
     with pytest.raises(TypeError):
         simulate_segment(SimConfig(PARAMS, 1.0, 1, seed=0))
+
+
+def test_rng_for_is_the_jumped_stream():
+    streams = simulate._Streams(2024)
+    for i in (0, 1, 7, 99_999):
+        ours = simulate._rng_for(streams, i)
+        a = ours.random(40).tolist() + ours.standard_exponential(40).tolist()
+        ref = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(2024)).jumped(i))
+        b = ref.random(40).tolist() + ref.standard_exponential(40).tolist()
+        assert a == b
+
+
+class _EventCountingDraws(simulate._Draws):
+    events = []
+
+    def __init__(self, rng):
+        super().__init__(rng)
+        self.events.append(0)
+
+    def exponential(self):
+        self.events[-1] += 1
+        return super().exponential()
+
+
+@pytest.mark.parametrize("finals, params, t", [
+    (simulate._halfline_finals, PARAMS, 8.0),
+    (simulate._segment_finals, SEG, 8.0),
+])
+def test_trajectory_does_not_depend_on_earlier_ones(monkeypatch, finals, params, t):
+    monkeypatch.setattr(simulate, "_Draws", _EventCountingDraws)
+    _EventCountingDraws.events = []
+    full = list(finals(params, t, 31, 0, 12))
+    assert max(_EventCountingDraws.events) > simulate._Draws.BLOCK  # some block refilled
+    assert list(finals(params, t, 31, 5, 12)) == full[5:]
+
+
+def test_segment_thread_count_does_not_change_results():
+    cfg = SimConfig(SEG, 1.0, 200, seed=5, observables=((1, 2), (3,)))
+    assert estimate(cfg, threads=1) == estimate(cfg, threads=2)
+
+
+class _InlinePool:
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
+
+def test_worker_pool_is_bounded_by_cpus_and_trajectories(monkeypatch):
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+    _InlinePool.max_workers = []
+    cfg = SimConfig(PARAMS, 1.0, 10, seed=8, observables=((2,),))
+    serial = estimate(cfg, threads=1)
+    assert estimate(cfg, threads=5000) == serial
+    small = SimConfig(PARAMS, 1.0, 2, seed=8, observables=((2,),))
+    assert estimate(small, threads=5000) == estimate(small, threads=1)
+    assert _InlinePool.max_workers == [3, 2]
+
+
+def test_usable_cpus_is_positive():
+    assert 1 <= simulate._usable_cpus() <= (os.cpu_count() or 1)
