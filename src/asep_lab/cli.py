@@ -10,6 +10,7 @@ file.  Exit codes: 0 success, 2 validation error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .duality import (chamber_vectors, exhaustive_states,
+from .duality import (DualityReport, chamber_vectors, exhaustive_states,
                       negative_control_no_liggett, verify_fictitious_site,
                       verify_fullspace_duality, verify_halfline_duality,
                       verify_segment_duality)
@@ -92,23 +93,20 @@ def _parse_floats(text: str) -> tuple:
 
 def _model_params(args) -> ModelParams:
     if args.rho is not None:
-        return ModelParams.from_density(args.p, args.q, Fraction(args.rho))
+        return ModelParams.from_density(args.p, args.q, args.rho)
     if args.alpha is None or args.gamma is None:
         raise ValidityError("give either --rho or both --alpha and --gamma")
-    return ModelParams(Fraction(args.p), Fraction(args.q),
-                       Fraction(args.alpha), Fraction(args.gamma))
+    return ModelParams(args.p, args.q, args.alpha, args.gamma)
 
 
 def _segment_params(args) -> SegmentParams:
     if args.rho0 is not None and args.rho_ell is not None:
-        return SegmentParams.from_densities(args.p, args.q, Fraction(args.rho0),
-                                            Fraction(args.rho_ell), args.ell)
+        return SegmentParams.from_densities(args.p, args.q, args.rho0, args.rho_ell, args.ell)
     need = (args.alpha, args.gamma, args.beta, args.delta)
     if any(v is None for v in need):
         raise ValidityError("give --rho0/--rho-ell or all of --alpha/--gamma/--beta/--delta")
-    return SegmentParams(Fraction(args.p), Fraction(args.q), Fraction(args.alpha),
-                         Fraction(args.gamma), ell=args.ell,
-                         beta=Fraction(args.beta), delta=Fraction(args.delta))
+    return SegmentParams(args.p, args.q, args.alpha, args.gamma, ell=args.ell,
+                         beta=args.beta, delta=args.delta)
 
 
 def _quad(args) -> QuadratureSpec:
@@ -148,8 +146,21 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _verify_reports(args):
-    mode = args.mode
+def _no_liggett_report(params: ModelParams, eta, x) -> DualityReport:
+    rep = negative_control_no_liggett(params, eta, x)
+    return rep.bulk_report or rep.corrected_report
+
+
+# every mode but "segment" checks one identity per (eta, x) on the line window
+_LINE_VERIFIERS = {
+    "fullspace": verify_fullspace_duality,
+    "halfline": verify_halfline_duality,
+    "no-liggett": _no_liggett_report,
+    "fictitious": verify_fictitious_site,
+}
+
+
+def _verify_reports(args) -> List[DualityReport]:
     rng = np.random.default_rng(args.seed)
 
     def rand_fraction(lo_num=1, hi_num=9, den=10):
@@ -159,43 +170,26 @@ def _verify_reports(args):
     for _ in range(args.points):
         qv = rand_fraction(1, 9)          # q in (0,1)
         rho = rand_fraction(1, 10)        # in (0,1]
-        params = ModelParams.from_density(1, qv, rho)
-        if mode == "halfline":
-            for eta in exhaustive_states(args.max_site):
-                for n in range(1, args.max_n + 1):
-                    for x in chamber_vectors(1, args.max_site + 1, n):
-                        reports.append(verify_halfline_duality(params, eta, x))
-        elif mode == "fullspace":
-            for eta in exhaustive_states(args.max_site):
-                for n in range(1, args.max_n + 1):
-                    for x in chamber_vectors(1, args.max_site + 1, n):
-                        reports.append(verify_fullspace_duality(params, eta, x))
-        elif mode == "fictitious":
-            for eta in exhaustive_states(args.max_site):
-                for n in range(1, args.max_n + 1):
-                    for x in chamber_vectors(1, args.max_site + 1, n):
-                        reports.append(verify_fictitious_site(params, eta, x))
-        elif mode == "segment":
-            import itertools
-            ell = args.ell or 4
-            rho_ell = rand_fraction(1, 10)
-            sp = SegmentParams.from_densities(1, qv, rho, rho_ell, ell)
-            for eta in itertools.product((0, 1), repeat=ell - 1):
-                for n_ell in (0, 1):
-                    for n in range(1, min(args.max_n, ell) + 1):
-                        for x in chamber_vectors(1, ell, n):
-                            reports.append(verify_segment_duality(sp, eta, n_ell, x))
-        elif mode == "no-liggett":
-            bad = ModelParams(1, qv, rand_fraction(1, 9), rand_fraction(1, 9))
-            if bad.liggett_ok():
-                bad = ModelParams(1, qv, bad.alpha, bad.gamma + Fraction(1, 7))
-            for eta in exhaustive_states(args.max_site):
-                for n in range(1, args.max_n + 1):
-                    for x in chamber_vectors(1, args.max_site + 1, n):
-                        rep = negative_control_no_liggett(bad, eta, x)
-                        reports.append(rep.bulk_report or rep.corrected_report)
+        if args.mode == "segment":
+            ell = args.ell
+            sp = SegmentParams.from_densities(1, qv, rho, rand_fraction(1, 10), ell)
+            reports.extend(verify_segment_duality(sp, eta, n_ell, x)
+                           for eta in itertools.product((0, 1), repeat=ell - 1)
+                           for n_ell in (0, 1)
+                           for n in range(1, min(args.max_n, ell) + 1)
+                           for x in chamber_vectors(1, ell, n))
+            continue
+        if args.mode == "no-liggett":
+            params = ModelParams(1, qv, rand_fraction(1, 9), rand_fraction(1, 9))
+            if params.liggett_ok():
+                params = ModelParams(1, qv, params.alpha, params.gamma + Fraction(1, 7))
         else:
-            raise ValidityError(f"unknown verify mode {mode}")
+            params = ModelParams.from_density(1, qv, rho)
+        verify = _LINE_VERIFIERS[args.mode]
+        reports.extend(verify(params, eta, x)
+                       for eta in exhaustive_states(args.max_site)
+                       for n in range(1, args.max_n + 1)
+                       for x in chamber_vectors(1, args.max_site + 1, n))
     return reports
 
 
@@ -273,6 +267,19 @@ def _add_common(sub, rates=True):
                          help="boundary density; fills alpha, gamma via Liggett's relation")
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, so a run cannot check nothing."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return convert
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line in one line, exit code 2."""
 
@@ -314,9 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--mode", required=True,
                    choices=["fullspace", "halfline", "segment", "no-liggett", "fictitious"])
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--points", type=int, default=3, help="random rational parameter points")
-    v.add_argument("--max-site", dest="max_site", type=int, default=5)
-    v.add_argument("--max-n", dest="max_n", type=int, default=3)
+    v.add_argument("--points", type=_int_at_least(1), default=3,
+                   help="random rational parameter points")
+    v.add_argument("--max-site", dest="max_site", type=_int_at_least(0), default=5)
+    v.add_argument("--max-n", dest="max_n", type=_int_at_least(1), default=3)
     v.add_argument("--ell", type=int, default=4)
     v.set_defaults(func=cmd_verify)
 

@@ -5,6 +5,11 @@ optional diagonal coefficient (boundary killing/duplication); applying one
 to the observable H = prod q^{N_{x_i}} is a finite sum of exact Fractions,
 so affirmative duality residuals must be the rational number zero, with no
 tolerance anywhere.
+
+The verifiers apply the generators to H in integer form: with q = a/b and
+every exponent E of one identity inside known bounds lo <= E <= hi, q^E is
+the integer a^(E-lo) b^(hi-E) times the constant a^lo / b^hi (see _QPowers),
+and each side is scaled back to a Fraction once.
 """
 
 from __future__ import annotations
@@ -14,10 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .model import ModelParams, SegmentParams, h_product, h_product_segment
+from .model import ModelParams, SegmentParams, h_exponent, h_exponent_segment
 
 Eta = frozenset
 # generators yield (rate, new_state); diagonal terms are returned separately
+
+# one shared zero: Fractions are immutable and each construction costs ~1 us
+_ZERO = Fraction(0)
 
 FULL_LINE = "full_line"
 HALF_LINE = "half_line"
@@ -42,7 +50,7 @@ class GeneratorSpec:
 
     def diagonal(self, state) -> Fraction:
         fn = _DIAGONALS.get(self.kind)
-        return fn(self.params, state) if fn else Fraction(0)
+        return fn(self.params, state) if fn else _ZERO
 
 
 def _swap_moves(eta: Eta, sites: Iterable[int], p: Fraction, q: Fraction):
@@ -112,8 +120,8 @@ def _dual_boundary_transitions(params: ModelParams, x: Tuple[int, ...]):
 
 def _dual_boundary_diagonal(params: ModelParams, x: Tuple[int, ...]) -> Fraction:
     if x[0] == 1:
-        return -(params.p_rate - params.q_rate) * params.rho
-    return Fraction(0)
+        return (params.q_rate - params.p_rate) * params.rho
+    return _ZERO
 
 
 def _dual_segment_transitions(params: SegmentParams, x: Tuple[int, ...]):
@@ -122,7 +130,7 @@ def _dual_segment_transitions(params: SegmentParams, x: Tuple[int, ...]):
 
 
 def _dual_segment_diagonal(params: SegmentParams, x: Tuple[int, ...]) -> Fraction:
-    d = Fraction(0)
+    d = _ZERO
     pq = params.p_rate - params.q_rate
     if x[0] == 1:
         d -= pq * params.rho0
@@ -191,15 +199,55 @@ _DIAGONALS = {
 
 
 def apply_generator(gen: GeneratorSpec, f: Callable, state) -> Fraction:
-    """Exact sum of rate * (f(new) - f(state)) plus any diagonal term."""
-    total = Fraction(0)
+    """Exact sum of rate * (f(new) - f(state)) plus any diagonal term.
+
+    f must be exact-valued (int or Fraction).  Rates are summed per distinct
+    value of f(new) and moves that leave f unchanged are skipped, so the
+    arithmetic on f's values grows with the number of distinct values, not
+    with the number of transitions.
+    """
     f0 = f(state)
+    rate_by_value = {}
     for rate, new in gen.transitions(state):
-        total += rate * (f(new) - f0)
+        value = f(new)
+        if value == f0:
+            continue
+        if value in rate_by_value:
+            rate_by_value[value] += rate
+        else:
+            rate_by_value[value] = rate
+    total = _ZERO
+    for value, rate in rate_by_value.items():
+        total += rate * (value - f0)
     diag = gen.diagonal(state)
     if diag:
         total += diag * f0
     return total
+
+
+class _QPowers:
+    """q^E for lo <= E <= hi as the integer a^(E-lo) b^(hi-E), with q = a/b.
+
+    q^E equals that integer times `scale` = a^lo / b^hi.  An exponent
+    outside [lo, hi] raises: a negative integer power would be a float.
+    """
+
+    def __init__(self, q: Fraction, lo: int, hi: int):
+        self.a, self.b = q.numerator, q.denominator
+        self.lo, self.hi = lo, hi
+        self.scale = q ** lo / self.b ** (hi - lo)
+
+    def __call__(self, e: int) -> int:
+        if not self.lo <= e <= self.hi:
+            raise ArithmeticError(f"exponent {e} outside [{self.lo}, {self.hi}]")
+        return self.a ** (e - self.lo) * self.b ** (self.hi - e)
+
+
+def _line_powers(params: ModelParams, eta: Eta, n: int) -> _QPowers:
+    """Bounds for one line identity: every state it reaches holds at most
+    |eta| + 1 particles (one injected at site 1 or put on the fictitious
+    site 0), so every N_{x_i} stays in [0, |eta| + 1]."""
+    return _QPowers(params.q, 0, n * (len(eta) + 1))
 
 
 @dataclass
@@ -241,22 +289,22 @@ def verify_halfline_duality(params: ModelParams, eta, x: Sequence[int]) -> Duali
                          "(use negative_control_no_liggett otherwise)")
     eta = _coerce_eta(eta)
     x = tuple(x)
-    q = params.q
-    lhs = apply_generator(GeneratorSpec(HALF_LINE, params), lambda s: h_product(s, x, q), eta)
+    pw = _line_powers(params, eta, len(x))
+    lhs = apply_generator(GeneratorSpec(HALF_LINE, params), lambda s: pw(h_exponent(s, x)), eta)
     rhs = apply_generator(GeneratorSpec(DUAL_N_BOUNDARY, params, len(x)),
-                          lambda y: h_product(eta, y, q), x)
-    return DualityReport(f"halfline eta={sorted(eta)} x={x}", lhs, rhs)
+                          lambda y: pw(h_exponent(eta, y)), x)
+    return DualityReport(f"halfline eta={sorted(eta)} x={x}", lhs * pw.scale, rhs * pw.scale)
 
 
 def verify_fullspace_duality(params: ModelParams, eta, x: Sequence[int]) -> DualityReport:
     """Full-line generator vs n-particle dual generator; residual 0, no boundary condition."""
     eta = _coerce_eta(eta)
     x = tuple(x)
-    q = params.q
-    lhs = apply_generator(GeneratorSpec(FULL_LINE, params), lambda s: h_product(s, x, q), eta)
+    pw = _line_powers(params, eta, len(x))
+    lhs = apply_generator(GeneratorSpec(FULL_LINE, params), lambda s: pw(h_exponent(s, x)), eta)
     rhs = apply_generator(GeneratorSpec(DUAL_N, params, len(x)),
-                          lambda y: h_product(eta, y, q), x)
-    return DualityReport(f"fullspace eta={sorted(eta)} x={x}", lhs, rhs)
+                          lambda y: pw(h_exponent(eta, y)), x)
+    return DualityReport(f"fullspace eta={sorted(eta)} x={x}", lhs * pw.scale, rhs * pw.scale)
 
 
 def verify_segment_duality(params: SegmentParams, eta: Sequence[int], n_ell: int,
@@ -271,12 +319,15 @@ def verify_segment_duality(params: SegmentParams, eta: Sequence[int], n_ell: int
         raise ValueError("segment duality requires Liggett's condition on both sides")
     eta = tuple(eta)
     x = tuple(x)
-    q = params.q
+    n = len(x)
+    # a transition moves one particle and the through-count by at most one,
+    # so every N_{x_i} stays in [n_ell - 1, len(eta) + n_ell + 1]
+    pw = _QPowers(params.q, n * (n_ell - 1), n * (len(eta) + n_ell + 1))
     lhs = apply_generator(GeneratorSpec(SEGMENT, params),
-                          lambda s: h_product_segment(s[0], s[1], x, q), (eta, n_ell))
-    rhs = apply_generator(GeneratorSpec(DUAL_SEGMENT, params, len(x)),
-                          lambda y: h_product_segment(eta, n_ell, y, q), x)
-    return DualityReport(f"segment eta={eta} N={n_ell} x={x}", lhs, rhs)
+                          lambda s: pw(h_exponent_segment(s[0], s[1], x)), (eta, n_ell))
+    rhs = apply_generator(GeneratorSpec(DUAL_SEGMENT, params, n),
+                          lambda y: pw(h_exponent_segment(eta, n_ell, y)), x)
+    return DualityReport(f"segment eta={eta} N={n_ell} x={x}", lhs * pw.scale, rhs * pw.scale)
 
 
 @dataclass
@@ -301,24 +352,26 @@ def negative_control_no_liggett(params: ModelParams, eta,
     """
     eta = _coerce_eta(eta)
     x = tuple(x)
-    q = params.q
-    h = lambda y: h_product(eta, y, q)
-    lhs = apply_generator(GeneratorSpec(HALF_LINE, params), lambda s: h_product(s, x, q), eta)
+    pw = _line_powers(params, eta, len(x))
+    h = lambda y: pw(h_exponent(eta, y))
+    lhs = apply_generator(GeneratorSpec(HALF_LINE, params), lambda s: pw(h_exponent(s, x)), eta)
     plain = apply_generator(GeneratorSpec(DUAL_N, params, len(x)), h, x)
+    lhs_q = lhs * pw.scale
 
     if x[0] >= 2:
-        rep = DualityReport(f"no-liggett bulk eta={sorted(eta)} x={x}", lhs, plain)
+        rep = DualityReport(f"no-liggett bulk eta={sorted(eta)} x={x}", lhs_q, plain * pw.scale)
         return NegativeControlReport(x, rep, None, rep.residual)
 
     tail = x[1:]
-    corrected = ((params.alpha * q + params.gamma) * h((2,) + tail)
+    corrected = ((params.alpha * params.q + params.gamma) * h((2,) + tail)
                  - (params.alpha + params.gamma) * h((1,) + tail))
     if tail:
         corrected += apply_generator(
             GeneratorSpec(DUAL_N, params, len(tail)),
             lambda y: h((1,) + tuple(y)), tail)
-    rep = DualityReport(f"no-liggett corrected eta={sorted(eta)} x={x}", lhs, corrected)
-    return NegativeControlReport(x, None, rep, lhs - plain)
+    rep = DualityReport(f"no-liggett corrected eta={sorted(eta)} x={x}", lhs_q,
+                        corrected * pw.scale)
+    return NegativeControlReport(x, None, rep, (lhs - plain) * pw.scale)
 
 
 def verify_fictitious_site(params: ModelParams, eta, x: Sequence[int]) -> DualityReport:
@@ -330,13 +383,14 @@ def verify_fictitious_site(params: ModelParams, eta, x: Sequence[int]) -> Dualit
         raise ValueError("fictitious-site identity requires Liggett's condition")
     eta = _coerce_eta(eta)
     x = tuple(x)
-    q, rho = params.q, params.rho
-    h = lambda s: h_product(s, x, q)
+    rho = params.rho
+    pw = _line_powers(params, eta, len(x))
+    h = lambda s: pw(h_exponent(s, x))
     lhs = apply_generator(GeneratorSpec(HALF_LINE, params), h, eta)
     closed = GeneratorSpec(HALF_LINE_CLOSED, params)
     rhs = (rho * apply_generator(closed, h, eta | {0})
            + (1 - rho) * apply_generator(closed, h, eta - {0}))
-    return DualityReport(f"fictitious eta={sorted(eta)} x={x}", lhs, rhs)
+    return DualityReport(f"fictitious eta={sorted(eta)} x={x}", lhs * pw.scale, rhs * pw.scale)
 
 
 def exhaustive_states(max_site: int) -> List[Eta]:

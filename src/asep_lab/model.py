@@ -7,8 +7,9 @@ modules convert to float at their entry points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, str, Fraction, float]
@@ -32,9 +33,10 @@ def as_fraction(value: RationalLike) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+    try:
+        return Fraction(str(value) if isinstance(value, float) else value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidityError(f"not an exact rational: {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,10 @@ class ModelParams:
     p_rate/q_rate are the right/left bulk jump rates, alpha/gamma the
     injection/ejection rates at site 1.  The asymmetry q = q_rate/p_rate
     must lie in (0, 1).
+
+    The derived rationals (q, rho, the boundary conditions) are computed
+    once per instance and kept in its __dict__; equality, hashing, repr and
+    pickling use the fields only.
     """
 
     p_rate: Fraction
@@ -73,17 +79,24 @@ class ModelParams:
             raise ValidityError("density must be in [0,1]")
         return cls(p, q, r * p, (1 - r) * q)
 
-    @property
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
     def q(self) -> Fraction:
         return self.q_rate / self.p_rate
 
-    @property
+    @cached_property
     def rho(self) -> Fraction:
         return self.alpha / self.p_rate
 
+    @cached_property
+    def _liggett(self) -> bool:
+        return self.alpha / self.p_rate + self.gamma / self.q_rate == 1
+
     def liggett_ok(self) -> bool:
         """alpha/p + gamma/q = 1, decided exactly."""
-        return self.alpha / self.p_rate + self.gamma / self.q_rate == 1
+        return self._liggett
 
     def formula_ok(self) -> bool:
         """rho in (1/(1+sqrt(q)), 1], i.e. rho/(1-rho) > 1/sqrt(q), exactly.
@@ -132,17 +145,21 @@ class SegmentParams(ModelParams):
         return cls(p, q, r0 * p, (1 - r0) * q, ell=ell,
                    beta=(1 - rl) * p, delta=rl * q)
 
-    @property
+    @cached_property
     def rho0(self) -> Fraction:
         return self.alpha / self.p_rate
 
-    @property
+    @cached_property
     def rho_ell(self) -> Fraction:
         return self.delta / self.q_rate
 
+    @cached_property
+    def _liggett2(self) -> bool:
+        return self.liggett_ok() and self.beta / self.p_rate + self.delta / self.q_rate == 1
+
     def liggett2_ok(self) -> bool:
         """Both boundary conditions alpha/p+gamma/q = 1 and beta/p+delta/q = 1."""
-        return self.liggett_ok() and self.beta / self.p_rate + self.delta / self.q_rate == 1
+        return self._liggett2
 
 
 @dataclass(frozen=True)
@@ -201,17 +218,18 @@ def current(state: AsepState, x: int):
     return sum(1 for s in state.occupied if s >= x)
 
 
+def h_exponent(occupied: Iterable[int], x: Sequence[int]) -> int:
+    """sum_i N_{x_i}, the exponent of the duality observable (any integer sites)."""
+    occ = list(occupied)
+    return len([s for xi in x for s in occ if s >= xi])
+
+
 def h_product(occupied: Iterable[int], x: Sequence[int], q):
     """prod_i q^{N_{x_i}} without chamber validation (any integer sites).
 
-    Works for exact Fraction q as well as float q; used internally by the
-    duality verifier on arbitrary (possibly unordered) site vectors.
+    Works for exact Fraction q as well as float q.
     """
-    occ = list(occupied)
-    total = 0
-    for xi in x:
-        total += sum(1 for s in occ if s >= xi)
-    return q ** total
+    return q ** h_exponent(occupied, x)
 
 
 def observable_h(state: AsepState, x: Sequence[int], q):
@@ -225,12 +243,17 @@ def current_segment(state: SegmentState, x: int):
     return sum(state.eta[x - 1:]) + state.n_ell
 
 
-def h_product_segment(eta: Sequence[int], n_ell: int, x: Sequence[int], q):
-    """Segment observable without chamber validation."""
+def h_exponent_segment(eta: Sequence[int], n_ell: int, x: Sequence[int]) -> int:
+    """sum_i N_{x_i} on the segment, N_x = sum_{i>=x} eta_i + N_ell."""
     total = 0
     for xi in x:
         total += sum(eta[max(xi - 1, 0):]) + n_ell
-    return q ** total
+    return total
+
+
+def h_product_segment(eta: Sequence[int], n_ell: int, x: Sequence[int], q):
+    """Segment observable without chamber validation."""
+    return q ** h_exponent_segment(eta, n_ell, x)
 
 
 def observable_h_segment(state: SegmentState, x: Sequence[int], q):

@@ -55,17 +55,24 @@ def build_dual_matrix(params: SegmentParams, n: int, exact: bool = False) -> Dua
     index = {v: i for i, v in enumerate(vectors)}
     gen = GeneratorSpec(DUAL_SEGMENT, params, n)
     dim = len(vectors)
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    # exact entries of the nonzero pattern, at most 2n + 1 per row
+    entries: Dict[Tuple[int, int], Fraction] = {}
     for i, x in enumerate(vectors):
         diag = gen.diagonal(x)
         for rate, y in gen.transitions(x):
-            j = index[y]
-            rows[i][j] += rate
+            key = (i, index[y])
+            entries[key] = entries.get(key, 0) + rate
             diag -= rate
-        rows[i][i] += diag
-    matrix = np.array([[float(v) for v in row] for row in rows])
-    return DualMatrix(params, n, vectors, index, matrix,
-                      exact=rows if exact else None)
+        entries[(i, i)] = entries.get((i, i), 0) + diag
+    matrix = np.zeros((dim, dim))
+    rows_idx, cols_idx = zip(*entries)
+    matrix[rows_idx, cols_idx] = [float(v) for v in entries.values()]
+    rows = None
+    if exact:
+        rows = [[Fraction(0)] * dim for _ in range(dim)]
+        for (i, j), v in entries.items():
+            rows[i][j] = v
+    return DualMatrix(params, n, vectors, index, matrix, exact=rows)
 
 
 def _initial_vector(dual: DualMatrix, state: SegmentState) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -164,3 +165,38 @@ def test_moments_rejects_unordered_sites():
     proc = run_cli(["moments", "--t", "0.5", "--x", "3,1", "--rho", "0.9"])
     _assert_one_line_exit_2(proc)
     assert "increasing" in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [["--q", "1/0", "--rho", "1"], ["--rho", "1/0"],
+                                   ["--q", "abc", "--rho", "1"]])
+def test_malformed_rational_exits_2(flags, capsys):
+    assert main(["moments", "--t", "0", "--x", "1"] + flags) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "rational" in err
+
+
+@pytest.mark.parametrize("flags", [["--points", "0"], ["--max-n", "0"],
+                                   ["--max-site", "-1"]])
+def test_verify_refuses_empty_sweep(flags):
+    _assert_one_line_exit_2(run_cli(["verify", "--mode", "halfline"] + flags))
+
+
+# sha256 of the report lines (manifest line excluded) of
+# `verify --mode M --seed 0 --points 2`, recorded before the verifiers moved
+# to integer-encoded q-powers
+VERIFY_DIGESTS = {
+    "halfline": "561ce6bd76915cab61360c7bc5d0c18275c1ef2e3e1c92b695678fc3388d16b1",
+    "fullspace": "8bc6a19d0cc3c3848b42dcc029ca537baa468b86a88ff15bed41fed79e8d4c19",
+    "fictitious": "f33e6d48d9a506756caf04ec5c67e846517671ce3f4815bdbd5e70e3f29bb05e",
+    "segment": "eff0abb5286a566fec206f29888c628d969bfc8098d0582f42e82a3757559f6f",
+    "no-liggett": "a411abcfc438899029ae35125637c52fb65bc6b59d77bff68a0d3ac3639ab783",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(VERIFY_DIGESTS))
+def test_verify_report_lines_pinned(mode, tmp_path):
+    out = tmp_path / "v.jsonl"
+    assert main(["verify", "--mode", mode, "--seed", "0", "--points", "2",
+                 "--output", str(out)]) == 0
+    reports = out.read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(reports).hexdigest() == VERIFY_DIGESTS[mode]

@@ -160,3 +160,144 @@ def test_closed_segment_generator_conserves_mass():
                 A[j][j] -= rate
         for j in range(dim):
             assert sum(A[i][j] for i in range(dim)) == 0
+
+
+# --- integer-encoded sides against the per-transition Fraction form ---------
+
+def _reference_apply(gen, f, state):
+    """The per-transition sum rate * (f(new) - f(state)) plus the diagonal."""
+    total = F(0)
+    f0 = f(state)
+    for rate, new in gen.transitions(state):
+        total += rate * (f(new) - f0)
+    diag = gen.diagonal(state)
+    if diag:
+        total += diag * f0
+    return total
+
+
+def _reference_line(mode, params, eta, x):
+    """(lhs, rhs) of one line identity with Fraction h_product observables."""
+    from asep_lab.duality import FULL_LINE, HALF_LINE_CLOSED
+    q, eta, x = params.q, frozenset(eta), tuple(x)
+    h_x = lambda s: h_product(s, x, q)
+    h_eta = lambda y: h_product(eta, y, q)
+    halfline = _reference_apply(GeneratorSpec(HALF_LINE, params), h_x, eta)
+    if mode == "halfline":
+        return halfline, _reference_apply(GeneratorSpec(DUAL_N_BOUNDARY, params, len(x)),
+                                          h_eta, x)
+    if mode == "fullspace":
+        return (_reference_apply(GeneratorSpec(FULL_LINE, params), h_x, eta),
+                _reference_apply(GeneratorSpec(DUAL_N, params, len(x)), h_eta, x))
+    if mode == "fictitious":
+        closed = GeneratorSpec(HALF_LINE_CLOSED, params)
+        return halfline, (params.rho * _reference_apply(closed, h_x, eta | {0})
+                          + (1 - params.rho) * _reference_apply(closed, h_x, eta - {0}))
+    plain = _reference_apply(GeneratorSpec(DUAL_N, params, len(x)), h_eta, x)
+    if x[0] >= 2:
+        return halfline, plain, halfline - plain
+    tail = x[1:]
+    corrected = ((params.alpha * q + params.gamma) * h_eta((2,) + tail)
+                 - (params.alpha + params.gamma) * h_eta((1,) + tail))
+    if tail:
+        corrected += _reference_apply(GeneratorSpec(DUAL_N, params, len(tail)),
+                                      lambda y: h_eta((1,) + tuple(y)), tail)
+    return halfline, corrected, halfline - plain
+
+
+def _assert_sides(rep, lhs, rhs):
+    assert type(rep.lhs) is F and type(rep.rhs) is F
+    assert (rep.lhs, rep.rhs) == (lhs, rhs)
+
+
+def test_line_sides_equal_per_transition_reference():
+    verifiers = {"halfline": verify_halfline_duality,
+                 "fullspace": verify_fullspace_duality,
+                 "fictitious": verify_fictitious_site}
+    for params in (PARAMS, ModelParams.from_density(3, F(2, 3), F(5, 12))):
+        for eta in exhaustive_states(4):
+            for n in (1, 2, 3):
+                for x in chamber_vectors(1, 5, n):
+                    for mode, verify in verifiers.items():
+                        _assert_sides(verify(params, eta, x),
+                                      *_reference_line(mode, params, eta, x))
+
+
+def test_fullspace_sides_equal_reference_on_negative_sites():
+    for eta in exhaustive_states(4):
+        eta = frozenset(s - 3 for s in eta)  # sites -2..1
+        for n in (1, 2):
+            for x in chamber_vectors(-3, 2, n):
+                _assert_sides(verify_fullspace_duality(PARAMS, eta, x),
+                              *_reference_line("fullspace", PARAMS, eta, x))
+
+
+def test_no_liggett_sides_equal_per_transition_reference():
+    bad = ModelParams(1, F(2, 5), F(1, 3), F(1, 4))
+    for eta in exhaustive_states(3):
+        for n in (1, 2, 3):
+            for x in chamber_vectors(1, 4, n):
+                rep = negative_control_no_liggett(bad, eta, x)
+                lhs, rhs, plain_residual = _reference_line("no-liggett", bad, eta, x)
+                _assert_sides(rep.bulk_report or rep.corrected_report, lhs, rhs)
+                assert type(rep.plain_residual) is F
+                assert rep.plain_residual == plain_residual
+
+
+def test_segment_sides_equal_per_transition_reference():
+    from asep_lab.duality import DUAL_SEGMENT, SEGMENT
+    for ell in (2, 3, 4):
+        sp = SegmentParams.from_densities(2, F(3, 5), F(4, 5), F(1, 3), ell)
+        q = sp.q
+        for eta in itertools.product((0, 1), repeat=ell - 1):
+            for n_ell in (0, 1, 3):
+                for n in range(1, min(3, ell) + 1):
+                    for x in chamber_vectors(1, ell, n):
+                        lhs = _reference_apply(
+                            GeneratorSpec(SEGMENT, sp),
+                            lambda s: h_product_segment(s[0], s[1], x, q), (eta, n_ell))
+                        rhs = _reference_apply(
+                            GeneratorSpec(DUAL_SEGMENT, sp, n),
+                            lambda y: h_product_segment(eta, n_ell, y, q), x)
+                        _assert_sides(verify_segment_duality(sp, eta, n_ell, x), lhs, rhs)
+
+
+def test_apply_generator_equals_reference_on_fraction_observable():
+    q = PARAMS.q
+    for eta in exhaustive_states(4):
+        for x in chamber_vectors(1, 5, 2):
+            h = lambda s: h_product(s, x, q)
+            got = apply_generator(GeneratorSpec(HALF_LINE, PARAMS), h, eta)
+            assert type(got) is F
+            assert got == _reference_apply(GeneratorSpec(HALF_LINE, PARAMS), h, eta)
+
+
+def test_integer_q_powers_scale_back_and_raise_outside_bounds():
+    from asep_lab.duality import _QPowers
+    for q, lo, hi in ((F(1, 2), 0, 6), (F(3, 7), -3, 4)):
+        pw = _QPowers(q, lo, hi)
+        for e in range(lo, hi + 1):
+            assert type(pw(e)) is int
+            assert pw(e) * pw.scale == q ** e
+        for e in (lo - 1, hi + 1):
+            with pytest.raises(ArithmeticError):
+                pw(e)
+
+
+def test_params_compare_hash_and_pickle_by_fields_only():
+    import pickle
+    makers = (lambda: ModelParams.from_density(1, F(1, 2), F(3, 4)),
+              lambda: SegmentParams.from_densities(1, F(1, 3), F(4, 5), F(1, 2), 4))
+    for make in makers:
+        fresh, used = make(), make()
+        derived = [used.q, used.rho, used.liggett_ok()]
+        if isinstance(used, SegmentParams):
+            derived += [used.rho0, used.rho_ell, used.liggett2_ok()]
+        assert fresh == used and hash(fresh) == hash(used) and repr(fresh) == repr(used)
+        assert pickle.dumps(fresh) == pickle.dumps(used)
+        back = pickle.loads(pickle.dumps(used))
+        assert back == fresh and hash(back) == hash(fresh)
+        again = [back.q, back.rho, back.liggett_ok()]
+        if isinstance(back, SegmentParams):
+            again += [back.rho0, back.rho_ell, back.liggett2_ok()]
+        assert again == derived

@@ -14,6 +14,12 @@ def test_as_fraction_decimal_semantics():
     assert as_fraction(2) == F(2)
 
 
+@pytest.mark.parametrize("bad", ["1/0", "abc", "", float("nan"), float("inf")])
+def test_as_fraction_rejects_malformed_rationals(bad):
+    with pytest.raises(ValidityError):
+        as_fraction(bad)
+
+
 def test_liggett_is_exact():
     p = ModelParams(1, F(1, 2), F(3, 4), F(1, 8))
     assert p.liggett_ok()

@@ -103,3 +103,33 @@ def test_simulated_time_derivative_consistent_with_generator():
     sol = solve_u(1.0, SegmentState.empty(4), SEG, 2)
     exact = sol.derivative[sol.dual.index[x]]
     assert abs(fd - exact) <= 4 * fd_se + 0.01  # allowance for O(dt^2) curvature
+
+
+def _dense_rows(params, n):
+    """Dense Fraction generator rows filled entry by entry over the chamber."""
+    vectors = chamber(params.ell, n)
+    index = {v: i for i, v in enumerate(vectors)}
+    gen = GeneratorSpec(DUAL_SEGMENT, params, n)
+    rows = [[F(0)] * len(vectors) for _ in vectors]
+    for i, x in enumerate(vectors):
+        diag = gen.diagonal(x)
+        for rate, y in gen.transitions(x):
+            rows[i][index[y]] += rate
+            diag -= rate
+        rows[i][i] += diag
+    return rows
+
+
+def test_matrix_bit_equal_to_dense_construction():
+    closed = SegmentParams.from_densities(1, F(1, 2), 0, 0, 6)
+    open_ = SegmentParams.from_densities(3, F(2, 7), F(5, 6), F(1, 6), 6)
+    for sp in (closed, open_, SEG):
+        for n in (1, 2, 3):
+            rows = _dense_rows(sp, n)
+            dense = np.array([[float(v) for v in row] for row in rows])
+            dm = build_dual_matrix(sp, n, exact=True)
+            assert dm.matrix.dtype == dense.dtype and dm.matrix.shape == dense.shape
+            assert dm.matrix.tobytes() == dense.tobytes()
+            assert dm.exact == rows
+            assert all(type(v) is F for row in dm.exact for v in row)
+            assert build_dual_matrix(sp, n).exact is None
