@@ -88,7 +88,10 @@ def _parse_sites(text: str) -> tuple:
 
 
 def _parse_floats(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(","))
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ValidityError(f"bad number list {text!r}: {exc}")
 
 
 def _model_params(args) -> ModelParams:
@@ -392,7 +395,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     start = time.monotonic()
     try:
         code = args.func(args)
-    except (ValidityError, ChamberError, ValueError, TypeError) as exc:
+    except (ValidityError, ChamberError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ArithmeticError, ReductionError) as exc:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .model import ModelParams, SegmentParams, h_exponent, h_exponent_segment
+from .model import (ModelParams, SegmentParams, ValidityError, h_exponent,
+                    h_exponent_segment)
 
 Eta = frozenset
 # generators yield (rate, new_state); diagonal terms are returned separately
@@ -285,8 +286,8 @@ def _coerce_eta(eta) -> Eta:
 def verify_halfline_duality(params: ModelParams, eta, x: Sequence[int]) -> DualityReport:
     """Half-line generator vs killed dual generator applied to H; residual 0."""
     if not params.liggett_ok():
-        raise ValueError("half-line duality requires alpha/p + gamma/q = 1 "
-                         "(use negative_control_no_liggett otherwise)")
+        raise ValidityError("half-line duality requires alpha/p + gamma/q = 1 "
+                            "(use negative_control_no_liggett otherwise)")
     eta = _coerce_eta(eta)
     x = tuple(x)
     pw = _line_powers(params, eta, len(x))
@@ -316,7 +317,7 @@ def verify_segment_duality(params: SegmentParams, eta: Sequence[int], n_ell: int
     checking at n_ell = 0 suffices; the scaling itself is covered by tests.
     """
     if not params.liggett2_ok():
-        raise ValueError("segment duality requires Liggett's condition on both sides")
+        raise ValidityError("segment duality requires Liggett's condition on both sides")
     eta = tuple(eta)
     x = tuple(x)
     n = len(x)
@@ -380,7 +381,7 @@ def verify_fictitious_site(params: ModelParams, eta, x: Sequence[int]) -> Dualit
     Requires alpha/p + gamma/q = 1; f = H at the given sites.
     """
     if not params.liggett_ok():
-        raise ValueError("fictitious-site identity requires Liggett's condition")
+        raise ValidityError("fictitious-site identity requires Liggett's condition")
     eta = _coerce_eta(eta)
     x = tuple(x)
     rho = params.rho

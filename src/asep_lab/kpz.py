@@ -28,7 +28,7 @@ from scipy.special import erf
 from .model import ModelParams, ValidityError
 from .moments import QuadratureSpec, q_moment
 from .partitions import Diagram, canonical_diagrams, partitions_of, substitution_steps
-from .quadrature import contract_factored, line_nodes
+from .quadrature import PairFactor, contract_factored, line_nodes, line_pair_operands
 
 ROBIN = "robin"
 DIRICHLET = "dirichlet"
@@ -45,6 +45,10 @@ class KpzParams:
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
+        if not math.isfinite(self.t) or not all(map(math.isfinite, self.x)):
+            raise ValidityError("t and every x must be finite")
+        if self.A is not None and not math.isfinite(self.A):
+            raise ValidityError("boundary parameter A must be finite")
         if self.t <= 0:
             raise ValidityError("t must be positive")
         if any(v < 0 for v in self.x) or any(b < a for a, b in zip(self.x, self.x[1:])):
@@ -70,6 +74,12 @@ class ContourSpec:
 
     def __post_init__(self):
         r = self.offsets
+        if not all(map(math.isfinite, r)):
+            raise ValidityError("contour offsets must be finite")
+        if not 0.0 < self.tail_tol < 1.0:
+            raise ValidityError("tail_tol must lie in (0, 1)")
+        if not 0.0 < self.spacing_factor < math.inf:
+            raise ValidityError("spacing_factor must be positive and finite")
         if not r or r[0] != 0.0:
             raise ValidityError("first contour must sit on the imaginary axis")
         shifted = [rk - k for k, rk in enumerate(r)]
@@ -97,7 +107,8 @@ def she_moment_nested(kpz: KpzParams, contours: Optional[ContourSpec] = None) ->
 
     2^n (Robin) or 4^n (Dirichlet) times the integral over lines
     Re w_k = r_k of prod_{i<j} (w_i-w_j)/(w_i-w_j+1) (w_i+w_j)/(w_i+w_j-1)
-    prod_i e^{t w_i^2/2 - x_i w_i} k(w_i).
+    prod_i e^{t w_i^2/2 - x_i w_i} k(w_i), the unreduced integrand that the
+    residue expansion starts from.
     """
     n = kpz.n
     if n > 4:
@@ -106,19 +117,10 @@ def she_moment_nested(kpz: KpzParams, contours: Optional[ContourSpec] = None) ->
     if len(contours.offsets) != n:
         raise ValidityError("need one contour offset per point")
     h = contours.spacing_factor / math.sqrt(kpz.t)
-    nodes, weights = {}, {}
-    for d, r in enumerate(contours.offsets):
-        y_max = _half_height(kpz.t, max(contours.offsets), contours.tail_tol)
-        nodes[d], weights[d] = line_nodes(r, y_max, h, d)
-    vectors = {}
-    for d in range(n):
-        vectors[d] = weights[d] * _kernel(nodes[d], kpz.x[d], kpz.t, kpz.A, kpz.boundary)
-    matrices = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            wi, wj = nodes[i][:, None], nodes[j][None, :]
-            matrices[(i, j)] = ((wi - wj) / (wi - wj + 1.0)
-                                * (wi + wj) / (wi + wj - 1.0))
+    y_max = _half_height(kpz.t, max(contours.offsets), contours.tail_tol)
+    grids = [line_nodes(r, y_max, h, d) for d, r in enumerate(contours.offsets)]
+    vectors, matrices = _line_operands(_build_additive(kpz), kpz,
+                                       {i + 1: i for i in range(n)}, grids)
     pref = (2.0 if kpz.boundary == ROBIN else 4.0) ** n
     val = contract_factored(n, vectors, matrices, pref)
     return float(val.real)
@@ -141,15 +143,16 @@ class AffineForm:
         return AffineForm(self.sign * target.sign, self.shift + self.sign * target.shift,
                           target.var)
 
-    def value(self, assign):
-        return self.sign * assign[self.var] + self.shift
-
 
 ADIFF = "adiff"          # L - L'
 INV_DIFF1 = "inv_diff1"  # 1/(L - L' + 1)
 ASUM = "asum"            # L + L'
 INV_SUM1 = "inv_sum1"    # 1/(L + L' - 1)
 AKERNEL = "akernel"      # e^{t L^2/2 - x L} k(L)
+
+# pair kind -> (sign of L', shift, power): the factor is (L + sign L' + shift)^power
+_PAIR_TERMS = {ADIFF: (-1, 0, 1), INV_DIFF1: (-1, 1, -1),
+               ASUM: (1, 0, 1), INV_SUM1: (1, -1, -1)}
 
 
 @dataclass(frozen=True)
@@ -233,18 +236,37 @@ def _reduce_additive(factors: Sequence[AFactor], diagram: Diagram):
     return live, sign, diagram.pivots
 
 
-def _afactor_value(f: AFactor, kpz: KpzParams, assign):
-    a = f.a.value(assign)
+def _afactor_value(f: AFactor, kpz: KpzParams, w):
+    """A factor of one variable on that variable's nodes w."""
+    a = f.a.sign * w + f.a.shift
     if f.kind == AKERNEL:
         return _kernel(a, f.x, kpz.t, kpz.A, kpz.boundary)
-    b = f.b.value(assign)
-    if f.kind == ADIFF:
-        return a - b
-    if f.kind == INV_DIFF1:
-        return 1.0 / (a - b + 1.0)
-    if f.kind == ASUM:
-        return a + b
-    return 1.0 / (a + b - 1.0)
+    sign, shift, power = _PAIR_TERMS[f.kind]
+    arg = a + sign * (f.b.sign * w + f.b.shift) + shift
+    return arg if power == 1 else 1.0 / arg
+
+
+def _line_operands(factors: Sequence[AFactor], kpz: KpzParams, dims: Dict[int, int],
+                   grids: Sequence[Tuple[np.ndarray, np.ndarray]]):
+    """Per-dimension vectors and pair matrices of a product of factors.
+
+    dims maps each variable to its dimension d, integrated on the line
+    nodes and weights grids[d]; factors of two variables become pair
+    matrices through `line_pair_operands`, the others scale the vectors.
+    """
+    vectors = {d: grids[d][1] for d in dims.values()}
+    pairs = []
+    for f in factors:
+        fvars = f.vars()
+        if len(fvars) == 1:
+            d = dims[fvars[0]]
+            vectors[d] = vectors[d] * _afactor_value(f, kpz, grids[d][0])
+        else:
+            sign, shift, power = _PAIR_TERMS[f.kind]
+            pairs.append(PairFactor(dims[f.a.var], dims[f.b.var], f.a.sign, sign * f.b.sign,
+                                    f.a.shift + sign * f.b.shift + shift, power))
+    nodes = [grids[d][0] for d in range(len(dims))]
+    return vectors, line_pair_operands(nodes, pairs)
 
 
 def she_moment_residue_form(kpz: KpzParams, tail_tol: float = 1e-12,
@@ -262,31 +284,14 @@ def she_moment_residue_form(kpz: KpzParams, tail_tol: float = 1e-12,
         raise ValidityError("residue evaluation supported for n <= 4")
     h = spacing_factor / math.sqrt(kpz.t)
     y_max = _half_height(kpz.t, n - 1.0, tail_tol)
+    grids = [line_nodes(0.0, y_max, h, d) for d in range(n)]
     base = _build_additive(kpz)
     total = 0.0
     for lam in partitions_of(n):
         for diagram in canonical_diagrams(lam):
             live, sign, free = _reduce_additive(base, diagram)
             dims = {v: d for d, v in enumerate(free)}
-            nodes, vectors = {}, {}
-            for v, d in dims.items():
-                nodes[d], w = line_nodes(0.0, y_max, h, d)
-                vectors[d] = w.astype(complex)
-            matrices: Dict[Tuple[int, int], np.ndarray] = {}
-            for f in live:
-                fvars = f.vars()
-                if len(fvars) == 1:
-                    d = dims[fvars[0]]
-                    vectors[d] = vectors[d] * _afactor_value(f, kpz, {fvars[0]: nodes[d]})
-                else:
-                    v1, v2 = fvars
-                    d1, d2 = dims[v1], dims[v2]
-                    if d1 > d2:
-                        v1, v2, d1, d2 = v2, v1, d2, d1
-                    val = _afactor_value(f, kpz, {v1: nodes[d1][:, None],
-                                                  v2: nodes[d2][None, :]})
-                    key = (d1, d2)
-                    matrices[key] = matrices[key] * val if key in matrices else val
+            vectors, matrices = _line_operands(live, kpz, dims, grids)
             total += contract_factored(len(free), vectors, matrices, complex(sign)).real
     return float(2.0 ** n * total)
 

@@ -43,7 +43,7 @@ class QuadratureSpec:
 
     def __post_init__(self):
         if any(n < 16 or n % 2 for n in self.nodes_by_dim):
-            raise ValueError("node counts must be even and >= 16")
+            raise ValidityError("node counts must be even and >= 16")
 
     @classmethod
     def with_1d_nodes(cls, n: int) -> "QuadratureSpec":

@@ -8,6 +8,16 @@ the diagonals z_i = z_j and anti-diagonals z_i z_j = 1/q of the torus
 (and at z = +-radius), and factor-wise evaluation must never land exactly
 on one.
 
+Vertical-line grids (the SHE forms) all share one spacing h and one index
+range, so grid d is w_d[k] = w_d[0] + i k h, k = 0..N-1.  A two-variable
+factor g(s_a w_a + s_b w_b + c) with signs s = +-1 then depends on k_a - k_b
+alone when s_a = -s_b (a Toeplitz matrix) and on k_a + k_b alone when
+s_a = s_b (a Hankel matrix).  `line_pair_operands` therefore evaluates every
+pair factor on its 2N - 1 distinct arguments, multiplies the Toeplitz-type
+and the Hankel-type vectors of each dimension pair separately, and forms
+the N x N pair matrix as one product of two strided views.  Grids of
+different spacing or length have no such structure and are refused.
+
 Integrals are contracted factor-wise: an integrand that is a product of
 per-dimension vectors and pair matrices is summed in BLAS matrix products
 instead of being materialised on the full tensor grid.
@@ -16,9 +26,10 @@ instead of being materialised on the full tensor grid.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 _GOLDEN = 0.6180339887498949
 
@@ -46,6 +57,61 @@ def line_nodes(real_part: float, half_height: float, spacing: float,
     w = real_part + 1j * y
     weights = np.full(w.shape, spacing / (2.0 * np.pi))
     return w, weights
+
+
+class PairFactor(NamedTuple):
+    """(sign_a w_a + sign_b w_b + shift) ** power on grids a != b, power +-1."""
+
+    a: int
+    b: int
+    sign_a: int
+    sign_b: int
+    shift: float
+    power: int
+
+
+def line_pair_operands(grids: Sequence[np.ndarray],
+                       factors: Iterable[PairFactor]) -> Dict[Tuple[int, int], np.ndarray]:
+    """Pair matrices, keyed (a, b) with a < b, of products of PairFactors.
+
+    grids[d] are the nodes of dimension d, as made by `line_nodes` with one
+    spacing and half-height.  Each factor is evaluated on the 2N - 1
+    distinct values of its argument (see the module docstring); only the
+    pairs that carry a factor get a matrix.
+    """
+    n_nodes = len(grids[0])
+    step = complex(grids[0][1] - grids[0][0])
+    for d, w in enumerate(grids):
+        if len(w) != n_nodes:
+            raise ValueError(f"line grid {d} has {len(w)} nodes, grid 0 has {n_nodes}")
+        if np.abs(np.diff(w) - step).max() > 1e-9 * abs(step):
+            raise ValueError(f"line grid {d} does not share grid 0's spacing {step}")
+    # (a, b) -> vector over k_a - k_b + N - 1, and vector over k_a + k_b
+    toeplitz: Dict[Tuple[int, int], np.ndarray] = {}
+    hankel: Dict[Tuple[int, int], np.ndarray] = {}
+    for f in factors:
+        if f.power not in (1, -1):
+            raise ValueError(f"pair factor power must be +-1, got {f.power}")
+        a, b, sa, sb = f.a, f.b, f.sign_a, f.sign_b
+        if a > b:
+            a, b, sa, sb = b, a, sb, sa
+        wa, wb = grids[a], grids[b]
+        if sa == -sb:
+            base = np.concatenate((wa[0] - wb[:0:-1], wa - wb[0]))
+            store = toeplitz
+        else:
+            base = np.concatenate((wa + wb[0], wa[-1] + wb[1:]))
+            store = hankel
+        arg = sa * base + f.shift
+        prev = store.get((a, b), 1.0)
+        store[(a, b)] = prev * arg if f.power == 1 else prev / arg
+    matrices = {}
+    for key in toeplitz.keys() | hankel.keys():
+        # row a, column b of the Toeplitz view reads entry a - b + N - 1
+        t = sliding_window_view(toeplitz[key][::-1], n_nodes)[::-1] if key in toeplitz else 1.0
+        h = sliding_window_view(hankel[key], n_nodes) if key in hankel else 1.0
+        matrices[key] = t * h
+    return matrices
 
 
 def contract_factored(n_dims: int,

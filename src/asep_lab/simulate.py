@@ -18,7 +18,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .model import (AsepState, ModelParams, SegmentParams, SegmentState,
+from .model import (AsepState, ModelParams, SegmentParams, SegmentState, ValidityError,
                     h_product, h_product_segment)
 
 
@@ -34,9 +34,10 @@ class SimConfig:
         object.__setattr__(self, "observables",
                            tuple(tuple(int(v) for v in obs) for obs in self.observables))
         if self.trajectories < 1:
-            raise ValueError("need at least one trajectory")
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
+            raise ValidityError("need at least one trajectory")
+        # a NaN or infinite end time would never stop the event loops
+        if not 0 <= self.t_end < math.inf:
+            raise ValidityError("t_end must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -304,7 +305,7 @@ def dual_reweighted_estimate(params: SegmentParams, x0: Sequence[int], t_end: fl
     the dual-generator ODE solution at x0.
     """
     if not params.liggett2_ok():
-        raise ValueError("reweighting uses the boundary densities; Liggett required")
+        raise ValidityError("reweighting uses the boundary densities; Liggett required")
     x0 = tuple(int(v) for v in x0)
     ell = params.ell
     p, q = float(params.p_rate), float(params.q_rate)

@@ -200,3 +200,40 @@ def test_verify_report_lines_pinned(mode, tmp_path):
                  "--output", str(out)]) == 0
     reports = out.read_bytes().split(b"\n", 1)[1]
     assert hashlib.sha256(reports).hexdigest() == VERIFY_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("flags", [["--t", "1", "--x", "nan", "--A", "1"],
+                                   ["--t", "1", "--x", "1", "--A", "nan"],
+                                   ["--t", "1", "--x", "1", "--A", "inf"],
+                                   ["--t", "1", "--x", "1.0,inf", "--A", "1"],
+                                   ["--t", "inf", "--x", "1", "--A", "1"],
+                                   ["--t", "nan", "--x", "1", "--A", "1"]])
+def test_kpz_rejects_non_finite_input(flags, capsys):
+    assert main(["kpz"] + flags) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "finite" in err
+
+
+@pytest.mark.parametrize("flags", [["--x", "abc", "--A", "1"],
+                                   ["--x", "1", "--A", "1", "--eps", "0.1,x"]])
+def test_kpz_rejects_malformed_numbers(flags, capsys):
+    assert main(["kpz", "--t", "1"] + flags) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_simulate_rejects_non_finite_time(t, capsys):
+    # such an end time used to keep the event loop running forever
+    assert main(["simulate", "--t", t, "--rho", "0.9", "--trajectories", "5"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_validation_error(monkeypatch):
+    import asep_lab.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "she_moment_nested", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["kpz", "--t", "1", "--x", "0.5", "--A", "1"])

@@ -144,3 +144,121 @@ def test_rannacher_startup_profile_is_smooth():
     # no Crank-Nicolson ringing: the profile should be monotone in the tail
     tail = u[len(u) // 2:]
     assert np.all(np.diff(tail) <= 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# both SHE forms against a per-factor dense evaluation of every pair matrix
+
+def _dense_grids(kpz, offsets, tail_tol, spacing_factor, r_max):
+    from asep_lab.kpz import _half_height
+    from asep_lab.quadrature import line_nodes
+    h = spacing_factor / math.sqrt(kpz.t)
+    y_max = _half_height(kpz.t, r_max, tail_tol)
+    return [line_nodes(r, y_max, h, d) for d, r in enumerate(offsets)]
+
+
+def _dense_nested(kpz, contours):
+    from asep_lab.kpz import _kernel
+    from asep_lab.quadrature import contract_factored
+    n = kpz.n
+    grids = _dense_grids(kpz, contours.offsets, contours.tail_tol,
+                         contours.spacing_factor, max(contours.offsets))
+    vectors = {d: wt * _kernel(w, kpz.x[d], kpz.t, kpz.A, kpz.boundary)
+               for d, (w, wt) in enumerate(grids)}
+    matrices = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            wi, wj = grids[i][0][:, None], grids[j][0][None, :]
+            matrices[(i, j)] = (wi - wj) / (wi - wj + 1.0) * (wi + wj) / (wi + wj - 1.0)
+    pref = (2.0 if kpz.boundary == ROBIN else 4.0) ** n
+    return float(contract_factored(n, vectors, matrices, pref).real)
+
+
+def _dense_factor(f, kpz, assign):
+    from asep_lab.kpz import ADIFF, AKERNEL, ASUM, INV_DIFF1, _kernel
+    a = f.a.sign * assign[f.a.var] + f.a.shift
+    if f.kind == AKERNEL:
+        return _kernel(a, f.x, kpz.t, kpz.A, kpz.boundary)
+    b = f.b.sign * assign[f.b.var] + f.b.shift
+    if f.kind == ADIFF:
+        return a - b
+    if f.kind == INV_DIFF1:
+        return 1.0 / (a - b + 1.0)
+    if f.kind == ASUM:
+        return a + b
+    return 1.0 / (a + b - 1.0)
+
+
+def _dense_residue(kpz):
+    from asep_lab.kpz import _build_additive, _reduce_additive
+    from asep_lab.partitions import canonical_diagrams, partitions_of
+    from asep_lab.quadrature import contract_factored
+    n = kpz.n
+    grids = _dense_grids(kpz, (0.0,) * n, 1e-12, 0.05, n - 1.0)
+    total = 0.0
+    for lam in partitions_of(n):
+        for diagram in canonical_diagrams(lam):
+            live, sign, free = _reduce_additive(_build_additive(kpz), diagram)
+            dims = {v: d for d, v in enumerate(free)}
+            vectors = {d: grids[d][1].astype(complex) for d in dims.values()}
+            matrices = {}
+            for f in live:
+                fvars = f.vars()
+                if len(fvars) == 1:
+                    d = dims[fvars[0]]
+                    vectors[d] = vectors[d] * _dense_factor(f, kpz, {fvars[0]: grids[d][0]})
+                    continue
+                v1, v2 = sorted(fvars, key=dims.get)
+                d1, d2 = dims[v1], dims[v2]
+                val = _dense_factor(f, kpz, {v1: grids[d1][0][:, None],
+                                             v2: grids[d2][0][None, :]})
+                matrices[(d1, d2)] = matrices.get((d1, d2), 1.0) * val
+            total += contract_factored(len(free), vectors, matrices, complex(sign)).real
+    return float(2.0 ** n * total)
+
+
+DENSE_X = {1: (0.5,), 2: (0.2, 0.7), 3: (0.1, 0.4, 0.9)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_residue_form_equals_dense_pair_reference(n):
+    kpz = KpzParams(t=0.5, x=DENSE_X[n], A=1.0)
+    assert she_moment_residue_form(kpz) == pytest.approx(_dense_residue(kpz), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("boundary", [ROBIN, DIRICHLET])
+def test_nested_form_equals_dense_pair_reference(n, boundary):
+    kpz = KpzParams(t=0.5 if boundary == ROBIN else 1.0, x=DENSE_X[n],
+                    A=1.0 if boundary == ROBIN else None, boundary=boundary)
+    specs = [None] + ([ContourSpec((0.0, 1.35, 2.7)[:n])] if n > 1 else [])
+    for spec in specs:
+        want = _dense_nested(kpz, spec or ContourSpec.default(n))
+        assert she_moment_nested(kpz, spec) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("kwargs", [dict(t=math.inf, x=(0.5,), A=1.0),
+                                    dict(t=math.nan, x=(0.5,), A=1.0),
+                                    dict(t=1.0, x=(math.nan,), A=1.0),
+                                    dict(t=1.0, x=(0.5, math.inf), A=1.0),
+                                    dict(t=1.0, x=(0.5,), A=math.nan),
+                                    dict(t=1.0, x=(0.5,), A=math.inf),
+                                    dict(t=1.0, x=(0.5,), A=math.nan, boundary=DIRICHLET)])
+def test_params_reject_non_finite(kwargs):
+    with pytest.raises(ValidityError, match="finite"):
+        KpzParams(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [dict(offsets=(0.0, math.nan)),
+                                    dict(offsets=(0.0, math.inf)),
+                                    dict(offsets=(0.0,), tail_tol=math.nan),
+                                    dict(offsets=(0.0,), tail_tol=0.0),
+                                    dict(offsets=(0.0,), tail_tol=-1e-12),
+                                    dict(offsets=(0.0,), tail_tol=math.inf),
+                                    dict(offsets=(0.0,), spacing_factor=math.nan),
+                                    dict(offsets=(0.0,), spacing_factor=0.0),
+                                    dict(offsets=(0.0,), spacing_factor=-0.05),
+                                    dict(offsets=(0.0,), spacing_factor=math.inf)])
+def test_contour_spec_rejects_non_finite_or_non_positive(kwargs):
+    with pytest.raises(ValidityError):
+        ContourSpec(**kwargs)
