@@ -80,6 +80,17 @@ def _emit(args, manifest: dict, columns: Sequence[str], rows: List[dict],
             out.close()
 
 
+def _check_output(path: Optional[str]):
+    """Refuse an --output path that cannot be written, before any work is done."""
+    if path is None:
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise ValidityError(f"cannot write --output {path}: no writable directory {folder}")
+    if os.path.isdir(path):
+        raise ValidityError(f"cannot write --output {path}: it is a directory")
+
+
 def _parse_sites(text: str) -> tuple:
     try:
         return tuple(int(v) for v in text.split(","))
@@ -394,6 +405,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_VALIDATION
     start = time.monotonic()
     try:
+        _check_output(args.output)
         code = args.func(args)
     except (ValidityError, ChamberError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

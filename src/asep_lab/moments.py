@@ -10,7 +10,13 @@ Quadrature is the tensor-product trapezoid rule, which converges
 geometrically here; the error estimate is the Richardson difference
 against the half-resolution grid.  Only the F-kernels depend on the
 sites, so a call prepares each diagram's other operands once per grid
-(PreparedMoment) and evaluates every site vector it needs on them.
+(PreparedMoment) and evaluates every site vector it needs on them:
+
+* each kernel F_x(M)/M is a site-free multiplier, folded into its
+  dimension's vector, times exp(E(M) + x log P(M)); a site vector costs
+  one exp of the summed exponents per dimension (`_factored_operands`);
+* each pair factor is a per-node scale times a Toeplitz or Hankel matrix
+  built from 2N - 1 values (`_circle_pair`, `quadrature.PairProducts`).
 """
 
 from __future__ import annotations
@@ -23,9 +29,10 @@ import numpy as np
 
 from .model import ModelParams, ValidityError
 from .partitions import Diagram, Partition, canonical_diagrams, partitions_of
-from .quadrature import circle_nodes, contract_factored
-from .residues import (EvalContext, F_OVER_Z, ReducedIntegrand, build_phi,
-                       factor_value, reduce_by_diagram, time_derivative_terms)
+from .quadrature import PairProducts, circle_nodes, contract_factored
+from .residues import (DIFF, EvalContext, F_OVER_Z, INV_PROD, INV_QDIFF, QPROD, Factor,
+                       ReducedIntegrand, build_phi, factor_value, reduce_by_diagram,
+                       time_derivative_terms)
 
 _DEFAULT_NODES = (256, 128, 128, 112)
 
@@ -72,7 +79,10 @@ class MomentResult:
     rho=9/10, x=(1,3,5,6) it reads 0.0531 at t=0.5 on the default grid and
     on (512, 256, 256, 160) alike, and 0.0707 at t=0, where the value is 1
     to 4e-14.  Single diagrams there keep imaginary parts that cancel only
-    partly across partitions; the cause is not yet known.
+    partly across partitions.  They trace to simple poles on the
+    integration circle (ROADMAP item 2): the measurements fit a trapezoid
+    rule that returns a principal value plus an imaginary term depending on
+    the grid offset, while the real part does not move.
     """
 
     value: float
@@ -89,13 +99,19 @@ def _factored_operands(reduced: ReducedIntegrand, ctx: EvalContext,
                        nodes: Dict[int, np.ndarray], weights: Dict[int, np.ndarray]):
     """Group the site-independent factors into per-dim vectors and per-pair matrices.
 
-    F-factors are set apart as (dim, site slot, argument monomial on the
-    dim's nodes), to be evaluated once the sites are known.
+    Each F-factor's site-free multiplier goes into its dimension's vector.
+    Its exponent is summed per dimension, and its log step kept with its
+    site slot, as kernels (dim, summed exponent, slots, log steps) to be
+    exponentiated once per dimension when the sites are known.  Summing
+    first matters: along a diagram row the exponents telescope to a sum
+    with bounded real part on the contour, while a single E reaches about
+    (1-q)pt/(1-sqrt q) and overflows under weak-asymmetry scaling.  Pair
+    factors are built from 2N - 1 values each (see `_circle_pair`).
     """
     dims = {v: d for d, v in enumerate(reduced.free_vars)}
     vectors = {d: weights[d].astype(complex) for d in dims.values()}
-    matrices: Dict[Tuple[int, int], np.ndarray] = {}
-    kernels = []
+    pairs = PairProducts(len(nodes[0]))
+    exponents: Dict[int, tuple] = {}
     scalar = complex(reduced.sign)
     for m in reduced.prefactor_monos:
         d = dims[m.var]
@@ -104,24 +120,58 @@ def _factored_operands(reduced: ReducedIntegrand, ctx: EvalContext,
         fvars = f.vars()
         if f.kind == F_OVER_Z:
             d = dims[fvars[0]]
-            kernels.append((d, f.site, f.a.value(ctx.q, {fvars[0]: nodes[d]})))
+            multiplier, exponent, log_step = ctx.kernel_parts(
+                f.a.value(ctx.q, {fvars[0]: nodes[d]}))
+            vectors[d] *= multiplier
+            if d in exponents:
+                summed, slots, log_steps = exponents[d]
+                exponent = summed + exponent
+            else:
+                slots, log_steps = (), ()
+            exponents[d] = (exponent, slots + (f.site,), log_steps + (log_step,))
         elif not fvars:
             scalar *= factor_value(f, ctx, {})
         elif len(fvars) == 1:
             d = dims[fvars[0]]
             vectors[d] *= factor_value(f, ctx, {fvars[0]: nodes[d]})
         else:
-            v1, v2 = fvars
-            d1, d2 = dims[v1], dims[v2]
-            if d1 > d2:
-                v1, v2, d1, d2 = v2, v1, d2, d1
-            val = factor_value(f, ctx, {v1: nodes[d1][:, None], v2: nodes[d2][None, :]})
-            key = (d1, d2)
-            if key in matrices:
-                matrices[key] = matrices[key] * val
-            else:
-                matrices[key] = np.asarray(val, dtype=complex)
-    return vectors, matrices, scalar, tuple(kernels)
+            _circle_pair(f, ctx.q, dims, nodes, vectors, pairs)
+    kernels = tuple((d,) + parts for d, parts in exponents.items())
+    return vectors, pairs.matrices(), scalar, kernels
+
+
+def _circle_pair(f: Factor, q: float, dims: Dict[int, int], nodes: Dict[int, np.ndarray],
+                 vectors: Dict[int, np.ndarray], pairs: PairProducts):
+    """Split a two-variable factor into a per-node scale and 2N - 1 pair values.
+
+    With A = q^e z_a^{s_a}, B = q^e' z_b^{s_b} on nodes z_d[k] = r e^{2 pi i
+    (k + o_d)/N}, B/A depends on k_a - k_b alone when s_a = s_b and on
+    k_a + k_b alone otherwise, and A B the other way round.  So DIFF and
+    INV_QDIFF are A^{+-1} g(B/A), QPROD and INV_PROD are g(A B); A^{+-1}
+    scales vectors[a], and g is evaluated on the 2N - 1 entries of
+    `PairProducts`.
+    """
+    da, db = dims[f.a.var], dims[f.b.var]
+    ratio = f.kind in (DIFF, INV_QDIFF)
+    hankel = (f.a.vpow == f.b.vpow) != ratio
+    k_lo, k_hi = pairs.entries(hankel)
+    ka, kb = (k_lo, k_hi) if da < db else (k_hi, k_lo)
+    a_nodes = f.a.value(q, {f.a.var: nodes[da]})
+    a = a_nodes[ka]
+    b = f.b.value(q, {f.b.var: nodes[db][kb]})
+    pair = (min(da, db), max(da, db))
+    if f.kind == DIFF:
+        vectors[da] *= a_nodes
+        pairs.multiply(pair, hankel, 1.0 - b / a, 1)
+    elif f.kind == INV_QDIFF:
+        vectors[da] /= a_nodes
+        pairs.multiply(pair, hankel, q - b / a, -1)
+    elif f.kind == QPROD:
+        pairs.multiply(pair, hankel, 1.0 - q * a * b, 1)
+    elif f.kind == INV_PROD:
+        pairs.multiply(pair, hankel, 1.0 - a * b, -1)
+    else:
+        raise ValueError(f"no pair form for factor kind {f.kind}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +186,7 @@ class _DiagramOperands:
     vectors: Dict[int, np.ndarray]
     matrices: Dict[Tuple[int, int], np.ndarray]
     scalar: complex
-    kernels: Tuple[Tuple[int, int, np.ndarray], ...]
+    kernels: Tuple[Tuple[int, np.ndarray, Tuple[int, ...], Tuple[np.ndarray, ...]], ...]
 
     def integral(self, ctx: EvalContext, x: Tuple[int, ...],
                  time_derivative: bool = False) -> complex:
@@ -146,8 +196,10 @@ class _DiagramOperands:
         derivative is one contraction per dimension.
         """
         vectors = dict(self.vectors)
-        for d, slot, m in self.kernels:
-            vectors[d] = vectors[d] * (ctx.f_kernel(m, x[slot]) / m)
+        for d, exponent, slots, log_steps in self.kernels:
+            for slot, log_step in zip(slots, log_steps):
+                exponent = exponent + x[slot] * log_step
+            vectors[d] = vectors[d] * np.exp(exponent)
         n_dims = len(vectors)
         if not time_derivative:
             return contract_factored(n_dims, vectors, self.matrices, self.scalar)
@@ -231,8 +283,8 @@ def _moment_result(fine: PreparedMoment, coarse: PreparedMoment,
 
 
 def _validate(params: ModelParams, t: float, x: Sequence[int]):
-    if t < 0:
-        raise ValidityError("time must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValidityError("time must be finite and nonnegative")
     if not params.liggett_ok():
         raise ValidityError("boundary rates must satisfy alpha/p + gamma/q = 1")
     if not params.formula_ok():

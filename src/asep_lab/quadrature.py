@@ -8,15 +8,20 @@ the diagonals z_i = z_j and anti-diagonals z_i z_j = 1/q of the torus
 (and at z = +-radius), and factor-wise evaluation must never land exactly
 on one.
 
-Vertical-line grids (the SHE forms) all share one spacing h and one index
-range, so grid d is w_d[k] = w_d[0] + i k h, k = 0..N-1.  A two-variable
-factor g(s_a w_a + s_b w_b + c) with signs s = +-1 then depends on k_a - k_b
-alone when s_a = -s_b (a Toeplitz matrix) and on k_a + k_b alone when
-s_a = s_b (a Hankel matrix).  `line_pair_operands` therefore evaluates every
-pair factor on its 2N - 1 distinct arguments, multiplies the Toeplitz-type
-and the Hankel-type vectors of each dimension pair separately, and forms
-the N x N pair matrix as one product of two strided views.  Grids of
-different spacing or length have no such structure and are refused.
+Pair factors on both kinds of grid are Toeplitz or Hankel.  Vertical-line
+grids (the SHE forms) all share one spacing h and one index range, so grid
+d is w_d[k] = w_d[0] + i k h, k = 0..N-1.  A two-variable factor
+g(s_a w_a + s_b w_b + c) with signs s = +-1 then depends on k_a - k_b alone
+when s_a = -s_b (a Toeplitz matrix) and on k_a + k_b alone when s_a = s_b
+(a Hankel matrix); grids of different spacing or length have no such
+structure and are refused.  The circle grids of one diagram share a node
+count N, z_d[k] = r e^{2 pi i (k + o_d)/N}, so a ratio or product of
+monomials z_a^{+-1}, z_b^{+-1} depends on k_a - k_b or on k_a + k_b alone
+(the moment code folds the per-node scale that is left into the vectors).
+`PairProducts` is the one materializer for both: each factor is given on
+its 2N - 1 distinct values, the Toeplitz-type and the Hankel-type vectors
+of each dimension pair are multiplied separately, and the N x N pair matrix
+is one product of two strided views.
 
 Integrals are contracted factor-wise: an integrand that is a product of
 per-dimension vectors and pair matrices is summed in BLAS matrix products
@@ -40,9 +45,9 @@ def circle_nodes(radius: float, n_nodes: int, dim: int) -> Tuple[np.ndarray, np.
     dim selects the per-dimension angular offset.
     """
     offset = ((dim + 1) * _GOLDEN) % 1.0
-    theta = 2.0 * np.pi * (np.arange(n_nodes) + offset) / n_nodes
-    z = radius * np.exp(1j * theta)
-    return z, z / n_nodes
+    theta = (np.arange(n_nodes) + offset) * (2j * np.pi / n_nodes)
+    z = radius * np.exp(theta)
+    return z, z * (1.0 / n_nodes)
 
 
 def line_nodes(real_part: float, half_height: float, spacing: float,
@@ -70,6 +75,55 @@ class PairFactor(NamedTuple):
     power: int
 
 
+class PairProducts:
+    """Pair matrices of N x N grids, each built from 2N - 1 values.
+
+    A factor of two dimensions' nodes that depends on k_a - k_b alone
+    (Toeplitz type) or on k_a + k_b alone (Hankel type) takes one value per
+    index difference or sum.  `entries` names one node pair (k_a, k_b) for
+    each of those 2N - 1 values, in the order k_a - k_b + N - 1 or k_a + k_b;
+    `multiply` accumulates factors given on those entries, per dimension
+    pair and type; `matrices` forms each N x N matrix as one product of two
+    strided views.  Rows belong to the lower dimension a of a pair (a, b).
+    """
+
+    def __init__(self, n_nodes: int):
+        self.n_nodes = n_nodes
+        self._entries: Dict[bool, Tuple[np.ndarray, np.ndarray]] = {}
+        # (hankel, (a, b)) -> product of the factors' 2N - 1 values
+        self._products: Dict[Tuple[bool, Tuple[int, int]], np.ndarray] = {}
+
+    def entries(self, hankel: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """Row and column node indices of the 2N - 1 distinct entries."""
+        if hankel not in self._entries:
+            n = self.n_nodes
+            if hankel:
+                row = np.minimum(np.arange(2 * n - 1), n - 1)
+                self._entries[hankel] = (row, np.arange(2 * n - 1) - row)
+            else:
+                diff = np.arange(1 - n, n)
+                self._entries[hankel] = (np.maximum(diff, 0), np.maximum(-diff, 0))
+        return self._entries[hankel]
+
+    def multiply(self, pair: Tuple[int, int], hankel: bool, values: np.ndarray, power: int):
+        """Multiply pair (a, b), a < b, by values ** power (power +-1) on `entries`."""
+        key = (hankel, pair)
+        prev = self._products.get(key, 1.0)
+        self._products[key] = prev * values if power == 1 else prev / values
+
+    def matrices(self) -> Dict[Tuple[int, int], np.ndarray]:
+        """The N x N matrix of every pair that received a factor."""
+        n = self.n_nodes
+        views: Dict[Tuple[int, int], list] = {}
+        for (hankel, pair), values in self._products.items():
+            # row a, column b of the Toeplitz view reads entry a - b + N - 1
+            view = (sliding_window_view(values, n) if hankel
+                    else sliding_window_view(values[::-1], n)[::-1])
+            views.setdefault(pair, []).append(view)
+        return {pair: v[0] * v[1] if len(v) == 2 else v[0].copy()
+                for pair, v in views.items()}
+
+
 def line_pair_operands(grids: Sequence[np.ndarray],
                        factors: Iterable[PairFactor]) -> Dict[Tuple[int, int], np.ndarray]:
     """Pair matrices, keyed (a, b) with a < b, of products of PairFactors.
@@ -86,32 +140,18 @@ def line_pair_operands(grids: Sequence[np.ndarray],
             raise ValueError(f"line grid {d} has {len(w)} nodes, grid 0 has {n_nodes}")
         if np.abs(np.diff(w) - step).max() > 1e-9 * abs(step):
             raise ValueError(f"line grid {d} does not share grid 0's spacing {step}")
-    # (a, b) -> vector over k_a - k_b + N - 1, and vector over k_a + k_b
-    toeplitz: Dict[Tuple[int, int], np.ndarray] = {}
-    hankel: Dict[Tuple[int, int], np.ndarray] = {}
+    pairs = PairProducts(n_nodes)
     for f in factors:
         if f.power not in (1, -1):
             raise ValueError(f"pair factor power must be +-1, got {f.power}")
         a, b, sa, sb = f.a, f.b, f.sign_a, f.sign_b
         if a > b:
             a, b, sa, sb = b, a, sb, sa
-        wa, wb = grids[a], grids[b]
-        if sa == -sb:
-            base = np.concatenate((wa[0] - wb[:0:-1], wa - wb[0]))
-            store = toeplitz
-        else:
-            base = np.concatenate((wa + wb[0], wa[-1] + wb[1:]))
-            store = hankel
-        arg = sa * base + f.shift
-        prev = store.get((a, b), 1.0)
-        store[(a, b)] = prev * arg if f.power == 1 else prev / arg
-    matrices = {}
-    for key in toeplitz.keys() | hankel.keys():
-        # row a, column b of the Toeplitz view reads entry a - b + N - 1
-        t = sliding_window_view(toeplitz[key][::-1], n_nodes)[::-1] if key in toeplitz else 1.0
-        h = sliding_window_view(hankel[key], n_nodes) if key in hankel else 1.0
-        matrices[key] = t * h
-    return matrices
+        hankel = sa == sb
+        ka, kb = pairs.entries(hankel)
+        base = grids[a][ka] + grids[b][kb] if hankel else grids[a][ka] - grids[b][kb]
+        pairs.multiply((a, b), hankel, sa * base + f.shift, f.power)
+    return pairs.matrices()
 
 
 def contract_factored(n_dims: int,
@@ -129,8 +169,8 @@ def contract_factored(n_dims: int,
     nodes of dimension 0, each a (d-1)-dimensional contraction with that
     node's matrix rows folded into the vectors.
     """
-    pairs = {(d, e) for d in range(n_dims) for e in range(d + 1, n_dims)}
-    missing = sorted(pairs - set(matrices))
+    missing = [(d, e) for d in range(n_dims) for e in range(d + 1, n_dims)
+               if (d, e) not in matrices]
     if missing:
         raise ValueError(f"pair graph is not complete: no matrix for dimensions {missing[0]}")
     return scalar * complex(_contract_complete([vectors[d] for d in range(n_dims)], matrices))

@@ -53,11 +53,12 @@ class Monomial:
         return Monomial(-self.qexp, self.var, -self.vpow)
 
     def value(self, q: float, assign: Dict[int, object]):
-        v = q ** self.qexp
-        if self.var is not None:
-            z = assign[self.var]
-            v = v * (z if self.vpow == 1 else z ** self.vpow)
-        return v
+        if self.var is None:
+            return q ** self.qexp
+        z = assign[self.var]
+        if self.vpow != 1:
+            z = z ** self.vpow
+        return z if self.qexp == 0 else q ** self.qexp * z
 
 
 def zvar(i: int) -> Monomial:
@@ -218,24 +219,46 @@ class EvalContext:
     t: float
     kernel: str = "plain"
 
-    def f_kernel(self, z, site: int):
+    def kernel_parts(self, m):
+        """F_site(m)/m = multiplier * exp(exponent + site * log_step), parts free of the site.
+
+        The plain kernel is
+
+            F_x(m) = (1-q m^2)/(1-m) * rho/(rho + (1-rho) m) * e^{E(m)} * P(m)^x,
+            E(m) = (1-q)^2 m p t / ((1-m)(1-q m)),   P(m) = (1-m)/(1-q m),
+
+        so the multiplier is the rational part and the density factor over m,
+        and the step is log P.  The scaled kernel q^{site/2} e^{(p + q-rate - 1) t}
+        F_{site+1} folds its extra P into the multiplier, its constant into
+        the exponent and its 0.5 log q into the step.  Sites are integers, so
+        any branch of log P serves; it is taken as log|P| + i arg P because
+        numpy's complex log takes a slow path near |P| = 1, up to ten times
+        the cost.
+        """
         q, p, rho, t = self.q, self.p, self.rho, self.t
-        one_minus_z = 1.0 - z
-        one_minus_qz = 1.0 - q * z
-        exponent = (1.0 - q) ** 2 * z * p * t / (one_minus_z * one_minus_qz)
+        qm = q * m
+        one_minus_m = 1.0 - m
+        one_minus_qm = 1.0 - qm
+        step = one_minus_m / one_minus_qm
+        exponent = m / (one_minus_m * one_minus_qm)
+        exponent *= (1.0 - q) ** 2 * p * t
+        # (1-q m^2)/(1-m) * rho/(rho + (1-rho) m) / m, in place to save passes
+        denominator = (1.0 / rho - 1.0) * m
+        denominator += 1.0
+        denominator *= m * one_minus_m
+        multiplier = (1.0 - qm * m) / denominator
+        log_step = np.empty(np.shape(step), dtype=complex)
+        log_step.real = np.log(np.abs(step))
+        log_step.imag = np.arctan2(step.imag, step.real)
         if self.kernel == "scaled":
-            # q^{site/2} e^{(p + q-rate - 1) t} F_{site+1}; combined into one
-            # exponential because the growth factor alone overflows at small
-            # asymmetry while the sum has bounded real part on the contour
-            x = site + 1
-            exponent = exponent + (p + q * p - 1.0) * t + 0.5 * site * math.log(q)
-        else:
-            x = site
-        val = (1.0 - q * z * z) / one_minus_z
-        val = val * np.exp(exponent)
-        val = val * (one_minus_z / one_minus_qz) ** x
-        val = val * (rho / (rho + (1.0 - rho) * z))
-        return val
+            multiplier *= step
+            exponent += (p + q * p - 1.0) * t
+            log_step.real += 0.5 * math.log(q)
+        return multiplier, exponent, log_step
+
+    def f_kernel(self, z, site: int):
+        multiplier, exponent, log_step = self.kernel_parts(z)
+        return z * multiplier * np.exp(exponent + site * log_step)
 
 
 def factor_value(f: Factor, ctx: EvalContext, assign: Dict[int, object]):

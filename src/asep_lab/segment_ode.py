@@ -10,6 +10,7 @@ boundary relations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -100,6 +101,8 @@ def solve_u(t: float, initial: SegmentState, params: SegmentParams, n: int,
     The solver error estimate compares one exp(tM) application against two
     half-step applications.
     """
+    if not (math.isfinite(t) and t >= 0):
+        raise ValidityError("time must be finite and nonnegative")
     if not params.liggett2_ok():
         raise ValidityError("segment ODE characterization requires Liggett's "
                             "condition at both boundaries")

@@ -237,3 +237,30 @@ def test_internal_value_error_is_not_a_validation_error(monkeypatch):
     monkeypatch.setattr(cli, "she_moment_nested", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["kpz", "--t", "1", "--x", "0.5", "--A", "1"])
+
+
+SEGMENT = ["segment", "--ell", "4", "--n", "1", "--rho0", "0.5", "--rho-ell", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [SEGMENT + ["--t", "nan"], SEGMENT + ["--t", "inf"],
+                                  SEGMENT + ["--t", "-1"],
+                                  ["moments", "--t", "nan", "--x", "1", "--rho", "0.9"],
+                                  ["moments", "--t", "inf", "--x", "1", "--rho", "0.9"]])
+def test_non_finite_or_negative_time_exits_2(argv, capsys):
+    # a NaN time used to print rows of nan (segment) or exit 3 (moments)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "finite" in err
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_output_exits_2_before_computing(where, tmp_path, monkeypatch, capsys):
+    import asep_lab.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "she_moment_nested", lambda *args: calls.append(args) or 1.0)
+    target = tmp_path / "no-such-dir" / "x.csv" if where == "missing" else tmp_path
+    assert main(["kpz", "--t", "1", "--x", "0.5", "--A", "1", "--output", str(target)]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "--output" in err

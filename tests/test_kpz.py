@@ -262,3 +262,37 @@ def test_params_reject_non_finite(kwargs):
 def test_contour_spec_rejects_non_finite_or_non_positive(kwargs):
     with pytest.raises(ValidityError):
         ContourSpec(**kwargs)
+
+
+# scaled_asep_moment values taken before the kernels were summed into one
+# exponent per variable; every finite value stays put
+PINNED_BRIDGE = [
+    (ROBIN, (1.0,), 0.2, 0.4009016176946536),
+    (ROBIN, (1.0,), 0.005, 0.30843572538178143),
+    (ROBIN, (0.5, 1.0), 0.2, 0.34585843623969015),
+    (ROBIN, (0.5, 1.0), 0.05, 0.353957279289161),
+    (DIRICHLET, (1.0,), 0.02, 0.970739355048257),
+    (DIRICHLET, (0.5, 1.0), 0.1, 1.503941832023586),
+    (DIRICHLET, (0.5, 1.0), 0.05, 1.736105168923662),
+]
+
+
+def _bridge_params(boundary, x):
+    if boundary == ROBIN:
+        return KpzParams(t=1.0, x=x, A=1.0)
+    return KpzParams(t=1.0, x=x, boundary=DIRICHLET)
+
+
+@pytest.mark.parametrize("boundary, x, eps, value", PINNED_BRIDGE)
+def test_bridge_values_pinned(boundary, x, eps, value):
+    got = scaled_asep_moment(eps, _bridge_params(boundary, x))
+    assert got == pytest.approx(value, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("boundary", [ROBIN, DIRICHLET])
+@pytest.mark.parametrize("eps", [0.02, 0.01, 0.005])
+def test_two_point_bridge_finite_at_small_eps(boundary, eps):
+    # each F-kernel's exponent alone overflows here; their sum per variable
+    # has bounded real part on the contour
+    value = scaled_asep_moment(eps, _bridge_params(boundary, (0.5, 1.0)))
+    assert math.isfinite(value) and value > 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -5,9 +6,14 @@ import numpy as np
 import pytest
 
 from asep_lab.model import ModelParams, ValidityError
-from asep_lab.moments import (QuadratureSpec, first_moment,
+from asep_lab.moments import (QuadratureSpec, _factored_operands, first_moment,
                               free_evolution_residuals, q_moment,
                               second_moment_explicit)
+from asep_lab.partitions import canonical_diagrams, partitions_of
+from asep_lab.quadrature import circle_nodes
+from asep_lab.residues import (DIFF, F_OVER_Z, INV_PROD, INV_QDIFF, QPROD, EvalContext,
+                               Factor, Monomial, ReducedIntegrand, build_phi,
+                               reduce_by_diagram)
 
 PARAMS = ModelParams.from_density(1, F(1, 2), F(9, 10))
 
@@ -119,3 +125,123 @@ def test_imag_residual_is_negligible_up_to_three_points(q, rho):
     for t in (0.0, 0.5, 1.0):
         for x in ((2,), (1, 3), (1, 2, 4)):
             assert q_moment(t, x, params).imag_residual < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# operands and moments against dense references on the full tensor grid
+
+PAIR_FORMS = {DIFF: lambda q, a, b: a - b,
+              INV_QDIFF: lambda q, a, b: 1.0 / (q * a - b),
+              QPROD: lambda q, a, b: 1.0 - q * a * b,
+              INV_PROD: lambda q, a, b: 1.0 / (1.0 - a * b)}
+
+
+def _mesh(reduced, q, n_nodes):
+    """Open-mesh nodes per free variable and the product of the weights."""
+    n_dims = len(reduced.free_vars)
+    assign, weight = {}, 1.0
+    for d, var in enumerate(reduced.free_vars):
+        z, w = circle_nodes(1 / math.sqrt(q), n_nodes, d)
+        shape = [-1 if e == d else 1 for e in range(n_dims)]
+        assign[var] = z.reshape(shape)
+        weight = weight * w.reshape(shape)
+    return assign, weight
+
+
+def _dense_kernel(ctx, m, site):
+    """F_site(m) for the plain or the scaled kernel, written out directly."""
+    q, p, rho, t = ctx.q, ctx.p, ctx.rho, ctx.t
+    x = site + 1 if ctx.kernel == "scaled" else site
+    val = ((1 - q * m * m) / (1 - m) * np.exp((1 - q) ** 2 * m * p * t / ((1 - m) * (1 - q * m)))
+           * ((1 - m) / (1 - q * m)) ** x * rho / (rho + (1 - rho) * m))
+    if ctx.kernel == "scaled":
+        val = val * math.exp((p + q * p - 1) * t) * q ** (site / 2)
+    return val
+
+
+def _dense_integral(reduced, ctx, n_nodes, x):
+    assign, weight = _mesh(reduced, ctx.q, n_nodes)
+    val = complex(reduced.sign)
+    for m in reduced.prefactor_monos:
+        val = val * m.value(ctx.q, assign)
+    for f in reduced.factors:
+        if f.kind == F_OVER_Z:
+            m = f.a.value(ctx.q, assign)
+            val = val * _dense_kernel(ctx, m, x[f.site]) / m
+        elif f.a is None:
+            val = val * ctx.q ** f.qexp
+        else:
+            val = val * PAIR_FORMS[f.kind](ctx.q, f.a.value(ctx.q, assign),
+                                           f.b.value(ctx.q, assign))
+    return complex(np.sum(val * weight))
+
+
+def _dense_moment(ctx, quad, x):
+    n = len(x)
+    phi = build_phi(range(n))
+    total = 0.0
+    for lam in partitions_of(n):
+        for diagram in canonical_diagrams(lam):
+            reduced = reduce_by_diagram(phi, diagram)
+            n_nodes = quad.nodes(len(reduced.free_vars))
+            total += (-1) ** (n - len(lam)) * _dense_integral(reduced, ctx, n_nodes, x)
+    return total.real
+
+
+@pytest.mark.parametrize("kinds", [[k] for k in PAIR_FORMS] + [list(PAIR_FORMS)])
+@pytest.mark.parametrize("vpows", list(itertools.product((1, -1), repeat=2)))
+@pytest.mark.parametrize("vars_", [(1, 2), (2, 1)])
+def test_circle_pair_operands_match_dense_factors(kinds, vpows, vars_):
+    ctx = EvalContext(q=0.5, p=1.0, rho=0.9, t=0.7)
+    (va, vb), (sa, sb) = vars_, vpows
+    factors = tuple(Factor(kind, Monomial(1 + i % 2, va, sa), Monomial(2 * (i % 2), vb, sb))
+                    for i, kind in enumerate(kinds))
+    reduced = ReducedIntegrand(factors, (1, 2))
+    nodes, weights = {}, {}
+    for d in range(2):
+        nodes[d], _ = circle_nodes(1 / math.sqrt(ctx.q), 24, d)
+        weights[d] = np.ones(24)
+    vectors, matrices, scalar, _ = _factored_operands(reduced, ctx, nodes, weights)
+    got = scalar * vectors[0][:, None] * matrices[(0, 1)] * vectors[1][None, :]
+    assign, _ = _mesh(reduced, ctx.q, 24)
+    want = 1.0
+    for f in factors:
+        want = want * PAIR_FORMS[f.kind](ctx.q, f.a.value(ctx.q, assign),
+                                         f.b.value(ctx.q, assign))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+SMALL_GRID = QuadratureSpec((64, 48, 32, 32))
+
+
+def _quad_error_tol(fine, coarse):
+    # quad_error is |fine - coarse|: a 1e-13 relative tolerance on both values
+    # bounds it absolutely, and it can be far smaller than either value
+    return 1e-13 * (abs(fine) + abs(coarse))
+
+
+@pytest.mark.parametrize("kernel", ["plain", "scaled"])
+@pytest.mark.parametrize("x", [(2,), (1, 3), (1, 2, 4)])
+def test_q_moment_matches_dense_reference(kernel, x):
+    t = 0.7
+    ctx = EvalContext(q=0.5, p=1.0, rho=0.9, t=t, kernel=kernel)
+    res = q_moment(t, x, PARAMS, SMALL_GRID, kernel=kernel)
+    fine = _dense_moment(ctx, SMALL_GRID, x)
+    coarse = _dense_moment(ctx, SMALL_GRID.halved(), x)
+    assert res.value == pytest.approx(fine, rel=1e-13, abs=0)
+    assert abs(res.quad_error - abs(fine - coarse)) <= _quad_error_tol(fine, coarse)
+
+
+@pytest.mark.parametrize("x", [(2,), (2, 3), (1, 2, 4)])
+def test_free_evolution_values_match_dense_reference(x):
+    t = 0.7
+    ctx = EvalContext(q=0.5, p=1.0, rho=0.9, t=t)
+    rep = free_evolution_residuals(t, x, PARAMS, SMALL_GRID)
+    errors = []
+    for xs, value in rep.values.items():
+        fine = _dense_moment(ctx, SMALL_GRID, xs)
+        coarse = _dense_moment(ctx, SMALL_GRID.halved(), xs)
+        errors.append((abs(fine - coarse), _quad_error_tol(fine, coarse)))
+        assert value == pytest.approx(fine, rel=1e-13, abs=0)
+    quad_error, tol = max(errors)
+    assert abs(rep.quad_error - quad_error) <= tol
