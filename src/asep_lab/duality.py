@@ -14,6 +14,7 @@ and each side is scaled back to a Fraction once.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -404,5 +405,5 @@ def exhaustive_states(max_site: int) -> List[Eta]:
 
 
 def chamber_vectors(low: int, high: int, n: int) -> List[Tuple[int, ...]]:
-    import itertools
+    """Site vectors low <= x_1 < ... < x_n <= high, in lexicographic order."""
     return list(itertools.combinations(range(low, high + 1), n))

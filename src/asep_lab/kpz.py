@@ -5,8 +5,9 @@ Three routes to the same numbers:
 * nested vertical-line integrals with ordered real parts (Robin kernel
   w/(A+w), Dirichlet kernel w);
 * a residue expansion over the same valley diagrams as the lattice
-  moments, with additive substitutions w -> w + 1 (plus arrows) and
-  w -> 1 - w (minus arrows), all contours on the imaginary axis;
+  moments, for either kernel: the `residues` reduction of the lattice
+  integrand, read additively (q z -> w + 1 for plus arrows, 1/z -> 1 - w
+  for minus arrows), with all contours on the imaginary axis;
 * the weak-asymmetry-scaled lattice moment, which converges to the
   continuum value as the asymmetry epsilon goes to zero.
 
@@ -17,8 +18,8 @@ Robin boundary gives an independent oracle for the first moment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -29,6 +30,8 @@ from .model import ModelParams, ValidityError
 from .moments import QuadratureSpec, q_moment
 from .partitions import Diagram, canonical_diagrams, partitions_of, substitution_steps
 from .quadrature import PairFactor, contract_factored, line_nodes, line_pair_operands
+from .residues import (DIFF, F_OVER_Z, INV_PROD, INV_QDIFF, QPROD, SCALAR, Factor, Monomial,
+                       ReducedIntegrand, build_phi, reduce_steps)
 
 ROBIN = "robin"
 DIRICHLET = "dirichlet"
@@ -98,6 +101,10 @@ def _kernel(w, x: float, t: float, A: Optional[float], boundary: str):
     return base * w
 
 
+def _prefactor(kpz: KpzParams) -> float:
+    return (2.0 if kpz.boundary == ROBIN else 4.0) ** kpz.n
+
+
 def _half_height(t: float, r: float, tail_tol: float) -> float:
     return math.sqrt(r * r + 2.0 * math.log(1e3 / tail_tol) / t)
 
@@ -119,181 +126,91 @@ def she_moment_nested(kpz: KpzParams, contours: Optional[ContourSpec] = None) ->
     h = contours.spacing_factor / math.sqrt(kpz.t)
     y_max = _half_height(kpz.t, max(contours.offsets), contours.tail_tol)
     grids = [line_nodes(r, y_max, h, d) for d, r in enumerate(contours.offsets)]
-    vectors, matrices = _line_operands(_build_additive(kpz), kpz,
-                                       {i + 1: i for i in range(n)}, grids)
-    pref = (2.0 if kpz.boundary == ROBIN else 4.0) ** n
-    val = contract_factored(n, vectors, matrices, pref)
-    return float(val.real)
+    unreduced = ReducedIntegrand(tuple(build_phi(range(n))), tuple(range(1, n + 1)))
+    vectors, matrices = _line_operands(unreduced, kpz, grids)
+    return float(contract_factored(n, vectors, matrices, _prefactor(kpz)).real)
 
 
 # ---------------------------------------------------------------------------
-# additive residue expansion
+# residue expansion: the lattice reduction read additively
 
-@dataclass(frozen=True)
-class AffineForm:
-    """sign * w_var + shift with sign in {-1, +1} and integer shift."""
-
-    sign: int
-    shift: int
-    var: int
-
-    def subst(self, var: int, target: "AffineForm") -> "AffineForm":
-        if self.var != var:
-            return self
-        return AffineForm(self.sign * target.sign, self.shift + self.sign * target.shift,
-                          target.var)
+# pair kind -> (sign of the second form, shift, power): the factor read
+# additively is (L + sign L' + shift)^power for the forms L, L' of its slots
+_PAIR_TERMS = {DIFF: (-1, 0, 1), INV_QDIFF: (-1, 1, -1),
+               QPROD: (1, 0, 1), INV_PROD: (1, -1, -1)}
 
 
-ADIFF = "adiff"          # L - L'
-INV_DIFF1 = "inv_diff1"  # 1/(L - L' + 1)
-ASUM = "asum"            # L + L'
-INV_SUM1 = "inv_sum1"    # 1/(L + L' - 1)
-AKERNEL = "akernel"      # e^{t L^2/2 - x L} k(L)
-
-# pair kind -> (sign of L', shift, power): the factor is (L + sign L' + shift)^power
-_PAIR_TERMS = {ADIFF: (-1, 0, 1), INV_DIFF1: (-1, 1, -1),
-               ASUM: (1, 0, 1), INV_SUM1: (1, -1, -1)}
+def _affine(m: Monomial) -> Tuple[int, int]:
+    """(sign, shift) of q^e z^s read as s w + e + [s < 0]."""
+    return m.vpow, m.qexp + (m.vpow < 0)
 
 
-@dataclass(frozen=True)
-class AFactor:
-    kind: str
-    a: AffineForm
-    b: Optional[AffineForm] = None
-    x: float = 0.0
-
-    def subst(self, var: int, target: AffineForm) -> "AFactor":
-        new_a = self.a.subst(var, target)
-        new_b = self.b.subst(var, target) if self.b is not None else None
-        if new_a is self.a and new_b is self.b:
-            return self
-        return replace(self, a=new_a, b=new_b)
-
-    def vars(self) -> Tuple[int, ...]:
-        vs = [self.a.var]
-        if self.b is not None and self.b.var not in vs:
-            vs.append(self.b.var)
-        return tuple(vs)
-
-    def identically_singular(self) -> bool:
-        if self.kind == INV_DIFF1:
-            return (self.a.var == self.b.var and self.a.sign == self.b.sign
-                    and self.a.shift - self.b.shift + 1 == 0)
-        if self.kind == INV_SUM1:
-            return (self.a.var == self.b.var and self.a.sign + self.b.sign == 0
-                    and self.a.shift + self.b.shift == 1)
-        return False
+def _reduce_additive(diagram: Diagram, phi: Sequence[Factor]) -> ReducedIntegrand:
+    """phi reduced along the diagram's substitutions, to be read additively."""
+    return reduce_steps(phi, substitution_steps(diagram), diagram.pivots)
 
 
-def _build_additive(kpz: KpzParams) -> List[AFactor]:
-    n = kpz.n
-    w = [AffineForm(1, 0, i) for i in range(n + 1)]  # 1-based labels
-    out: List[AFactor] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.append(AFactor(ADIFF, w[i], w[j]))
-            out.append(AFactor(INV_DIFF1, w[i], w[j]))
-            out.append(AFactor(ASUM, w[i], w[j]))
-            out.append(AFactor(INV_SUM1, w[i], w[j]))
-    for i in range(1, n + 1):
-        out.append(AFactor(AKERNEL, w[i], x=kpz.x[i - 1]))
-    return out
-
-
-def _additive_steps(diagram: Diagram) -> List[Tuple[int, AffineForm]]:
-    """Multiplicative targets q^e z^{+1} map to w + e, and 1/z to 1 - w."""
-    steps = []
-    for var, (qe, pivot, vpow) in substitution_steps(diagram):
-        if vpow == 1:
-            steps.append((var, AffineForm(1, qe, pivot)))
-        else:
-            steps.append((var, AffineForm(-1, qe + 1, pivot)))
-    return steps
-
-
-def _reduce_additive(factors: Sequence[AFactor], diagram: Diagram):
-    """Sequential residues: -1 limit per consumed 1/(w_i - w_j + 1), +1 per
-    consumed 1/(w_i + w_j - 1); exactly one singular factor per step."""
-    live = list(factors)
-    sign = 1
-    for var, target in _additive_steps(diagram):
-        substituted, singular = [], []
-        for f in live:
-            g = f.subst(var, target)
-            if g.identically_singular():
-                singular.append(f)
-            else:
-                substituted.append(g)
-        if len(singular) != 1:
-            raise RuntimeError(f"additive step w_{var} -> {target} hit "
-                               f"{len(singular)} singular factors")
-        s = singular[0]
-        holder = s.a if s.a.var == var else s.b
-        if holder.var != var or holder.sign != 1 or holder.shift != 0:
-            raise RuntimeError(f"consumed variable not pristine in {s}")
-        sign *= -1 if s.kind == INV_DIFF1 else 1
-        live = substituted
-    return live, sign, diagram.pivots
-
-
-def _afactor_value(f: AFactor, kpz: KpzParams, w):
-    """A factor of one variable on that variable's nodes w."""
-    a = f.a.sign * w + f.a.shift
-    if f.kind == AKERNEL:
-        return _kernel(a, f.x, kpz.t, kpz.A, kpz.boundary)
-    sign, shift, power = _PAIR_TERMS[f.kind]
-    arg = a + sign * (f.b.sign * w + f.b.shift) + shift
-    return arg if power == 1 else 1.0 / arg
-
-
-def _line_operands(factors: Sequence[AFactor], kpz: KpzParams, dims: Dict[int, int],
+def _line_operands(reduced: ReducedIntegrand, kpz: KpzParams,
                    grids: Sequence[Tuple[np.ndarray, np.ndarray]]):
-    """Per-dimension vectors and pair matrices of a product of factors.
+    """Per-dimension vectors and pair matrices of a lattice integrand read additively.
 
-    dims maps each variable to its dimension d, integrated on the line
-    nodes and weights grids[d]; factors of two variables become pair
-    matrices through `line_pair_operands`, the others scale the vectors.
+    The k-th free variable is integrated on the line nodes and weights
+    grids[k].  F-factors become the SHE kernel at kpz.x[site], and a pair
+    factor whose slots share one variable scales that variable's vector;
+    the others become pair matrices through `line_pair_operands`.  The
+    SCALAR factor and the prefactor monomials have no additive reading.
     """
+    dims = {v: d for d, v in enumerate(reduced.free_vars)}
     vectors = {d: grids[d][1] for d in dims.values()}
     pairs = []
-    for f in factors:
-        fvars = f.vars()
-        if len(fvars) == 1:
-            d = dims[fvars[0]]
-            vectors[d] = vectors[d] * _afactor_value(f, kpz, grids[d][0])
+    for f in reduced.factors:
+        if f.kind == SCALAR:
+            continue
+        d = dims[f.a.var]
+        sign_a, shift_a = _affine(f.a)
+        if f.kind == F_OVER_Z:
+            w = sign_a * grids[d][0] + shift_a
+            vectors[d] = vectors[d] * _kernel(w, kpz.x[f.site], kpz.t, kpz.A, kpz.boundary)
+            continue
+        sign, shift, power = _PAIR_TERMS[f.kind]
+        sign_b, shift_b = _affine(f.b)
+        if f.b.var == f.a.var:
+            w = grids[d][0]
+            arg = sign_a * w + shift_a + sign * (sign_b * w + shift_b) + shift
+            vectors[d] = vectors[d] * (arg if power == 1 else 1.0 / arg)
         else:
-            sign, shift, power = _PAIR_TERMS[f.kind]
-            pairs.append(PairFactor(dims[f.a.var], dims[f.b.var], f.a.sign, sign * f.b.sign,
-                                    f.a.shift + sign * f.b.shift + shift, power))
+            pairs.append(PairFactor(d, dims[f.b.var], sign_a, sign * sign_b,
+                                    shift_a + sign * shift_b + shift, power))
     nodes = [grids[d][0] for d in range(len(dims))]
     return vectors, line_pair_operands(nodes, pairs)
 
 
 def she_moment_residue_form(kpz: KpzParams, tail_tol: float = 1e-12,
                             spacing_factor: float = 0.05) -> float:
-    """Robin moment as the diagram-indexed residue expansion on the axis.
+    """Robin or Dirichlet moment as the diagram-indexed residue expansion on the axis.
 
-    2^n sum over partitions and canonical diagrams of the reduced
-    integrands over one imaginary-axis contour per surviving variable;
-    equals the nested form for A > 0.
+    The nested form's prefactor, 2^n (Robin) or 4^n (Dirichlet), times the
+    sum over partitions and canonical diagrams of the reduced integrands
+    over one imaginary-axis contour per surviving variable; equals the
+    nested form.
     """
-    if kpz.boundary != ROBIN:
-        raise ValidityError("residue expansion implemented for the Robin kernel")
     n = kpz.n
     if n > 4:
         raise ValidityError("residue evaluation supported for n <= 4")
     h = spacing_factor / math.sqrt(kpz.t)
     y_max = _half_height(kpz.t, n - 1.0, tail_tol)
     grids = [line_nodes(0.0, y_max, h, d) for d in range(n)]
-    base = _build_additive(kpz)
+    phi = build_phi(range(n))
     total = 0.0
     for lam in partitions_of(n):
         for diagram in canonical_diagrams(lam):
-            live, sign, free = _reduce_additive(base, diagram)
-            dims = {v: d for d, v in enumerate(free)}
-            vectors, matrices = _line_operands(live, kpz, dims, grids)
-            total += contract_factored(len(free), vectors, matrices, complex(sign)).real
-    return float(2.0 ** n * total)
+            reduced = _reduce_additive(diagram, phi)
+            # a consumed 1/(w + w' - 1) has limit +1 where 1/(1 - M M') has -1/M
+            sign = reduced.sign * (-1) ** len(reduced.prefactor_monos)
+            vectors, matrices = _line_operands(reduced, kpz, grids)
+            total += contract_factored(len(reduced.free_vars), vectors, matrices,
+                                       complex(sign)).real
+    return float(_prefactor(kpz) * total)
 
 
 # ---------------------------------------------------------------------------

@@ -123,8 +123,12 @@ def _row_contents(labels: List[int], lam: Partition,
 
 def _diagrams(lam: Partition, dedupe_equal_rows: bool) -> Iterator[Diagram]:
     n = sum(lam)
+    orders: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
     for contents in _row_contents(list(range(1, n + 1)), tuple(lam), dedupe_equal_rows):
-        for rows in itertools.product(*[_valley_orders(c) for c in contents]):
+        for c in contents:
+            if c not in orders:
+                orders[c] = list(_valley_orders(c))
+        for rows in itertools.product(*[orders[c] for c in contents]):
             yield Diagram(rows)
 
 

@@ -1,4 +1,4 @@
-"""Residue-reduction engine for the contour-integrand factors.
+"""The one residue reduction, for the lattice q-moments and the SHE moments.
 
 The integrand for the n-point q-moment is a product of atomic factors:
 
@@ -12,6 +12,21 @@ replaced by its finite limit 1/(dD/dz_a), computed from the factor's
 linear dependence on the consumed variable.  Everything stays an exact
 product of factors over the surviving (pivot) variables, evaluable at
 arbitrary complex nodes.
+
+The same reduction, read additively, gives the residue expansion of the
+half-line SHE moments (`kpz`).  A monomial q^e z^s (s = +-1) reads as the
+affine form s w + e + [s < 0], so q z becomes w + 1 and 1/z becomes
+1 - w; the reading commutes with substitution.  The factor kinds read
+
+    DIFF       M - M'          ->  w - w'
+    INV_QDIFF  1/(q M - M')    ->  1/(w - w' + 1)
+    QPROD      1 - q M M'      ->  w + w'
+    INV_PROD   1/(1 - M M')    ->  1/(w + w' - 1)
+    F_OVER_Z   F_x(M)/M        ->  the SHE kernel at the point of the factor's site
+
+and the SCALAR factor and the prefactor monomials drop out.  A consumed
+1/(w + w' - 1) has limit +1 where 1/(1 - M M') has -1/M, so the additive
+sign is the lattice sign times (-1)^(number of prefactor monomials).
 """
 
 from __future__ import annotations
@@ -165,18 +180,21 @@ def build_phi(x: Sequence[int], n: Optional[int] = None) -> List[Factor]:
     return factors
 
 
-def reduce_by_diagram(factors: Sequence[Factor], diagram: Diagram) -> ReducedIntegrand:
-    """Apply a diagram's residue substitutions with analytic pole cancellation.
+def reduce_steps(factors: Sequence[Factor], steps: Sequence[Tuple[int, Tuple[int, int, int]]],
+                 free: Sequence[int]) -> ReducedIntegrand:
+    """Apply residue substitutions with analytic pole cancellation.
 
-    Exactly one factor must turn identically singular per step (the order
-    rule walks rows from the extremities inward, which keeps intermediate
-    factors finite); zero or several singular factors signal a diagram or
-    ordering bug.
+    steps are (var, (qexp, pivot, vpow)) pairs, z_var -> q^qexp z_pivot^vpow,
+    as `partitions.substitution_steps` lists them; free are the variables
+    left when all steps are taken.  Exactly one factor must turn
+    identically singular per step (the order rule walks rows from the
+    extremities inward, which keeps intermediate factors finite); zero or
+    several singular factors signal a diagram or ordering bug.
     """
     live = list(factors)
     sign = 1
     monos: List[Monomial] = []
-    for var, (qe, pivot, vp) in substitution_steps(diagram):
+    for var, (qe, pivot, vp) in steps:
         target = Monomial(qe, pivot, vp)
         substituted: List[Factor] = []
         singular: List[Factor] = []
@@ -194,11 +212,15 @@ def reduce_by_diagram(factors: Sequence[Factor], diagram: Diagram) -> ReducedInt
         if mono is not None:
             monos.append(mono)
         live = substituted
-    free = diagram.pivots
     for f in live:
         if any(v not in free for v in f.vars()):
             raise ReductionError(f"factor {f} still references a consumed variable")
     return ReducedIntegrand(tuple(live), tuple(free), sign, tuple(monos))
+
+
+def reduce_by_diagram(factors: Sequence[Factor], diagram: Diagram) -> ReducedIntegrand:
+    """The integrand reduced along a diagram's substitutions onto its pivots."""
+    return reduce_steps(factors, substitution_steps(diagram), diagram.pivots)
 
 
 # ---------------------------------------------------------------------------

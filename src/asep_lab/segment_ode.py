@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import expm
 
-from .duality import DUAL_SEGMENT, SEGMENT, GeneratorSpec
+from .duality import DUAL_SEGMENT, SEGMENT, GeneratorSpec, chamber_vectors
 from .model import SegmentParams, SegmentState, ValidityError, h_product_segment
 
 
@@ -26,8 +26,7 @@ def chamber(ell: int, n: int) -> List[Tuple[int, ...]]:
     """Ordered site vectors 1 <= x_1 < ... < x_n <= ell, in colex order."""
     if not (1 <= n <= ell):
         raise ValidityError(f"chamber is empty for n={n}, ell={ell}")
-    combos = itertools.combinations(range(1, ell + 1), n)
-    return sorted(combos, key=lambda c: tuple(reversed(c)))
+    return sorted(chamber_vectors(1, ell, n), key=lambda c: c[::-1])
 
 
 @dataclass

@@ -105,17 +105,26 @@ def test_segment_command(tmp_path):
     assert len(rows) == 5  # header + C(4,1) chamber vectors
 
 
+def _kpz_value(path):
+    rows = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    header = rows[0].split(",")
+    return float(rows[1].split(",")[header.index("value")])
+
+
 def test_kpz_command_forms_agree(tmp_path):
     a, b = tmp_path / "n.csv", tmp_path / "r.csv"
     base = ["kpz", "--A", "1.0", "--t", "1.0", "--x", "0.5"]
     assert main(base + ["--form", "nested", "--output", str(a)]) == 0
     assert main(base + ["--form", "residue", "--output", str(b)]) == 0
-    def read_value(path):
-        rows = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-        header = rows[0].split(",")
-        return float(rows[1].split(",")[header.index("value")])
+    assert _kpz_value(a) == pytest.approx(_kpz_value(b), rel=1e-8)
 
-    assert read_value(a) == pytest.approx(read_value(b), rel=1e-8)
+
+def test_kpz_dirichlet_residue_form(tmp_path):
+    a, b = tmp_path / "n.csv", tmp_path / "r.csv"
+    base = ["kpz", "--boundary", "dirichlet", "--t", "1.0", "--x", "0.2,0.7"]
+    assert main(base + ["--form", "nested", "--output", str(a)]) == 0
+    assert main(base + ["--form", "residue", "--output", str(b)]) == 0
+    assert _kpz_value(a) == pytest.approx(_kpz_value(b), rel=1e-6)
 
 
 def test_kpz_bridge_rows(tmp_path):

@@ -52,9 +52,15 @@ def test_residue_form_equals_nested():
     assert she_moment_residue_form(k2) == pytest.approx(she_moment_nested(k2), rel=1e-6)
 
 
-def test_residue_form_rejects_dirichlet():
-    with pytest.raises(ValidityError):
-        she_moment_residue_form(KpzParams(t=1.0, x=(0.5,), boundary=DIRICHLET))
+@pytest.mark.parametrize("n, tol, xs", [(2, 1e-6, ((0.2, 0.7), (0.5, 1.2))),
+                                         (3, 1e-5, ((0.1, 0.4, 0.9), (0.3, 0.8, 1.5)))])
+def test_dirichlet_residue_form_equals_nested(n, tol, xs):
+    # the tolerances of acceptance criterion 7, which checks the Robin kernel
+    for t in (0.5, 1.0):
+        for x in xs:
+            kpz = KpzParams(t=t, x=x, boundary=DIRICHLET)
+            assert she_moment_residue_form(kpz) == pytest.approx(she_moment_nested(kpz),
+                                                                 rel=tol)
 
 
 def test_contour_offset_invariance():
@@ -174,35 +180,49 @@ def _dense_nested(kpz, contours):
     return float(contract_factored(n, vectors, matrices, pref).real)
 
 
+def _additive(m, w):
+    # the monomial q^e z^s read additively: s w + e + [s < 0]
+    return m.vpow * w + m.qexp + (m.vpow < 0)
+
+
 def _dense_factor(f, kpz, assign):
-    from asep_lab.kpz import ADIFF, AKERNEL, ASUM, INV_DIFF1, _kernel
-    a = f.a.sign * assign[f.a.var] + f.a.shift
-    if f.kind == AKERNEL:
-        return _kernel(a, f.x, kpz.t, kpz.A, kpz.boundary)
-    b = f.b.sign * assign[f.b.var] + f.b.shift
-    if f.kind == ADIFF:
+    from asep_lab.kpz import _kernel
+    from asep_lab.residues import DIFF, F_OVER_Z, INV_PROD, INV_QDIFF, QPROD
+    a = _additive(f.a, assign[f.a.var])
+    if f.kind == F_OVER_Z:
+        return _kernel(a, kpz.x[f.site], kpz.t, kpz.A, kpz.boundary)
+    b = _additive(f.b, assign[f.b.var])
+    if f.kind == DIFF:              # M - M'
         return a - b
-    if f.kind == INV_DIFF1:
+    if f.kind == INV_QDIFF:         # 1/(q M - M')
         return 1.0 / (a - b + 1.0)
-    if f.kind == ASUM:
+    if f.kind == QPROD:             # 1 - q M M'
         return a + b
+    assert f.kind == INV_PROD       # 1/(1 - M M')
     return 1.0 / (a + b - 1.0)
 
 
 def _dense_residue(kpz):
-    from asep_lab.kpz import _build_additive, _reduce_additive
+    from asep_lab.kpz import _reduce_additive
     from asep_lab.partitions import canonical_diagrams, partitions_of
     from asep_lab.quadrature import contract_factored
+    from asep_lab.residues import SCALAR, build_phi
     n = kpz.n
     grids = _dense_grids(kpz, (0.0,) * n, 1e-12, 0.05, n - 1.0)
+    phi = build_phi(range(n))
     total = 0.0
     for lam in partitions_of(n):
         for diagram in canonical_diagrams(lam):
-            live, sign, free = _reduce_additive(_build_additive(kpz), diagram)
-            dims = {v: d for d, v in enumerate(free)}
+            reduced = _reduce_additive(diagram, phi)
+            # each consumed 1/(1 - M M') left a prefactor monomial -1/M; its
+            # additive limit is +1, and the q-power SCALAR has no reading
+            sign = reduced.sign * (-1) ** len(reduced.prefactor_monos)
+            dims = {v: d for d, v in enumerate(reduced.free_vars)}
             vectors = {d: grids[d][1].astype(complex) for d in dims.values()}
             matrices = {}
-            for f in live:
+            for f in reduced.factors:
+                if f.kind == SCALAR:
+                    continue
                 fvars = f.vars()
                 if len(fvars) == 1:
                     d = dims[fvars[0]]
@@ -213,8 +233,9 @@ def _dense_residue(kpz):
                 val = _dense_factor(f, kpz, {v1: grids[d1][0][:, None],
                                              v2: grids[d2][0][None, :]})
                 matrices[(d1, d2)] = matrices.get((d1, d2), 1.0) * val
-            total += contract_factored(len(free), vectors, matrices, complex(sign)).real
-    return float(2.0 ** n * total)
+            total += contract_factored(len(reduced.free_vars), vectors, matrices,
+                                       complex(sign)).real
+    return float((2.0 if kpz.boundary == ROBIN else 4.0) ** n * total)
 
 
 DENSE_X = {1: (0.5,), 2: (0.2, 0.7), 3: (0.1, 0.4, 0.9)}
@@ -223,6 +244,12 @@ DENSE_X = {1: (0.5,), 2: (0.2, 0.7), 3: (0.1, 0.4, 0.9)}
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_residue_form_equals_dense_pair_reference(n):
     kpz = KpzParams(t=0.5, x=DENSE_X[n], A=1.0)
+    assert she_moment_residue_form(kpz) == pytest.approx(_dense_residue(kpz), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dirichlet_residue_form_equals_dense_pair_reference(n):
+    kpz = KpzParams(t=0.5, x=DENSE_X[n], boundary=DIRICHLET)
     assert she_moment_residue_form(kpz) == pytest.approx(_dense_residue(kpz), rel=1e-13)
 
 
@@ -296,3 +323,43 @@ def test_two_point_bridge_finite_at_small_eps(boundary, eps):
     # has bounded real part on the contour
     value = scaled_asep_moment(eps, _bridge_params(boundary, (0.5, 1.0)))
     assert math.isfinite(value) and value > 0
+
+
+# float.hex of both SHE forms taken before the residue reduction was shared
+# with the lattice moments; n = 4 on a coarser node spacing to keep the test
+# short (the pin checks the code path, not accuracy)
+PINNED_SHE = [
+    (ROBIN, (0.5,), 0.5, 0.5, 0.05, '0x1.5cddf3b6b8366p-1', '0x1.5cddf3b6b8366p-1'),
+    (ROBIN, (0.5,), 0.5, 2.0, 0.05, '0x1.82f323d92d20ep-2', '0x1.82f323d92d20ep-2'),
+    (DIRICHLET, (0.5,), 0.5, None, 0.05, '0x1.c1efca49a5014p+0', None),
+    (ROBIN, (0.5,), 1.0, 0.5, 0.05, '0x1.e4a5c5b60cab6p-2', '0x1.e4a5c5b60cab6p-2'),
+    (ROBIN, (0.5,), 1.0, 2.0, 0.05, '0x1.a45118c58bcc8p-3', '0x1.a45118c58bcc8p-3'),
+    (DIRICHLET, (0.5,), 1.0, None, 0.05, '0x1.6883d022086b4p-1', None),
+    (ROBIN, (0.2, 0.7), 0.5, 0.5, 0.05, '0x1.fa2e95845de42p-1', '0x1.fa2e958528358p-1'),
+    (ROBIN, (0.2, 0.7), 0.5, 2.0, 0.05, '0x1.053762c929e3ep-2', '0x1.053762c97fcbep-2'),
+    (DIRICHLET, (0.2, 0.7), 0.5, None, 0.05, '0x1.bbe5187aea336p+1', None),
+    (ROBIN, (0.2, 0.7), 1.0, 0.5, 0.05, '0x1.9efef104cb88cp-1', '0x1.9efef104cb8dfp-1'),
+    (ROBIN, (0.2, 0.7), 1.0, 2.0, 0.05, '0x1.e1beb2f26f33cp-4', '0x1.e1beb2f26f378p-4'),
+    (DIRICHLET, (0.2, 0.7), 1.0, None, 0.05, '0x1.be1eed76d1104p-1', None),
+    (ROBIN, (0.1, 0.4, 0.9), 0.5, 0.5, 0.05, '0x1.83a911d6c809bp+1', '0x1.83a911d82e482p+1'),
+    (ROBIN, (0.1, 0.4, 0.9), 0.5, 2.0, 0.05, '0x1.5883ead0315dfp-2', '0x1.5883ead10131fp-2'),
+    (DIRICHLET, (0.1, 0.4, 0.9), 0.5, None, 0.05, '0x1.67aa10aacd5f0p+3', None),
+    (ROBIN, (0.1, 0.4, 0.9), 1.0, 0.5, 0.05, '0x1.847f5a4d3b984p+2', '0x1.847f5a4d3ba3bp+2'),
+    (ROBIN, (0.1, 0.4, 0.9), 1.0, 2.0, 0.05, '0x1.e7e638d70b4b8p-3', '0x1.e7e638d70b511p-3'),
+    (DIRICHLET, (0.1, 0.4, 0.9), 1.0, None, 0.05, '0x1.8c57b1365f5a1p+1', None),
+    (ROBIN, (0.1, 0.3, 0.6, 1.0), 0.5, 0.5, 0.2, '0x1.a09738c128616p+4', '0x1.a32a914bc5605p+4'),
+    (ROBIN, (0.1, 0.3, 0.6, 1.0), 0.5, 2.0, 0.2, '0x1.32b294534d20cp+0', '0x1.33cb0b6b6ec4cp+0'),
+    (DIRICHLET, (0.1, 0.3, 0.6, 1.0), 0.5, None, 0.2, '0x1.45f160862f25dp+7', None),
+    (ROBIN, (0.1, 0.3, 0.6, 1.0), 1.0, 0.5, 0.2, '0x1.3742042fb7211p+8', '0x1.377db02752621p+8'),
+    (ROBIN, (0.1, 0.3, 0.6, 1.0), 1.0, 2.0, 0.2, '0x1.3448e777fe882p+1', '0x1.344f36035db04p+1'),
+    (DIRICHLET, (0.1, 0.3, 0.6, 1.0), 1.0, None, 0.2, '0x1.4f564aca671c5p+6', None),
+]
+
+
+@pytest.mark.parametrize("boundary, x, t, A, spacing, nested, residue", PINNED_SHE)
+def test_she_values_pinned(boundary, x, t, A, spacing, nested, residue):
+    kpz = KpzParams(t=t, x=x, A=A, boundary=boundary)
+    contours = ContourSpec(ContourSpec.default(len(x)).offsets, spacing_factor=spacing)
+    assert she_moment_nested(kpz, contours).hex() == nested
+    if residue is not None:
+        assert she_moment_residue_form(kpz, spacing_factor=spacing).hex() == residue
