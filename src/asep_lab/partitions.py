@@ -78,6 +78,13 @@ class Diagram:
             if any(row[j] >= row[j + 1] for j in range(p, len(row) - 1)):
                 raise ValueError(f"row {row} not strictly increasing after its minimum")
 
+    @classmethod
+    def _trusted(cls, rows: Tuple[Tuple[int, ...], ...]) -> "Diagram":
+        """A diagram from rows that are valid by construction, not re-checked."""
+        diagram = object.__new__(cls)
+        object.__setattr__(diagram, "rows", rows)
+        return diagram
+
     @property
     def n(self) -> int:
         return sum(len(r) for r in self.rows)
@@ -122,6 +129,10 @@ def _row_contents(labels: List[int], lam: Partition,
 
 
 def _diagrams(lam: Partition, dedupe_equal_rows: bool) -> Iterator[Diagram]:
+    """Rows of weakly decreasing lengths lam whose contents partition {1..n},
+    each in a valley order: valid diagrams by construction."""
+    if any(b > a for a, b in zip(lam, lam[1:])) or any(p < 1 for p in lam):
+        raise ValueError(f"not a partition: {lam}")
     n = sum(lam)
     orders: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
     for contents in _row_contents(list(range(1, n + 1)), tuple(lam), dedupe_equal_rows):
@@ -129,7 +140,7 @@ def _diagrams(lam: Partition, dedupe_equal_rows: bool) -> Iterator[Diagram]:
             if c not in orders:
                 orders[c] = list(_valley_orders(c))
         for rows in itertools.product(*[orders[c] for c in contents]):
-            yield Diagram(rows)
+            yield Diagram._trusted(rows)
 
 
 def enumerate_diagrams(lam: Sequence[int]) -> List[Diagram]:
@@ -138,10 +149,7 @@ def enumerate_diagrams(lam: Sequence[int]) -> List[Diagram]:
     Row contents are assigned in lexicographic combination order and the
     left subsets by bitmask, so runs are reproducible.
     """
-    lam = tuple(lam)
-    if any(b > a for a, b in zip(lam, lam[1:])) or any(p < 1 for p in lam):
-        raise ValueError(f"not a partition: {lam}")
-    return list(_diagrams(lam, dedupe_equal_rows=False))
+    return list(_diagrams(tuple(lam), dedupe_equal_rows=False))
 
 
 def canonical_diagrams(lam: Sequence[int]) -> List[Diagram]:
@@ -152,8 +160,7 @@ def canonical_diagrams(lam: Sequence[int]) -> List[Diagram]:
     permuting equal-length rows, so summing integrals over canonical
     diagrams equals the full ordered sum divided by m_1! m_2! ...
     """
-    lam = tuple(lam)
-    return list(_diagrams(lam, dedupe_equal_rows=True))
+    return list(_diagrams(tuple(lam), dedupe_equal_rows=True))
 
 
 def count_diagrams(lam: Sequence[int]) -> int:

@@ -3,9 +3,18 @@
 Rejection-free event scheduling: one exponential clock at the total active
 rate, then a categorical pick among the active transitions.  The half-line
 state is a sparse set of occupied sites, so the infinite-lattice dynamics
-are simulated exactly with no truncation.  Trajectory i draws from
-PCG64DXSM(SeedSequence(seed)).jumped(i), so estimates are reproducible
-bit-for-bit regardless of execution order or worker count.
+are simulated exactly with no truncation.
+
+Each event takes two draws, its clock and its pick.  Trajectory i reads
+its first _K events from its row, draws [2*_K*i, 2*_K*(i+1)) of
+PCG64DXSM(SeedSequence(seed)), and any further ones from its own overflow
+stream PCG64DXSM(SeedSequence(seed)).jumped(i + 1).  Rows are filled for
+a block of trajectories in one numpy call.  A trajectory's draws are thus
+a function of (seed, i) only, and estimates are reproducible bit-for-bit
+regardless of execution order or worker count.  The clocks go through
+numpy's log1p, whose SIMD builds may round the last bit differently on
+another CPU; a final state moves only if an event time lands within that
+bit of t_end, but the reweighted dual estimate may differ in its last bits.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .model import (AsepState, ModelParams, SegmentParams, SegmentState, ValidityError,
-                    h_product, h_product_segment)
+                    check_chamber, h_product, h_product_segment)
 
 
 @dataclass(frozen=True)
@@ -48,63 +57,85 @@ class McEstimate:
     trajectories: int
 
 
-class _Draws:
-    """Buffered uniform/exponential draws from one numpy Generator.
+# events a trajectory reads from its row before it turns to its overflow stream
+_K = 16
+# trajectories whose rows one numpy call fills; bounds a chunk's row memory
+_BLOCK = 512
 
-    Blocks are small because a trajectory has only a few events on average,
-    and are kept as Python floats so that the event loops do float
-    arithmetic rather than numpy-scalar arithmetic.
+
+def _rows(rng: np.random.Generator, count: int) -> List[List[float]]:
+    """`count` rows of 2*_K draws: event k's clock -log1p(-U) at 2k, its pick U at 2k+1.
+
+    Rows are Python floats so that the event loops do float arithmetic
+    rather than numpy-scalar arithmetic.
     """
-
-    BLOCK = 16
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._uni = rng.random(self.BLOCK).tolist()
-        self._exp = rng.standard_exponential(self.BLOCK).tolist()
-        self._iu = 0
-        self._ie = 0
-
-    def uniform(self) -> float:
-        if self._iu >= self.BLOCK:
-            self._uni = self._rng.random(self.BLOCK).tolist()
-            self._iu = 0
-        v = self._uni[self._iu]
-        self._iu += 1
-        return v
-
-    def exponential(self) -> float:
-        if self._ie >= self.BLOCK:
-            self._exp = self._rng.standard_exponential(self.BLOCK).tolist()
-            self._ie = 0
-        v = self._exp[self._ie]
-        self._ie += 1
-        return v
-
-
-# the step numpy's PCG64DXSM.jumped() advances by, about 2**128 / phi
-_JUMP = 0x9e3779b97f4a7c15f39cc0605cedc835
+    draws = rng.random((count, 2 * _K))
+    draws[:, 0::2] = -np.log1p(-draws[:, 0::2])
+    return draws.tolist()
 
 
 class _Streams:
-    """One call's (or one worker chunk's) position on the stream of a seed.
+    """One call's (or one worker chunk's) rows of a seed's stream, up to trajectory stop - 1.
 
-    Restoring the start state and advancing by i jump steps puts the shared
-    generator exactly where PCG64DXSM(SeedSequence(seed)).jumped(i) starts,
-    without building a seed sequence and a generator per trajectory.
+    Trajectory i's row is draws [2*_K*i, 2*_K*(i+1)) of
+    PCG64DXSM(SeedSequence(seed)); rows are filled _BLOCK trajectories at a
+    time, each block one advance from the start state and one numpy fill.
+    A trajectory with more than _K events continues on
+    PCG64DXSM(SeedSequence(seed)).jumped(i + 1), which only it builds.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, stop: int):
         self.bits = np.random.PCG64DXSM(np.random.SeedSequence(seed))
         self.start = self.bits.state
         self.rng = np.random.Generator(self.bits)
+        self.stop = stop
+        self.first = self.end = 0
+        self.rows: List[List[float]] = []
+
+    def fill(self, first: int):
+        self.bits.state = self.start
+        self.bits.advance(2 * _K * first)
+        self.first, self.end = first, min(first + _BLOCK, self.stop)
+        self.rows = _rows(self.rng, self.end - first)
+
+    def overflow(self, index: int) -> np.random.Generator:
+        self.bits.state = self.start
+        return np.random.Generator(self.bits.jumped(index + 1))
 
 
-def _rng_for(streams: _Streams, index: int) -> np.random.Generator:
-    """The generator of trajectory `index`, equal to its jumped(index) stream."""
-    streams.bits.state = streams.start
-    streams.bits.advance(index * _JUMP)
-    return streams.rng
+def _rng_for(streams: _Streams, index: int) -> List[float]:
+    """Trajectory `index`'s row, filling the block that starts there if it is not held."""
+    if not streams.first <= index < streams.end:
+        streams.fill(index)
+    return streams.rows[index - streams.first]
+
+
+class _Draws:
+    """One trajectory's draws: its row, then rows of its overflow stream.
+
+    exponential() starts the next event and returns its clock; uniform()
+    returns the pick of that same event.
+    """
+
+    def __init__(self, row: List[float], streams: _Streams, index: int):
+        self._row = row
+        self._j = 0
+        self._streams = streams
+        self._index = index
+        self._spill: Optional[np.random.Generator] = None
+
+    def exponential(self) -> float:
+        j = self._j
+        if j == 2 * _K:
+            if self._spill is None:
+                self._spill = self._streams.overflow(self._index)
+            self._row = _rows(self._spill, 1)[0]
+            j = 0
+        self._j = j + 2
+        return self._row[j]
+
+    def uniform(self) -> float:
+        return self._row[self._j - 1]
 
 
 def _run_halfline(p: float, q: float, alpha: float, gamma: float,
@@ -202,9 +233,9 @@ def _halfline_finals(params: ModelParams, t_end: float, seed: int,
                      start: int, stop: int) -> Iterator[frozenset]:
     """Final occupied sets of trajectories start, ..., stop - 1."""
     rates = tuple(float(r) for r in (params.p_rate, params.q_rate, params.alpha, params.gamma))
-    streams = _Streams(seed)
+    streams = _Streams(seed, stop)
     for i in range(start, stop):
-        yield _run_halfline(*rates, t_end, _Draws(_rng_for(streams, i)))
+        yield _run_halfline(*rates, t_end, _Draws(_rng_for(streams, i), streams, i))
 
 
 def _segment_finals(params: SegmentParams, t_end: float, seed: int,
@@ -212,9 +243,9 @@ def _segment_finals(params: SegmentParams, t_end: float, seed: int,
     """Final (occupations, through-count) of trajectories start, ..., stop - 1."""
     rates = tuple(float(r) for r in (params.p_rate, params.q_rate, params.alpha,
                                      params.gamma, params.beta, params.delta))
-    streams = _Streams(seed)
+    streams = _Streams(seed, stop)
     for i in range(start, stop):
-        yield _run_segment(params.ell, *rates, t_end, _Draws(_rng_for(streams, i)))
+        yield _run_segment(params.ell, *rates, t_end, _Draws(_rng_for(streams, i), streams, i))
 
 
 def _halfline_chunk(args) -> np.ndarray:
@@ -274,8 +305,9 @@ def _usable_cpus() -> int:
 def estimate(config: SimConfig, threads: int = 1) -> List[McEstimate]:
     """Monte Carlo means and standard errors of the H-observables.
 
-    Identical output for any thread count: trajectory i always draws from
-    PCG64DXSM(SeedSequence(seed)).jumped(i).  At most one worker process
+    Identical output for any thread count: trajectory i always reads its
+    row of PCG64DXSM(SeedSequence(seed)), then its overflow stream
+    jumped(i + 1) (see the module docstring).  At most one worker process
     runs per usable CPU, whatever `threads` asks for.
     """
     chunk_fn = _segment_chunk if isinstance(config.params, SegmentParams) else _halfline_chunk
@@ -306,17 +338,22 @@ def dual_reweighted_estimate(params: SegmentParams, x0: Sequence[int], t_end: fl
     """
     if not params.liggett2_ok():
         raise ValidityError("reweighting uses the boundary densities; Liggett required")
-    x0 = tuple(int(v) for v in x0)
+    if trajectories < 1:
+        raise ValidityError("need at least one trajectory")
+    # a NaN end time would never stop the event loop
+    if not 0 <= t_end < math.inf:
+        raise ValidityError("t_end must be finite and nonnegative")
     ell = params.ell
+    x0 = check_chamber(x0, 1, ell)
     p, q = float(params.p_rate), float(params.q_rate)
     rho0, rho_ell = float(params.rho0), float(params.rho_ell)
     qratio = float(params.q)
     if initial is None:
         initial = SegmentState.empty(ell)
     values = np.empty(trajectories)
-    streams = _Streams(seed)
+    streams = _Streams(seed, trajectories)
     for i in range(trajectories):
-        draws = _Draws(_rng_for(streams, i))
+        draws = _Draws(_rng_for(streams, i), streams, i)
         x = list(x0)
         n = len(x)
         t = 0.0

@@ -62,6 +62,29 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# sha256 of the report lines (manifest line excluded) of `simulate` on the
+# half line and on the ell = 4 segment, recorded when trajectories moved to
+# block-filled rows with per-trajectory overflow streams (version 0.3.0);
+# at t = 3 a few half-line trajectories outrun their row
+SIMULATE_DIGESTS = {
+    "halfline": (["--t", "3.0", "--rho", "0.9", "--observable", "2", "--observable", "1,4"],
+                 "aad65788459afe4dd3f25706e3a8906f2c37b3a6a0e0d8032b7e66144b68fddc"),
+    "segment": (["--t", "1.0", "--ell", "4", "--rho0", "3/4", "--rho-ell", "1/3",
+                 "--observable", "1,3", "--observable", "2"],
+                "c8a124da2c6d2374818a4a3551853e9c642c457f82585fba6ba5e9925fdc0674"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SIMULATE_DIGESTS))
+def test_simulate_report_lines_pinned(model, tmp_path):
+    flags, digest = SIMULATE_DIGESTS[model]
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--trajectories", "2000", "--seed", "5", *flags,
+                 "--output", str(out)]) == 0
+    reports = out.read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(reports).hexdigest() == digest
+
+
 def test_simulate_t0_mean_one(tmp_path):
     out = tmp_path / "s.csv"
     assert main(["simulate", "--t", "0", "--trajectories", "50", "--seed", "1",

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from asep_lab.model import ModelParams, SegmentParams, SegmentState
+from asep_lab.model import (ChamberError, ModelParams, SegmentParams, SegmentState,
+                            ValidityError)
 from asep_lab.moments import first_moment
 from asep_lab import simulate
 from asep_lab.segment_ode import solve_u, stationary_distribution
@@ -103,6 +104,18 @@ def test_dual_reweighted_estimator_matches_ode():
     assert abs(est.mean - sol.value((1, 3))) <= 4 * est.std_error
 
 
+@pytest.mark.parametrize("x0, t_end, trajectories, error", [
+    ((1, 3), float("nan"), 10, ValidityError),  # would never stop the event loop
+    ((1, 3), -1.0, 10, ValidityError),          # negative time
+    ((1, 3), 1.0, 0, ValidityError),            # nothing to average
+    ((3, 1), 1.0, 10, ChamberError),            # not increasing
+    ((1, 9), 1.0, 10, ChamberError),            # beyond ell = 4
+])
+def test_dual_reweighted_estimate_rejects_bad_input(x0, t_end, trajectories, error):
+    with pytest.raises(error):
+        dual_reweighted_estimate(SEG, x0, t_end, trajectories, seed=13)
+
+
 def test_segment_empirical_distribution_reaches_stationarity():
     sp = SegmentParams.from_densities(1, F(1, 2), F(3, 4), F(1, 3), 3)
     pi = stationary_distribution(sp)
@@ -124,21 +137,47 @@ def test_config_validation():
         simulate_segment(SimConfig(PARAMS, 1.0, 1, seed=0))
 
 
-def test_rng_for_is_the_jumped_stream():
-    streams = simulate._Streams(2024)
-    for i in (0, 1, 7, 99_999):
-        ours = simulate._rng_for(streams, i)
-        a = ours.random(40).tolist() + ours.standard_exponential(40).tolist()
-        ref = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(2024)).jumped(i))
-        b = ref.random(40).tolist() + ref.standard_exponential(40).tolist()
-        assert a == b
+def _reference_events(bits, count):
+    """`count` events read off a bit generator: a clock -log1p(-U), then a pick U."""
+    u = np.random.Generator(bits).random(2 * count)
+    return -np.log1p(-u[0::2]), u[1::2]
+
+
+def _assert_events(events, ref):
+    clocks, picks = ref
+    assert [pick for _, pick in events] == picks.tolist()
+    np.testing.assert_array_max_ulp(np.array([clock for clock, _ in events]), clocks, 1)
+
+
+def _events(draws, count):
+    return [(draws.exponential(), draws.uniform()) for _ in range(count)]
+
+
+def test_rows_are_fixed_positions_of_the_seed_stream():
+    # trajectory i's first K events are draws [2K i, 2K (i+1)) of the seed's stream
+    k = simulate._K
+    streams = simulate._Streams(2024, 100_000)
+    for i in (0, 1, 7, simulate._BLOCK - 1, simulate._BLOCK, 99_999):
+        bits = np.random.PCG64DXSM(np.random.SeedSequence(2024))
+        bits.advance(2 * k * i)
+        draws = simulate._Draws(simulate._rng_for(streams, i), streams, i)
+        _assert_events(_events(draws, k), _reference_events(bits, k))
+
+
+def test_overflowing_trajectory_continues_on_its_jumped_stream():
+    k, i = simulate._K, 7
+    streams = simulate._Streams(2024, 20)
+    draws = simulate._Draws(simulate._rng_for(streams, i), streams, i)
+    events = _events(draws, 3 * k)
+    jumped = np.random.PCG64DXSM(np.random.SeedSequence(2024)).jumped(i + 1)
+    _assert_events(events[k:], _reference_events(jumped, 2 * k))
 
 
 class _EventCountingDraws(simulate._Draws):
     events = []
 
-    def __init__(self, rng):
-        super().__init__(rng)
+    def __init__(self, *args):
+        super().__init__(*args)
         self.events.append(0)
 
     def exponential(self):
@@ -153,9 +192,13 @@ class _EventCountingDraws(simulate._Draws):
 def test_trajectory_does_not_depend_on_earlier_ones(monkeypatch, finals, params, t):
     monkeypatch.setattr(simulate, "_Draws", _EventCountingDraws)
     _EventCountingDraws.events = []
-    full = list(finals(params, t, 31, 0, 12))
-    assert max(_EventCountingDraws.events) > simulate._Draws.BLOCK  # some block refilled
-    assert list(finals(params, t, 31, 5, 12)) == full[5:]
+    block = simulate._BLOCK
+    full = list(finals(params, t, 31, 0, block + 12))
+    assert list(finals(params, t, 31, 5, 12)) == full[5:12]
+    # a chunk that starts mid-block and crosses the full run's first block boundary
+    _EventCountingDraws.events = []
+    assert list(finals(params, t, 31, block - 5, block + 12)) == full[block - 5:]
+    assert max(_EventCountingDraws.events) > simulate._K  # some row in it overflowed
 
 
 def test_segment_thread_count_does_not_change_results():
