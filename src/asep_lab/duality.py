@@ -93,17 +93,17 @@ def _halfline_closed_transitions(params: ModelParams, eta: Eta):
     return list(_swap_moves(eta, _bond_range(eta, 0), params.p_rate, params.q_rate))
 
 
-def _dual_moves(params: ModelParams, x: Tuple[int, ...], i_left: Sequence[int],
-                i_right: Sequence[int], low: Optional[int], high: Optional[int]):
+def _dual_moves(params: ModelParams, x: Tuple[int, ...], low: Optional[int],
+                high: Optional[int]):
     """Dual n-particle moves: left at rate p, right at rate q (reversed roles)."""
     p, q = params.p_rate, params.q_rate
     n = len(x)
     out = []
-    for i in i_left:
+    for i in range(n):
         gap_ok = x[i] - x[i - 1] > 1 if i > 0 else (low is None or x[i] > low)
         if gap_ok:
             out.append((p, x[:i] + (x[i] - 1,) + x[i + 1:]))
-    for i in i_right:
+    for i in range(n):
         gap_ok = x[i + 1] - x[i] > 1 if i < n - 1 else (high is None or x[i] < high)
         if gap_ok:
             out.append((q, x[:i] + (x[i] + 1,) + x[i + 1:]))
@@ -111,13 +111,11 @@ def _dual_moves(params: ModelParams, x: Tuple[int, ...], i_left: Sequence[int],
 
 
 def _dual_n_transitions(params: ModelParams, x: Tuple[int, ...]):
-    n = len(x)
-    return _dual_moves(params, x, range(n), range(n), low=None, high=None)
+    return _dual_moves(params, x, low=None, high=None)
 
 
 def _dual_boundary_transitions(params: ModelParams, x: Tuple[int, ...]):
-    n = len(x)
-    return _dual_moves(params, x, range(n), range(n), low=1, high=None)
+    return _dual_moves(params, x, low=1, high=None)
 
 
 def _dual_boundary_diagonal(params: ModelParams, x: Tuple[int, ...]) -> Fraction:
@@ -127,8 +125,7 @@ def _dual_boundary_diagonal(params: ModelParams, x: Tuple[int, ...]) -> Fraction
 
 
 def _dual_segment_transitions(params: SegmentParams, x: Tuple[int, ...]):
-    n = len(x)
-    return _dual_moves(params, x, range(n), range(n), low=1, high=params.ell)
+    return _dual_moves(params, x, low=1, high=params.ell)
 
 
 def _dual_segment_diagonal(params: SegmentParams, x: Tuple[int, ...]) -> Fraction:

@@ -29,7 +29,7 @@ from scipy.special import erf
 from .model import ModelParams, ValidityError
 from .moments import QuadratureSpec, q_moment
 from .partitions import Diagram, canonical_diagrams, partitions_of, substitution_steps
-from .quadrature import PairFactor, contract_factored, line_nodes, line_pair_operands
+from .quadrature import PairProducts, contract_factored, line_nodes
 from .residues import (DIFF, F_OVER_Z, INV_PROD, INV_QDIFF, QPROD, SCALAR, Factor, Monomial,
                        ReducedIntegrand, build_phi, reduce_steps)
 
@@ -90,8 +90,8 @@ class ContourSpec:
             raise ValidityError("need r_k - r_{k-1} > 1 between consecutive contours")
 
     @classmethod
-    def default(cls, n: int, gap: float = 1.25) -> "ContourSpec":
-        return cls(tuple(gap * k for k in range(n)))
+    def default(cls, n: int) -> "ContourSpec":
+        return cls(tuple(1.25 * k for k in range(n)))
 
 
 def _kernel(w, x: float, t: float, A: Optional[float], boundary: str):
@@ -157,12 +157,12 @@ def _line_operands(reduced: ReducedIntegrand, kpz: KpzParams,
     The k-th free variable is integrated on the line nodes and weights
     grids[k].  F-factors become the SHE kernel at kpz.x[site], and a pair
     factor whose slots share one variable scales that variable's vector;
-    the others become pair matrices through `line_pair_operands`.  The
+    the others are evaluated on the 2N - 1 entries of `PairProducts`.  The
     SCALAR factor and the prefactor monomials have no additive reading.
     """
     dims = {v: d for d, v in enumerate(reduced.free_vars)}
     vectors = {d: grids[d][1] for d in dims.values()}
-    pairs = []
+    pairs = PairProducts(len(grids[0][0]))
     for f in reduced.factors:
         if f.kind == SCALAR:
             continue
@@ -178,11 +178,15 @@ def _line_operands(reduced: ReducedIntegrand, kpz: KpzParams,
             w = grids[d][0]
             arg = sign_a * w + shift_a + sign * (sign_b * w + shift_b) + shift
             vectors[d] = vectors[d] * (arg if power == 1 else 1.0 / arg)
-        else:
-            pairs.append(PairFactor(d, dims[f.b.var], sign_a, sign * sign_b,
-                                    shift_a + sign * shift_b + shift, power))
-    nodes = [grids[d][0] for d in range(len(dims))]
-    return vectors, line_pair_operands(nodes, pairs)
+            continue
+        # rows belong to the lower dimension; w_a + w_b is Hankel, w_a - w_b Toeplitz
+        (da, sa), (db, sb) = sorted([(d, sign_a), (dims[f.b.var], sign * sign_b)])
+        hankel = sa == sb
+        ka, kb = pairs.entries(hankel)
+        wa, wb = grids[da][0][ka], grids[db][0][kb]
+        arg = sa * (wa + wb if hankel else wa - wb) + (shift_a + sign * shift_b + shift)
+        pairs.multiply((da, db), hankel, arg, power)
+    return vectors, pairs.matrices()
 
 
 def she_moment_residue_form(kpz: KpzParams, tail_tol: float = 1e-12,
@@ -217,14 +221,14 @@ def she_moment_residue_form(kpz: KpzParams, tail_tol: float = 1e-12,
 # weak-asymmetry bridge
 
 def scaled_asep_moment(eps: float, kpz: KpzParams,
-                       quad: Optional[QuadratureSpec] = None,
-                       nodes_1d: int = 512) -> float:
+                       quad: Optional[QuadratureSpec] = None) -> float:
     """Lattice moment under weak-asymmetry scaling, exact at fixed epsilon.
 
     Jump rates e^{+-sqrt(eps)}/2, time t/eps^2, sites round(x/eps), density
     1/2 + sqrt(eps)(1/4 + A/2) for Robin or 1 for Dirichlet.  The value is
     eps^{-n/2} (Robin) or eps^{-n} (Dirichlet) times the scaled-kernel
-    lattice moment, and converges to the matching SHE moment.
+    lattice moment, and converges to the matching SHE moment.  `quad`
+    defaults to 512 nodes in one dimension (`QuadratureSpec.with_1d_nodes`).
     """
     if eps <= 0:
         raise ValidityError("eps must be positive")
@@ -245,7 +249,7 @@ def scaled_asep_moment(eps: float, kpz: KpzParams,
     if any(b <= a for a, b in zip(sites, sites[1:])):
         raise ValidityError(f"scaled sites {sites} collide; decrease eps or separate x")
     t_scaled = kpz.t / eps ** 2
-    quad = quad or QuadratureSpec.with_1d_nodes(nodes_1d)
+    quad = quad or QuadratureSpec.with_1d_nodes(512)
     res = q_moment(t_scaled, sites, params, quad, kernel="scaled")
     return float(eps ** power * res.value)
 
@@ -283,11 +287,11 @@ def _robin_heat_profile(A: float, t: float, length: float, dx: float, dt: float,
     steps = int(round(t / dt))
     # Rannacher startup: the first two trapezoid steps run as four damped
     # backward-Euler half-steps, which suppresses the oscillatory response
-    # of Crank-Nicolson to the nearly-singular initial data
-    be = splu((eye - (dt / 4.0) * lap).tocsc())
-    for _ in range(4):
-        u = be.solve(u)
+    # of Crank-Nicolson to the nearly-singular initial data; a damped
+    # half-step and a trapezoid step share the matrix eye - dt/4 lap
     lhs = splu((eye - (dt / 4.0) * lap).tocsc())
+    for _ in range(4):
+        u = lhs.solve(u)
     rhs = (eye + (dt / 4.0) * lap).tocsr()
     for _ in range(max(steps - 2, 0)):
         u = lhs.solve(rhs @ u)

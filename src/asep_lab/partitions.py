@@ -90,17 +90,9 @@ class Diagram:
         return sum(len(r) for r in self.rows)
 
     @property
-    def shape(self) -> Partition:
-        return tuple(len(r) for r in self.rows)
-
-    @property
     def pivots(self) -> Tuple[int, ...]:
         """Free labels, one per row (the row minima)."""
         return tuple(min(row) for row in self.rows)
-
-    @property
-    def arrow_count(self) -> int:
-        return self.n - len(self.rows)
 
 
 def _valley_orders(content: Sequence[int]) -> Iterator[Tuple[int, ...]]:

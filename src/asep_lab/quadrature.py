@@ -13,11 +13,10 @@ grids (the SHE forms) all share one spacing h and one index range, so grid
 d is w_d[k] = w_d[0] + i k h, k = 0..N-1.  A two-variable factor
 g(s_a w_a + s_b w_b + c) with signs s = +-1 then depends on k_a - k_b alone
 when s_a = -s_b (a Toeplitz matrix) and on k_a + k_b alone when s_a = s_b
-(a Hankel matrix); grids of different spacing or length have no such
-structure and are refused.  The circle grids of one diagram share a node
-count N, z_d[k] = r e^{2 pi i (k + o_d)/N}, so a ratio or product of
-monomials z_a^{+-1}, z_b^{+-1} depends on k_a - k_b or on k_a + k_b alone
-(the moment code folds the per-node scale that is left into the vectors).
+(a Hankel matrix).  The circle grids of one diagram share a node count
+N, z_d[k] = r e^{2 pi i (k + o_d)/N}, so a ratio or product of monomials
+z_a^{+-1}, z_b^{+-1} depends on k_a - k_b or on k_a + k_b alone (the
+moment code folds the per-node scale that is left into the vectors).
 `PairProducts` is the one materializer for both: each factor is given on
 its 2N - 1 distinct values, the Toeplitz-type and the Hankel-type vectors
 of each dimension pair are multiplied separately, and the N x N pair matrix
@@ -31,7 +30,7 @@ instead of being materialised on the full tensor grid.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -62,17 +61,6 @@ def line_nodes(real_part: float, half_height: float, spacing: float,
     w = real_part + 1j * y
     weights = np.full(w.shape, spacing / (2.0 * np.pi))
     return w, weights
-
-
-class PairFactor(NamedTuple):
-    """(sign_a w_a + sign_b w_b + shift) ** power on grids a != b, power +-1."""
-
-    a: int
-    b: int
-    sign_a: int
-    sign_b: int
-    shift: float
-    power: int
 
 
 class PairProducts:
@@ -122,36 +110,6 @@ class PairProducts:
             views.setdefault(pair, []).append(view)
         return {pair: v[0] * v[1] if len(v) == 2 else v[0].copy()
                 for pair, v in views.items()}
-
-
-def line_pair_operands(grids: Sequence[np.ndarray],
-                       factors: Iterable[PairFactor]) -> Dict[Tuple[int, int], np.ndarray]:
-    """Pair matrices, keyed (a, b) with a < b, of products of PairFactors.
-
-    grids[d] are the nodes of dimension d, as made by `line_nodes` with one
-    spacing and half-height.  Each factor is evaluated on the 2N - 1
-    distinct values of its argument (see the module docstring); only the
-    pairs that carry a factor get a matrix.
-    """
-    n_nodes = len(grids[0])
-    step = complex(grids[0][1] - grids[0][0])
-    for d, w in enumerate(grids):
-        if len(w) != n_nodes:
-            raise ValueError(f"line grid {d} has {len(w)} nodes, grid 0 has {n_nodes}")
-        if np.abs(np.diff(w) - step).max() > 1e-9 * abs(step):
-            raise ValueError(f"line grid {d} does not share grid 0's spacing {step}")
-    pairs = PairProducts(n_nodes)
-    for f in factors:
-        if f.power not in (1, -1):
-            raise ValueError(f"pair factor power must be +-1, got {f.power}")
-        a, b, sa, sb = f.a, f.b, f.sign_a, f.sign_b
-        if a > b:
-            a, b, sa, sb = b, a, sb, sa
-        hankel = sa == sb
-        ka, kb = pairs.entries(hankel)
-        base = grids[a][ka] + grids[b][kb] if hankel else grids[a][ka] - grids[b][kb]
-        pairs.multiply((a, b), hankel, sa * base + f.shift, f.power)
-    return pairs.matrices()
 
 
 def contract_factored(n_dims: int,

@@ -11,10 +11,10 @@ PCG64DXSM(SeedSequence(seed)), and any further ones from its own overflow
 stream PCG64DXSM(SeedSequence(seed)).jumped(i + 1).  Rows are filled for
 a block of trajectories in one numpy call.  A trajectory's draws are thus
 a function of (seed, i) only, and estimates are reproducible bit-for-bit
-regardless of execution order or worker count.  The clocks go through
-numpy's log1p, whose SIMD builds may round the last bit differently on
-another CPU; a final state moves only if an event time lands within that
-bit of t_end, but the reweighted dual estimate may differ in its last bits.
+regardless of execution order or worker count.  Each clock is
+-math.log1p(-U), one C-library call per event: numpy's vectorized log1p
+takes SIMD paths that round the last bit differently from one CPU to
+another, and would carry that into the reweighted dual estimate.
 """
 
 from __future__ import annotations
@@ -64,14 +64,12 @@ _BLOCK = 512
 
 
 def _rows(rng: np.random.Generator, count: int) -> List[List[float]]:
-    """`count` rows of 2*_K draws: event k's clock -log1p(-U) at 2k, its pick U at 2k+1.
+    """`count` rows of 2*_K uniform draws: event k's clock draw at 2k, its pick at 2k+1.
 
     Rows are Python floats so that the event loops do float arithmetic
     rather than numpy-scalar arithmetic.
     """
-    draws = rng.random((count, 2 * _K))
-    draws[:, 0::2] = -np.log1p(-draws[:, 0::2])
-    return draws.tolist()
+    return rng.random((count, 2 * _K)).tolist()
 
 
 class _Streams:
@@ -113,8 +111,8 @@ def _rng_for(streams: _Streams, index: int) -> List[float]:
 class _Draws:
     """One trajectory's draws: its row, then rows of its overflow stream.
 
-    exponential() starts the next event and returns its clock; uniform()
-    returns the pick of that same event.
+    exponential() starts the next event and returns its clock -log1p(-U);
+    uniform() returns the pick of that same event.
     """
 
     def __init__(self, row: List[float], streams: _Streams, index: int):
@@ -132,7 +130,7 @@ class _Draws:
             self._row = _rows(self._spill, 1)[0]
             j = 0
         self._j = j + 2
-        return self._row[j]
+        return -math.log1p(-self._row[j])
 
     def uniform(self) -> float:
         return self._row[self._j - 1]
@@ -229,70 +227,98 @@ def _run_segment(ell: int, p: float, q: float, alpha: float, gamma: float,
                 break
 
 
-def _halfline_finals(params: ModelParams, t_end: float, seed: int,
-                     start: int, stop: int) -> Iterator[frozenset]:
-    """Final occupied sets of trajectories start, ..., stop - 1."""
-    rates = tuple(float(r) for r in (params.p_rate, params.q_rate, params.alpha, params.gamma))
+def _run_dual(ell: int, p: float, q: float, rho0: float, rho_ell: float, x0: tuple,
+              t_end: float, draws: _Draws) -> Tuple[List[int], float]:
+    """Closed n-particle exclusion walk on [1, ell]: final sites and Feynman-Kac weight."""
+    x = list(x0)
+    n = len(x)
+    t = 0.0
+    time_left = 0.0
+    time_right = 0.0
+    while True:
+        moves = []
+        for k in range(n):
+            lo = x[k - 1] + 1 if k > 0 else 1
+            hi = x[k + 1] - 1 if k < n - 1 else ell
+            if x[k] > lo:
+                moves.append((p, k, -1))
+            if x[k] < hi:
+                moves.append((q, k, +1))
+        total = sum(r for r, _, _ in moves)
+        dt = draws.exponential() / total if total > 0 else float("inf")
+        step_end = min(t + dt, t_end)
+        if x[0] == 1:
+            time_left += step_end - t
+        if x[-1] == ell:
+            time_right += step_end - t
+        t = step_end
+        if t >= t_end:
+            break
+        u = draws.uniform() * total
+        acc = 0.0
+        for r, k, d in moves:
+            acc += r
+            if u <= acc:
+                x[k] += d
+                break
+    return x, math.exp(-(p - q) * rho0 * time_left + (p - q) * rho_ell * time_right)
+
+
+def _finals(run, rates: tuple, t_end: float, seed: int, start: int, stop: int) -> Iterator:
+    """run(*rates, t_end, draws) for trajectories start, ..., stop - 1 of `seed`.
+
+    The one place that sets up a seed's streams and a trajectory's draws.
+    """
     streams = _Streams(seed, stop)
     for i in range(start, stop):
-        yield _run_halfline(*rates, t_end, _Draws(_rng_for(streams, i), streams, i))
+        yield run(*rates, t_end, _Draws(_rng_for(streams, i), streams, i))
 
 
-def _segment_finals(params: SegmentParams, t_end: float, seed: int,
-                    start: int, stop: int) -> Iterator[Tuple[tuple, int]]:
-    """Final (occupations, through-count) of trajectories start, ..., stop - 1."""
-    rates = tuple(float(r) for r in (params.p_rate, params.q_rate, params.alpha,
-                                     params.gamma, params.beta, params.delta))
-    streams = _Streams(seed, stop)
-    for i in range(start, stop):
-        yield _run_segment(params.ell, *rates, t_end, _Draws(_rng_for(streams, i), streams, i))
+def _loop(params: ModelParams, segment: bool) -> Tuple[object, tuple]:
+    """The half-line or segment event loop and its arguments before t_end."""
+    names = ("p_rate", "q_rate", "alpha", "gamma") + (("beta", "delta") if segment else ())
+    rates = tuple(float(getattr(params, name)) for name in names)
+    return (_run_segment, (params.ell,) + rates) if segment else (_run_halfline, rates)
 
 
-def _halfline_chunk(args) -> np.ndarray:
+def _chunk(args) -> np.ndarray:
+    """H-observable values of trajectories start, ..., stop - 1, one row each."""
     params, t_end, seed, start, stop, observables = args
+    segment = isinstance(params, SegmentParams)
     qratio = float(params.q)
     out = np.empty((stop - start, len(observables)))
-    for row, occ in enumerate(_halfline_finals(params, t_end, seed, start, stop)):
-        out[row] = [h_product(occ, obs, qratio) for obs in observables]
+    finals = _finals(*_loop(params, segment), t_end, seed, start, stop)
+    # two loops rather than h(*final, ...): the star call costs about 3 % of an estimate
+    if segment:
+        for row, (eta, n_ell) in enumerate(finals):
+            out[row] = [h_product_segment(eta, n_ell, obs, qratio) for obs in observables]
+    else:
+        for row, occ in enumerate(finals):
+            out[row] = [h_product(occ, obs, qratio) for obs in observables]
     return out
 
 
-def _segment_chunk(args) -> np.ndarray:
-    params, t_end, seed, start, stop, observables = args
-    qratio = float(params.q)
-    out = np.empty((stop - start, len(observables)))
-    for row, (eta, n_ell) in enumerate(_segment_finals(params, t_end, seed, start, stop)):
-        out[row] = [h_product_segment(eta, n_ell, obs, qratio) for obs in observables]
-    return out
+def _sampled(config: SimConfig, segment: bool, max_states: Optional[int]) -> Iterator:
+    count = config.trajectories if max_states is None else min(max_states, config.trajectories)
+    return _finals(*_loop(config.params, segment), config.t_end, config.seed, 0, count)
 
 
 def simulate_halfline(config: SimConfig, max_states: Optional[int] = None) -> List[AsepState]:
     """Final configurations, one exact CTMC sample per trajectory."""
-    count = config.trajectories if max_states is None else min(max_states, config.trajectories)
-    finals = _halfline_finals(config.params, config.t_end, config.seed, 0, count)
-    return [AsepState(occ) for occ in finals]
+    return [AsepState(occ) for occ in _sampled(config, False, max_states)]
 
 
 def simulate_segment(config: SimConfig, max_states: Optional[int] = None) -> List[SegmentState]:
     """Final (occupations, through-count) samples for the segment process."""
     if not isinstance(config.params, SegmentParams):
         raise TypeError("segment simulation needs SegmentParams")
-    count = config.trajectories if max_states is None else min(max_states, config.trajectories)
-    finals = _segment_finals(config.params, config.t_end, config.seed, 0, count)
-    return [SegmentState(eta, n_ell) for eta, n_ell in finals]
+    return [SegmentState(eta, n_ell) for eta, n_ell in _sampled(config, True, max_states)]
 
 
-def _estimates_from_values(values: np.ndarray, observables, trajectories) -> List[McEstimate]:
-    out = []
-    for j, obs in enumerate(observables):
-        col = values[:, j]
-        mean = float(np.mean(col))
-        if len(col) > 1:
-            se = float(np.std(col, ddof=1) / math.sqrt(len(col)))
-        else:
-            se = 0.0
-        out.append(McEstimate(tuple(obs), mean, se, trajectories))
-    return out
+def _mean_se(values: np.ndarray) -> Tuple[float, float]:
+    """Sample mean and its standard error (0 for a single sample)."""
+    se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    return float(np.mean(values)), se
 
 
 def _usable_cpus() -> int:
@@ -310,19 +336,19 @@ def estimate(config: SimConfig, threads: int = 1) -> List[McEstimate]:
     jumped(i + 1) (see the module docstring).  At most one worker process
     runs per usable CPU, whatever `threads` asks for.
     """
-    chunk_fn = _segment_chunk if isinstance(config.params, SegmentParams) else _halfline_chunk
     n = config.trajectories
     workers = min(threads, n, _usable_cpus())
     if workers <= 1:
-        values = chunk_fn((config.params, config.t_end, config.seed, 0, n, config.observables))
+        values = _chunk((config.params, config.t_end, config.seed, 0, n, config.observables))
     else:
         bounds = [k * n // workers for k in range(workers + 1)]
         jobs = [(config.params, config.t_end, config.seed, a, b, config.observables)
                 for a, b in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk_fn, jobs))
+            parts = list(pool.map(_chunk, jobs))
         values = np.vstack(parts)
-    return _estimates_from_values(values, config.observables, n)
+    return [McEstimate(obs, *_mean_se(values[:, j]), n)
+            for j, obs in enumerate(config.observables)]
 
 
 def dual_reweighted_estimate(params: SegmentParams, x0: Sequence[int], t_end: float,
@@ -338,55 +364,14 @@ def dual_reweighted_estimate(params: SegmentParams, x0: Sequence[int], t_end: fl
     """
     if not params.liggett2_ok():
         raise ValidityError("reweighting uses the boundary densities; Liggett required")
-    if trajectories < 1:
-        raise ValidityError("need at least one trajectory")
-    # a NaN end time would never stop the event loop
-    if not 0 <= t_end < math.inf:
-        raise ValidityError("t_end must be finite and nonnegative")
-    ell = params.ell
-    x0 = check_chamber(x0, 1, ell)
-    p, q = float(params.p_rate), float(params.q_rate)
-    rho0, rho_ell = float(params.rho0), float(params.rho_ell)
+    SimConfig(params, t_end, trajectories, seed)  # the trajectory count and t_end checks
+    x0 = check_chamber(x0, 1, params.ell)
+    rates = (params.ell, float(params.p_rate), float(params.q_rate), float(params.rho0),
+             float(params.rho_ell), x0)
     qratio = float(params.q)
     if initial is None:
-        initial = SegmentState.empty(ell)
+        initial = SegmentState.empty(params.ell)
     values = np.empty(trajectories)
-    streams = _Streams(seed, trajectories)
-    for i in range(trajectories):
-        draws = _Draws(_rng_for(streams, i), streams, i)
-        x = list(x0)
-        n = len(x)
-        t = 0.0
-        time_left = 0.0
-        time_right = 0.0
-        while True:
-            moves = []
-            for k in range(n):
-                lo = x[k - 1] + 1 if k > 0 else 1
-                hi = x[k + 1] - 1 if k < n - 1 else ell
-                if x[k] > lo:
-                    moves.append((p, k, -1))
-                if x[k] < hi:
-                    moves.append((q, k, +1))
-            total = sum(r for r, _, _ in moves)
-            dt = draws.exponential() / total if total > 0 else float("inf")
-            step_end = min(t + dt, t_end)
-            if x[0] == 1:
-                time_left += step_end - t
-            if x[-1] == ell:
-                time_right += step_end - t
-            t = step_end
-            if t >= t_end:
-                break
-            u = draws.uniform() * total
-            acc = 0.0
-            for r, k, d in moves:
-                acc += r
-                if u <= acc:
-                    x[k] += d
-                    break
-        weight = math.exp(-(p - q) * rho0 * time_left + (p - q) * rho_ell * time_right)
+    for i, (x, weight) in enumerate(_finals(_run_dual, rates, t_end, seed, 0, trajectories)):
         values[i] = weight * float(h_product_segment(initial.eta, initial.n_ell, x, qratio))
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(trajectories)) if trajectories > 1 else 0.0
-    return McEstimate(x0, mean, se, trajectories)
+    return McEstimate(x0, *_mean_se(values), trajectories)

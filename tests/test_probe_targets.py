@@ -36,3 +36,26 @@ def test_probe_targets_exist(list_name):
     missing = [p.site for p in probes
                if not hasattr(importlib.import_module(f"asep_lab.{p.module}"), p.attr)]
     assert not missing, f"{list_name} names missing attributes: {missing}"
+
+
+def test_simulate_probes_fire_and_restore():
+    # the probes patch module attributes; a helper captured elsewhere would leave one silent
+    from fractions import Fraction as F
+
+    import asep_lab
+    from asep_lab import simulate
+    from asep_lab.model import ModelParams, SegmentParams
+
+    tracing = _load_tracing()
+    originals = {p.attr: getattr(simulate, p.attr) for p in tracing.SIMULATE_PROBES}
+    installation = tracing.Installation(asep_lab, tracing.Tracer(), tracing.SIMULATE_PROBES)
+    try:
+        halfline = ModelParams.from_density(1, F(1, 2), F(3, 4))
+        segment = SegmentParams.from_densities(1, F(1, 2), F(3, 4), F(1, 3), 4)
+        for params, obs in ((halfline, (2,)), (segment, (1, 3))):
+            simulate.estimate(simulate.SimConfig(params, 1.0, 20, seed=3, observables=(obs,)))
+        simulate.dual_reweighted_estimate(segment, (1, 3), 1.0, 20, seed=3)
+        assert installation.silent() == []
+    finally:
+        installation.restore()
+    assert {attr: getattr(simulate, attr) for attr in originals} == originals

@@ -102,6 +102,9 @@ def test_dual_reweighted_estimator_matches_ode():
     sol = solve_u(1.0, SegmentState.empty(4), SEG, 2)
     est = dual_reweighted_estimate(SEG, (1, 3), 1.0, 20000, seed=13)
     assert abs(est.mean - sol.value((1, 3))) <= 4 * est.std_error
+    # and its output bits at this seed
+    assert est.mean.hex() == "0x1.7b99be7b7e5f5p-1"
+    assert est.std_error.hex() == "0x1.40da1af3db801p-11"
 
 
 @pytest.mark.parametrize("x0, t_end, trajectories, error", [
@@ -139,14 +142,8 @@ def test_config_validation():
 
 def _reference_events(bits, count):
     """`count` events read off a bit generator: a clock -log1p(-U), then a pick U."""
-    u = np.random.Generator(bits).random(2 * count)
-    return -np.log1p(-u[0::2]), u[1::2]
-
-
-def _assert_events(events, ref):
-    clocks, picks = ref
-    assert [pick for _, pick in events] == picks.tolist()
-    np.testing.assert_array_max_ulp(np.array([clock for clock, _ in events]), clocks, 1)
+    u = np.random.Generator(bits).random(2 * count).tolist()
+    return [(-math.log1p(-c), pick) for c, pick in zip(u[0::2], u[1::2])]
 
 
 def _events(draws, count):
@@ -161,7 +158,8 @@ def test_rows_are_fixed_positions_of_the_seed_stream():
         bits = np.random.PCG64DXSM(np.random.SeedSequence(2024))
         bits.advance(2 * k * i)
         draws = simulate._Draws(simulate._rng_for(streams, i), streams, i)
-        _assert_events(_events(draws, k), _reference_events(bits, k))
+        # clocks are the C library's -log1p(-U), bit for bit
+        assert _events(draws, k) == _reference_events(bits, k)
 
 
 def test_overflowing_trajectory_continues_on_its_jumped_stream():
@@ -170,7 +168,7 @@ def test_overflowing_trajectory_continues_on_its_jumped_stream():
     draws = simulate._Draws(simulate._rng_for(streams, i), streams, i)
     events = _events(draws, 3 * k)
     jumped = np.random.PCG64DXSM(np.random.SeedSequence(2024)).jumped(i + 1)
-    _assert_events(events[k:], _reference_events(jumped, 2 * k))
+    assert events[k:] == _reference_events(jumped, 2 * k)
 
 
 class _EventCountingDraws(simulate._Draws):
@@ -185,19 +183,27 @@ class _EventCountingDraws(simulate._Draws):
         return super().exponential()
 
 
+def _halfline_finals(params, t_end, seed, start, stop):
+    return list(simulate._finals(*simulate._loop(params, False), t_end, seed, start, stop))
+
+
+def _segment_finals(params, t_end, seed, start, stop):
+    return list(simulate._finals(*simulate._loop(params, True), t_end, seed, start, stop))
+
+
 @pytest.mark.parametrize("finals, params, t", [
-    (simulate._halfline_finals, PARAMS, 8.0),
-    (simulate._segment_finals, SEG, 8.0),
+    (_halfline_finals, PARAMS, 8.0),
+    (_segment_finals, SEG, 8.0),
 ])
 def test_trajectory_does_not_depend_on_earlier_ones(monkeypatch, finals, params, t):
     monkeypatch.setattr(simulate, "_Draws", _EventCountingDraws)
     _EventCountingDraws.events = []
     block = simulate._BLOCK
-    full = list(finals(params, t, 31, 0, block + 12))
-    assert list(finals(params, t, 31, 5, 12)) == full[5:12]
+    full = finals(params, t, 31, 0, block + 12)
+    assert finals(params, t, 31, 5, 12) == full[5:12]
     # a chunk that starts mid-block and crosses the full run's first block boundary
     _EventCountingDraws.events = []
-    assert list(finals(params, t, 31, block - 5, block + 12)) == full[block - 5:]
+    assert finals(params, t, 31, block - 5, block + 12) == full[block - 5:]
     assert max(_EventCountingDraws.events) > simulate._K  # some row in it overflowed
 
 
