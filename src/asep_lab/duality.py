@@ -2,14 +2,16 @@
 
 Each generator is a finite list of (rate, new state) transitions plus an
 optional diagonal coefficient (boundary killing/duplication); applying one
-to the observable H = prod q^{N_{x_i}} is a finite sum of exact Fractions,
+to the observable H = prod q^{N_{x_i}} is a finite sum of exact rationals,
 so affirmative duality residuals must be the rational number zero, with no
 tolerance anywhere.
 
-The verifiers apply the generators to H in integer form: with q = a/b and
-every exponent E of one identity inside known bounds lo <= E <= hi, q^E is
-the integer a^(E-lo) b^(hi-E) times the constant a^lo / b^hi (see _QPowers),
-and each side is scaled back to a Fraction once.
+The verifiers do that sum in integers only.  The rates and diagonal
+coefficients are carried as ints over their common denominator D (the
+params' `integer_rates` view); with q = a/b and every exponent E of one
+identity inside known bounds lo <= E <= hi, q^E is the integer
+a^(E-lo) b^(hi-E) times the constant a^lo / b^hi (see _QPowers).  Each side
+is an int until it becomes one Fraction, total * a^lo / (D * b^hi).
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .model import (ModelParams, SegmentParams, ValidityError, h_exponent,
+from .model import (IntegerRates, ModelParams, SegmentParams, ValidityError, h_exponent,
                     h_exponent_segment)
 
 Eta = frozenset
@@ -41,18 +43,20 @@ DUAL_SEGMENT = "dual_segment"
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A generator kind with its exact-rational parameters."""
+    """A generator kind with its exact parameters: Fraction params, or their
+    IntegerRates view, whose rates come out as ints."""
 
     kind: str
-    params: ModelParams
+    params: Union[ModelParams, IntegerRates]
     n: Optional[int] = None
 
     def transitions(self, state):
         return _TRANSITIONS[self.kind](self.params, state)
 
-    def diagonal(self, state) -> Fraction:
+    def diagonal(self, state):
+        """The diagonal coefficient at `state`, of the rates' type (zero if the kind has none)."""
         fn = _DIAGONALS.get(self.kind)
-        return fn(self.params, state) if fn else _ZERO
+        return fn(self.params, state) if fn else 0 * self.params.p_rate
 
 
 def _swap_moves(eta: Eta, sites: Iterable[int], p: Fraction, q: Fraction):
@@ -118,24 +122,18 @@ def _dual_boundary_transitions(params: ModelParams, x: Tuple[int, ...]):
     return _dual_moves(params, x, low=1, high=None)
 
 
-def _dual_boundary_diagonal(params: ModelParams, x: Tuple[int, ...]) -> Fraction:
-    if x[0] == 1:
-        return (params.q_rate - params.p_rate) * params.rho
-    return _ZERO
+def _dual_boundary_diagonal(params: ModelParams, x: Tuple[int, ...]):
+    return (x[0] == 1) * params.dual_diag_left
 
 
 def _dual_segment_transitions(params: SegmentParams, x: Tuple[int, ...]):
     return _dual_moves(params, x, low=1, high=params.ell)
 
 
-def _dual_segment_diagonal(params: SegmentParams, x: Tuple[int, ...]) -> Fraction:
-    d = _ZERO
-    pq = params.p_rate - params.q_rate
-    if x[0] == 1:
-        d -= pq * params.rho0
-    if x[-1] == params.ell:
-        d += pq * params.rho_ell
-    return d
+def _dual_segment_diagonal(params: SegmentParams, x: Tuple[int, ...]):
+    # dual_diag_left is (q - p) rho0 on a segment, since rho0 = rho = alpha / p
+    return ((x[0] == 1) * params.dual_diag_left
+            + (x[-1] == params.ell) * params.dual_diag_right)
 
 
 def _segment_transitions(params: SegmentParams, state):
@@ -197,13 +195,14 @@ _DIAGONALS = {
 }
 
 
-def apply_generator(gen: GeneratorSpec, f: Callable, state) -> Fraction:
+def apply_generator(gen: GeneratorSpec, f: Callable, state):
     """Exact sum of rate * (f(new) - f(state)) plus any diagonal term.
 
-    f must be exact-valued (int or Fraction).  Rates are summed per distinct
-    value of f(new) and moves that leave f unchanged are skipped, so the
-    arithmetic on f's values grows with the number of distinct values, not
-    with the number of transitions.
+    f must be exact-valued (int or Fraction).  The sum is a Fraction for
+    Fraction params and an int when the rates (an IntegerRates view) and f
+    are ints.  Rates are summed per distinct value of f(new) and moves that
+    leave f unchanged are skipped, so the arithmetic on f's values grows
+    with the number of distinct values, not with the number of transitions.
     """
     f0 = f(state)
     rate_by_value = {}
@@ -215,12 +214,9 @@ def apply_generator(gen: GeneratorSpec, f: Callable, state) -> Fraction:
             rate_by_value[value] += rate
         else:
             rate_by_value[value] = rate
-    total = _ZERO
+    total = gen.diagonal(state) * f0
     for value, rate in rate_by_value.items():
         total += rate * (value - f0)
-    diag = gen.diagonal(state)
-    if diag:
-        total += diag * f0
     return total
 
 
@@ -234,7 +230,16 @@ class _QPowers:
     def __init__(self, q: Fraction, lo: int, hi: int):
         self.a, self.b = q.numerator, q.denominator
         self.lo, self.hi = lo, hi
-        self.scale = q ** lo / self.b ** (hi - lo)
+
+    def exact(self, total: int, denominator: int) -> Fraction:
+        """total * scale / denominator, as one Fraction made from ints."""
+        if self.lo >= 0:
+            return Fraction(total * self.a ** self.lo, denominator * self.b ** self.hi)
+        return Fraction(total, denominator * self.a ** -self.lo * self.b ** self.hi)
+
+    @property
+    def scale(self) -> Fraction:
+        return self.exact(1, 1)
 
     def __call__(self, e: int) -> int:
         if not self.lo <= e <= self.hi:
@@ -259,7 +264,8 @@ class DualityReport:
 
     @property
     def residual(self) -> Fraction:
-        return self.lhs - self.rhs
+        # equal sides, the affirmative case, need no Fraction subtraction
+        return _ZERO if self.lhs == self.rhs else self.lhs - self.rhs
 
     @property
     def ok(self) -> bool:
@@ -289,10 +295,12 @@ def verify_halfline_duality(params: ModelParams, eta, x: Sequence[int]) -> Duali
     eta = _coerce_eta(eta)
     x = tuple(x)
     pw = _line_powers(params, eta, len(x))
-    lhs = apply_generator(GeneratorSpec(HALF_LINE, params), lambda s: pw(h_exponent(s, x)), eta)
-    rhs = apply_generator(GeneratorSpec(DUAL_N_BOUNDARY, params, len(x)),
+    rates = params.integer_rates
+    lhs = apply_generator(GeneratorSpec(HALF_LINE, rates), lambda s: pw(h_exponent(s, x)), eta)
+    rhs = apply_generator(GeneratorSpec(DUAL_N_BOUNDARY, rates, len(x)),
                           lambda y: pw(h_exponent(eta, y)), x)
-    return DualityReport(f"halfline eta={sorted(eta)} x={x}", lhs * pw.scale, rhs * pw.scale)
+    d = rates.denominator
+    return DualityReport(f"halfline eta={sorted(eta)} x={x}", pw.exact(lhs, d), pw.exact(rhs, d))
 
 
 def verify_fullspace_duality(params: ModelParams, eta, x: Sequence[int]) -> DualityReport:
@@ -300,10 +308,12 @@ def verify_fullspace_duality(params: ModelParams, eta, x: Sequence[int]) -> Dual
     eta = _coerce_eta(eta)
     x = tuple(x)
     pw = _line_powers(params, eta, len(x))
-    lhs = apply_generator(GeneratorSpec(FULL_LINE, params), lambda s: pw(h_exponent(s, x)), eta)
-    rhs = apply_generator(GeneratorSpec(DUAL_N, params, len(x)),
+    rates = params.integer_rates
+    lhs = apply_generator(GeneratorSpec(FULL_LINE, rates), lambda s: pw(h_exponent(s, x)), eta)
+    rhs = apply_generator(GeneratorSpec(DUAL_N, rates, len(x)),
                           lambda y: pw(h_exponent(eta, y)), x)
-    return DualityReport(f"fullspace eta={sorted(eta)} x={x}", lhs * pw.scale, rhs * pw.scale)
+    d = rates.denominator
+    return DualityReport(f"fullspace eta={sorted(eta)} x={x}", pw.exact(lhs, d), pw.exact(rhs, d))
 
 
 def verify_segment_duality(params: SegmentParams, eta: Sequence[int], n_ell: int,
@@ -322,11 +332,14 @@ def verify_segment_duality(params: SegmentParams, eta: Sequence[int], n_ell: int
     # a transition moves one particle and the through-count by at most one,
     # so every N_{x_i} stays in [n_ell - 1, len(eta) + n_ell + 1]
     pw = _QPowers(params.q, n * (n_ell - 1), n * (len(eta) + n_ell + 1))
-    lhs = apply_generator(GeneratorSpec(SEGMENT, params),
+    rates = params.integer_rates
+    lhs = apply_generator(GeneratorSpec(SEGMENT, rates),
                           lambda s: pw(h_exponent_segment(s[0], s[1], x)), (eta, n_ell))
-    rhs = apply_generator(GeneratorSpec(DUAL_SEGMENT, params, n),
+    rhs = apply_generator(GeneratorSpec(DUAL_SEGMENT, rates, n),
                           lambda y: pw(h_exponent_segment(eta, n_ell, y)), x)
-    return DualityReport(f"segment eta={eta} N={n_ell} x={x}", lhs * pw.scale, rhs * pw.scale)
+    d = rates.denominator
+    return DualityReport(f"segment eta={eta} N={n_ell} x={x}",
+                         pw.exact(lhs, d), pw.exact(rhs, d))
 
 
 @dataclass
@@ -352,25 +365,28 @@ def negative_control_no_liggett(params: ModelParams, eta,
     eta = _coerce_eta(eta)
     x = tuple(x)
     pw = _line_powers(params, eta, len(x))
+    rates = params.integer_rates
+    d = rates.denominator
     h = lambda y: pw(h_exponent(eta, y))
-    lhs = apply_generator(GeneratorSpec(HALF_LINE, params), lambda s: pw(h_exponent(s, x)), eta)
-    plain = apply_generator(GeneratorSpec(DUAL_N, params, len(x)), h, x)
-    lhs_q = lhs * pw.scale
+    lhs = apply_generator(GeneratorSpec(HALF_LINE, rates), lambda s: pw(h_exponent(s, x)), eta)
+    plain = apply_generator(GeneratorSpec(DUAL_N, rates, len(x)), h, x)
+    lhs_q = pw.exact(lhs, d)
 
     if x[0] >= 2:
-        rep = DualityReport(f"no-liggett bulk eta={sorted(eta)} x={x}", lhs_q, plain * pw.scale)
+        rep = DualityReport(f"no-liggett bulk eta={sorted(eta)} x={x}", lhs_q,
+                            pw.exact(plain, d))
         return NegativeControlReport(x, rep, None, rep.residual)
 
     tail = x[1:]
-    corrected = ((params.alpha * params.q + params.gamma) * h((2,) + tail)
-                 - (params.alpha + params.gamma) * h((1,) + tail))
+    corrected = (rates.corrected_hop * h((2,) + tail)
+                 - rates.corrected_stay * h((1,) + tail))
     if tail:
         corrected += apply_generator(
-            GeneratorSpec(DUAL_N, params, len(tail)),
+            GeneratorSpec(DUAL_N, rates, len(tail)),
             lambda y: h((1,) + tuple(y)), tail)
     rep = DualityReport(f"no-liggett corrected eta={sorted(eta)} x={x}", lhs_q,
-                        corrected * pw.scale)
-    return NegativeControlReport(x, None, rep, (lhs - plain) * pw.scale)
+                        pw.exact(corrected, d))
+    return NegativeControlReport(x, None, rep, pw.exact(lhs - plain, d))
 
 
 def verify_fictitious_site(params: ModelParams, eta, x: Sequence[int]) -> DualityReport:
@@ -382,14 +398,18 @@ def verify_fictitious_site(params: ModelParams, eta, x: Sequence[int]) -> Dualit
         raise ValidityError("fictitious-site identity requires Liggett's condition")
     eta = _coerce_eta(eta)
     x = tuple(x)
-    rho = params.rho
     pw = _line_powers(params, eta, len(x))
+    rates = params.integer_rates
     h = lambda s: pw(h_exponent(s, x))
-    lhs = apply_generator(GeneratorSpec(HALF_LINE, params), h, eta)
-    closed = GeneratorSpec(HALF_LINE_CLOSED, params)
-    rhs = (rho * apply_generator(closed, h, eta | {0})
-           + (1 - rho) * apply_generator(closed, h, eta - {0}))
-    return DualityReport(f"fictitious eta={sorted(eta)} x={x}", lhs * pw.scale, rhs * pw.scale)
+    lhs = apply_generator(GeneratorSpec(HALF_LINE, rates), h, eta)
+    closed = GeneratorSpec(HALF_LINE_CLOSED, rates)
+    # rho A + (1 - rho) B = (a A + (b - a) B) / b for rho = a / b
+    a, b = params.rho.numerator, params.rho.denominator
+    rhs = (a * apply_generator(closed, h, eta | {0})
+           + (b - a) * apply_generator(closed, h, eta - {0}))
+    d = rates.denominator
+    return DualityReport(f"fictitious eta={sorted(eta)} x={x}",
+                         pw.exact(lhs, d), pw.exact(rhs, d * b))
 
 
 def exhaustive_states(max_site: int) -> List[Eta]:

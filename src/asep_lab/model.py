@@ -7,6 +7,7 @@ modules convert to float at their entry points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
@@ -21,6 +22,25 @@ class ChamberError(ValueError):
 
 class ValidityError(ValueError):
     """Parameters outside the validity region of a formula."""
+
+
+class IntegerRates:
+    """A params object's exact rates and diagonal coefficients as ints over one denominator.
+
+    Each attribute named in `scaled` is that Fraction times `denominator`,
+    the least common multiple of their denominators; those in `carried`
+    (the segment's ell) are copied as they are.  The duality generators
+    read the same attribute names from this view as from the params object,
+    so a sum over the view is `denominator` times the sum over the params.
+    """
+
+    def __init__(self, params: "ModelParams", scaled: Sequence[str], carried: Sequence[str]):
+        exact = [getattr(params, name) for name in scaled]
+        self.denominator = math.lcm(*(v.denominator for v in exact))
+        for name, v in zip(scaled, exact):
+            setattr(self, name, v.numerator * (self.denominator // v.denominator))
+        for name in carried:
+            setattr(self, name, getattr(params, name))
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -47,15 +67,21 @@ class ModelParams:
     injection/ejection rates at site 1.  The asymmetry q = q_rate/p_rate
     must lie in (0, 1).
 
-    The derived rationals (q, rho, the boundary conditions) are computed
-    once per instance and kept in its __dict__; equality, hashing, repr and
-    pickling use the fields only.
+    The derived rationals (q, rho, the boundary conditions, the duality
+    coefficients and their integer view) are computed once per instance and
+    kept in its __dict__; equality, hashing, repr and pickling use the
+    fields only.
     """
 
     p_rate: Fraction
     q_rate: Fraction
     alpha: Fraction
     gamma: Fraction
+
+    # the exact values IntegerRates scales to ints, and those it copies
+    _SCALED = ("p_rate", "q_rate", "alpha", "gamma",
+               "dual_diag_left", "corrected_hop", "corrected_stay")
+    _CARRIED = ()
 
     def __post_init__(self):
         for name in ("p_rate", "q_rate", "alpha", "gamma"):
@@ -89,6 +115,26 @@ class ModelParams:
     @cached_property
     def rho(self) -> Fraction:
         return self.alpha / self.p_rate
+
+    @cached_property
+    def dual_diag_left(self) -> Fraction:
+        """(q_rate - p_rate) rho: the killed dual's diagonal when x_1 = 1."""
+        return (self.q_rate - self.p_rate) * self.rho
+
+    @cached_property
+    def corrected_hop(self) -> Fraction:
+        """alpha q + gamma, the weight of H(eta; 2, x_2, ...) in the corrected identity."""
+        return self.alpha * self.q + self.gamma
+
+    @cached_property
+    def corrected_stay(self) -> Fraction:
+        """alpha + gamma, the weight of -H(eta; 1, x_2, ...) in the corrected identity."""
+        return self.alpha + self.gamma
+
+    @cached_property
+    def integer_rates(self) -> IntegerRates:
+        """The rates and duality coefficients as ints over their common denominator."""
+        return IntegerRates(self, self._SCALED, self._CARRIED)
 
     @cached_property
     def _liggett(self) -> bool:
@@ -125,6 +171,9 @@ class SegmentParams(ModelParams):
     beta: Fraction = Fraction(0)
     delta: Fraction = Fraction(0)
 
+    _SCALED = ModelParams._SCALED + ("beta", "delta", "dual_diag_right")
+    _CARRIED = ("ell",)
+
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "beta", as_fraction(self.beta))
@@ -152,6 +201,11 @@ class SegmentParams(ModelParams):
     @cached_property
     def rho_ell(self) -> Fraction:
         return self.delta / self.q_rate
+
+    @cached_property
+    def dual_diag_right(self) -> Fraction:
+        """(p_rate - q_rate) rho_ell: the dual's diagonal when x_n = ell."""
+        return (self.p_rate - self.q_rate) * self.rho_ell
 
     @cached_property
     def _liggett2(self) -> bool:
@@ -220,8 +274,12 @@ def current(state: AsepState, x: int):
 
 def h_exponent(occupied: Iterable[int], x: Sequence[int]) -> int:
     """sum_i N_{x_i}, the exponent of the duality observable (any integer sites)."""
-    occ = list(occupied)
-    return len([s for xi in x for s in occ if s >= xi])
+    total = 0
+    for s in occupied:
+        for xi in x:
+            if s >= xi:
+                total += 1
+    return total
 
 
 def h_product(occupied: Iterable[int], x: Sequence[int], q):

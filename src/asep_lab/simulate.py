@@ -286,16 +286,15 @@ def _chunk(args) -> np.ndarray:
     params, t_end, seed, start, stop, observables = args
     segment = isinstance(params, SegmentParams)
     qratio = float(params.q)
-    out = np.empty((stop - start, len(observables)))
     finals = _finals(*_loop(params, segment), t_end, seed, start, stop)
-    # two loops rather than h(*final, ...): the star call costs about 3 % of an estimate
+    # two loops rather than h(*final, ...): the star call costs about 3 % of an estimate;
+    # one flat list of floats, which the garbage collector does not track, unlike row lists
     if segment:
-        for row, (eta, n_ell) in enumerate(finals):
-            out[row] = [h_product_segment(eta, n_ell, obs, qratio) for obs in observables]
+        values = [h_product_segment(eta, n_ell, obs, qratio)
+                  for eta, n_ell in finals for obs in observables]
     else:
-        for row, occ in enumerate(finals):
-            out[row] = [h_product(occ, obs, qratio) for obs in observables]
-    return out
+        values = [h_product(occ, obs, qratio) for occ in finals for obs in observables]
+    return np.array(values, dtype=float).reshape(stop - start, len(observables))
 
 
 def _sampled(config: SimConfig, segment: bool, max_states: Optional[int]) -> Iterator:
@@ -305,6 +304,8 @@ def _sampled(config: SimConfig, segment: bool, max_states: Optional[int]) -> Ite
 
 def simulate_halfline(config: SimConfig, max_states: Optional[int] = None) -> List[AsepState]:
     """Final configurations, one exact CTMC sample per trajectory."""
+    if isinstance(config.params, SegmentParams):
+        raise TypeError("half-line simulation needs ModelParams, not SegmentParams")
     return [AsepState(occ) for occ in _sampled(config, False, max_states)]
 
 
@@ -371,6 +372,9 @@ def dual_reweighted_estimate(params: SegmentParams, x0: Sequence[int], t_end: fl
     qratio = float(params.q)
     if initial is None:
         initial = SegmentState.empty(params.ell)
+    elif initial.ell != params.ell:
+        raise ValidityError(f"initial state is on a segment with ell = {initial.ell}, "
+                            f"params have ell = {params.ell}")
     values = np.empty(trajectories)
     for i, (x, weight) in enumerate(_finals(_run_dual, rates, t_end, seed, 0, trajectories)):
         values[i] = weight * float(h_product_segment(initial.eta, initial.n_ell, x, qratio))

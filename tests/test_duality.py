@@ -210,15 +210,17 @@ def _assert_sides(rep, lhs, rhs):
     assert (rep.lhs, rep.rhs) == (lhs, rhs)
 
 
+LINE_VERIFIERS = {"halfline": verify_halfline_duality,
+                  "fullspace": verify_fullspace_duality,
+                  "fictitious": verify_fictitious_site}
+
+
 def test_line_sides_equal_per_transition_reference():
-    verifiers = {"halfline": verify_halfline_duality,
-                 "fullspace": verify_fullspace_duality,
-                 "fictitious": verify_fictitious_site}
     for params in (PARAMS, ModelParams.from_density(3, F(2, 3), F(5, 12))):
         for eta in exhaustive_states(4):
             for n in (1, 2, 3):
                 for x in chamber_vectors(1, 5, n):
-                    for mode, verify in verifiers.items():
+                    for mode, verify in LINE_VERIFIERS.items():
                         _assert_sides(verify(params, eta, x),
                                       *_reference_line(mode, params, eta, x))
 
@@ -244,22 +246,63 @@ def test_no_liggett_sides_equal_per_transition_reference():
                 assert rep.plain_residual == plain_residual
 
 
-def test_segment_sides_equal_per_transition_reference():
+def _reference_segment(sp, eta, n_ell, x):
+    """(lhs, rhs) of one segment identity with Fraction h_product_segment observables."""
     from asep_lab.duality import DUAL_SEGMENT, SEGMENT
+    q = sp.q
+    return (_reference_apply(GeneratorSpec(SEGMENT, sp),
+                             lambda s: h_product_segment(s[0], s[1], x, q), (eta, n_ell)),
+            _reference_apply(GeneratorSpec(DUAL_SEGMENT, sp, len(x)),
+                             lambda y: h_product_segment(eta, n_ell, y, q), x))
+
+
+def test_segment_sides_equal_per_transition_reference():
     for ell in (2, 3, 4):
         sp = SegmentParams.from_densities(2, F(3, 5), F(4, 5), F(1, 3), ell)
-        q = sp.q
         for eta in itertools.product((0, 1), repeat=ell - 1):
             for n_ell in (0, 1, 3):
                 for n in range(1, min(3, ell) + 1):
                     for x in chamber_vectors(1, ell, n):
-                        lhs = _reference_apply(
-                            GeneratorSpec(SEGMENT, sp),
-                            lambda s: h_product_segment(s[0], s[1], x, q), (eta, n_ell))
-                        rhs = _reference_apply(
-                            GeneratorSpec(DUAL_SEGMENT, sp, n),
-                            lambda y: h_product_segment(eta, n_ell, y, q), x)
-                        _assert_sides(verify_segment_duality(sp, eta, n_ell, x), lhs, rhs)
+                        _assert_sides(verify_segment_duality(sp, eta, n_ell, x),
+                                      *_reference_segment(sp, eta, n_ell, x))
+
+
+# rates whose denominators share no factor, so their common denominator D is
+# far from 1: p = 7/3, q_rate = 5p/11, rho = 4/13, rho_ell = 2/9
+P_COPRIME = F(7, 3)
+Q_COPRIME = F(5, 11) * P_COPRIME
+
+
+def test_line_sides_equal_reference_over_large_common_denominator():
+    params = ModelParams.from_density(P_COPRIME, Q_COPRIME, F(4, 13))
+    bad = ModelParams(P_COPRIME, Q_COPRIME, F(4, 13), F(2, 9))
+    assert not bad.liggett_ok()
+    assert params.integer_rates.denominator > 100 and bad.integer_rates.denominator > 100
+    for eta in exhaustive_states(4):
+        for n in (1, 2, 3):
+            for x in chamber_vectors(1, 5, n):
+                for mode, verify in LINE_VERIFIERS.items():
+                    rep = verify(params, eta, x)
+                    _assert_sides(rep, *_reference_line(mode, params, eta, x))
+                    assert rep.ok
+                rep = negative_control_no_liggett(bad, eta, x)
+                lhs, rhs, plain_residual = _reference_line("no-liggett", bad, eta, x)
+                _assert_sides(rep.bulk_report or rep.corrected_report, lhs, rhs)
+                assert rep.plain_residual == plain_residual
+
+
+def test_segment_sides_equal_reference_over_large_common_denominator():
+    for ell in (2, 3, 4):
+        sp = SegmentParams.from_densities(P_COPRIME, Q_COPRIME, F(4, 13), F(2, 9), ell)
+        assert sp.integer_rates.denominator > 100
+        for eta in itertools.product((0, 1), repeat=ell - 1):
+            # n_ell = 0 puts the lowest exponent n (n_ell - 1) below zero
+            for n_ell in (0, 1):
+                for n in range(1, min(3, ell) + 1):
+                    for x in chamber_vectors(1, ell, n):
+                        rep = verify_segment_duality(sp, eta, n_ell, x)
+                        _assert_sides(rep, *_reference_segment(sp, eta, n_ell, x))
+                        assert rep.ok
 
 
 def test_apply_generator_equals_reference_on_fraction_observable():
@@ -290,14 +333,14 @@ def test_params_compare_hash_and_pickle_by_fields_only():
               lambda: SegmentParams.from_densities(1, F(1, 3), F(4, 5), F(1, 2), 4))
     for make in makers:
         fresh, used = make(), make()
-        derived = [used.q, used.rho, used.liggett_ok()]
+        derived = [used.q, used.rho, used.liggett_ok(), vars(used.integer_rates)]
         if isinstance(used, SegmentParams):
             derived += [used.rho0, used.rho_ell, used.liggett2_ok()]
         assert fresh == used and hash(fresh) == hash(used) and repr(fresh) == repr(used)
         assert pickle.dumps(fresh) == pickle.dumps(used)
         back = pickle.loads(pickle.dumps(used))
         assert back == fresh and hash(back) == hash(fresh)
-        again = [back.q, back.rho, back.liggett_ok()]
+        again = [back.q, back.rho, back.liggett_ok(), vars(back.integer_rates)]
         if isinstance(back, SegmentParams):
             again += [back.rho0, back.rho_ell, back.liggett2_ok()]
         assert again == derived

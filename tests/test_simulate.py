@@ -119,6 +119,17 @@ def test_dual_reweighted_estimate_rejects_bad_input(x0, t_end, trajectories, err
         dual_reweighted_estimate(SEG, x0, t_end, trajectories, seed=13)
 
 
+def test_dual_reweighted_estimate_rejects_initial_state_of_another_segment():
+    # a 7-bit state belongs to ell = 8; on ell = 4 it was read as the segment's own
+    assert SEG.ell == 4
+    with pytest.raises(ValidityError):
+        dual_reweighted_estimate(SEG, (1, 3), 1.0, 10, seed=13,
+                                 initial=SegmentState((1,) * 7, 0))
+    est = dual_reweighted_estimate(SEG, (1, 3), 1.0, 10, seed=13,
+                                   initial=SegmentState((1, 0, 1), 0))
+    assert 0 < est.mean
+
+
 def test_segment_empirical_distribution_reaches_stationarity():
     sp = SegmentParams.from_densities(1, F(1, 2), F(3, 4), F(1, 3), 3)
     pi = stationary_distribution(sp)
@@ -138,6 +149,12 @@ def test_config_validation():
         SimConfig(PARAMS, 1.0, 0, seed=0)
     with pytest.raises(TypeError):
         simulate_segment(SimConfig(PARAMS, 1.0, 1, seed=0))
+
+
+def test_halfline_simulation_refuses_segment_params():
+    # it used to run half-line dynamics with the segment's rates, past site ell
+    with pytest.raises(TypeError):
+        simulate_halfline(SimConfig(SEG, 2.0, 3, seed=1))
 
 
 def _reference_events(bits, count):
