@@ -1,10 +1,17 @@
 """Finite dual generator matrix on the segment chamber and its linear ODE.
 
 The dual n-particle process on ordered site vectors in [1, ell] has a
-C(ell, n)-dimensional generator; expectations of the observable H evolve
-as u(t) = exp(t M) u(0), which is cross-checked against the segment
-simulator and against the lattice heat-equation reformulation with its two
-boundary relations.
+C(ell, n)-dimensional generator M with at most 2n + 1 nonzeros per row,
+kept as a sparse CSR matrix; expectations of the observable H evolve as
+u(t) = exp(t M) u(0), computed by the action of the exponential on the one
+vector u(0) (a truncated Taylor series in sub-steps, Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33 (2011)), never by forming exp(t M).  Memory grows
+with the chamber dimension and time with t times the 1-norm of M.  The
+solution is cross-checked against the segment simulator and against the
+lattice heat-equation reformulation with its two boundary relations.
+
+`asep-lab segment` refuses a chamber above C(ell, n) = 100,000
+(cli.MAX_SEGMENT_DIMENSION) before enumerating any site vector.
 """
 
 from __future__ import annotations
@@ -16,10 +23,19 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.sparse import csr_array
+# the exponential's action on a vector; solve_u applies exp(tM) only through this name
+from scipy.sparse.linalg import expm_multiply as expm
 
 from .duality import DUAL_SEGMENT, SEGMENT, GeneratorSpec, chamber_vectors
 from .model import SegmentParams, SegmentState, ValidityError, h_product_segment
+
+# expm_multiply covers a step exp(A) v with 1-norm ||A - mu I||_1 <= 9.9,
+# mu = trace(A) / dim, by one Taylor polynomial of degree at most 55 whose
+# degree comes from that exact 1-norm (Al-Mohy & Higham's theta_55).  Above
+# 63.36 it would instead estimate 1-norms of powers of A with onenormest,
+# which draws from numpy's global random state.
+_STEP_NORM = 9.9
 
 
 def chamber(ell: int, n: int) -> List[Tuple[int, ...]]:
@@ -37,8 +53,8 @@ class DualMatrix:
     n: int
     vectors: List[Tuple[int, ...]]
     index: Dict[Tuple[int, ...], int]
-    matrix: np.ndarray                    # float entries
-    exact: Optional[list] = None          # nested lists of Fractions on request
+    matrix: csr_array                     # float entries, sparse
+    exact: Optional[list] = None          # dense nested lists of Fractions on request
 
     @property
     def dimension(self) -> int:
@@ -50,28 +66,34 @@ def build_dual_matrix(params: SegmentParams, n: int, exact: bool = False) -> Dua
 
     Row sums equal -(p-q) rho0 [x_1 = 1] + (p-q) rho_ell [x_n = ell]; with
     closed boundaries the matrix is an honest generator (zero row sums).
+    Each entry is summed as an int over the denominator D of
+    `params.integer_rates` and divided by D once; int / int division is
+    correctly rounded, so it is the float nearest the exact rational entry.
     """
     vectors = chamber(params.ell, n)
     index = {v: i for i, v in enumerate(vectors)}
-    gen = GeneratorSpec(DUAL_SEGMENT, params, n)
+    gen = GeneratorSpec(DUAL_SEGMENT, params.integer_rates, n)
     dim = len(vectors)
-    # exact entries of the nonzero pattern, at most 2n + 1 per row
-    entries: Dict[Tuple[int, int], Fraction] = {}
+    # the nonzero pattern row by row, at most 2n + 1 entries per row, times D
+    indptr, indices, totals = [0], [], []
     for i, x in enumerate(vectors):
-        diag = gen.diagonal(x)
+        row = {i: gen.diagonal(x)}
         for rate, y in gen.transitions(x):
-            key = (i, index[y])
-            entries[key] = entries.get(key, 0) + rate
-            diag -= rate
-        entries[(i, i)] = entries.get((i, i), 0) + diag
-    matrix = np.zeros((dim, dim))
-    rows_idx, cols_idx = zip(*entries)
-    matrix[rows_idx, cols_idx] = [float(v) for v in entries.values()]
+            row[index[y]] = rate   # distinct moves reach distinct vectors
+            row[i] -= rate
+        for j in sorted(row):
+            indices.append(j)
+            totals.append(row[j])
+        indptr.append(len(indices))
+    denominator = params.integer_rates.denominator
+    data = np.array([v / denominator for v in totals])
+    matrix = csr_array((data, np.array(indices), np.array(indptr)), shape=(dim, dim))
     rows = None
     if exact:
         rows = [[Fraction(0)] * dim for _ in range(dim)]
-        for (i, j), v in entries.items():
-            rows[i][j] = v
+        for i in range(dim):
+            for k in range(indptr[i], indptr[i + 1]):
+                rows[i][indices[k]] = Fraction(totals[k], denominator)
     return DualMatrix(params, n, vectors, index, matrix, exact=rows)
 
 
@@ -93,12 +115,34 @@ class OdeSolution:
         return float(self.values[self.dual.index[tuple(x)]])
 
 
+def _substeps(matrix: csr_array, t: float) -> int:
+    """Sub-steps of t whose t (M - mu I) / steps has 1-norm at most _STEP_NORM.
+
+    Bounded by the triangle inequality, ||M - mu I||_1 <= ||M||_1 + |mu|.
+    """
+    mu = abs(matrix.trace()) / matrix.shape[0]
+    norm = float(abs(matrix).sum(axis=0).max()) + mu
+    return max(1, math.ceil(t * norm / _STEP_NORM))
+
+
+def _propagate(matrix: csr_array, v: np.ndarray, t: float, steps: int) -> np.ndarray:
+    """exp(t M) v as `steps` applications of exp((t / steps) M)."""
+    step = (t / steps) * matrix
+    for _ in range(steps):
+        v = expm(step, v)
+    return v
+
+
 def solve_u(t: float, initial: SegmentState, params: SegmentParams, n: int,
             dual: Optional[DualMatrix] = None) -> OdeSolution:
     """u(t) = exp(t M) u(0) with u(0; x) = H(initial; x).
 
-    The solver error estimate compares one exp(tM) application against two
-    half-step applications.
+    The exponential acts on the vector u(0) in sub-steps of one Taylor
+    polynomial each (see _STEP_NORM), so no dense matrix is formed and
+    numpy's global random state is left alone.  The solver error estimate
+    compares one application over t against two half-step applications
+    over t / 2, each cut into as many sub-steps as the full one: every
+    sub-step of the full path faces two shorter polynomials on the other.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValidityError("time must be finite and nonnegative")
@@ -106,15 +150,16 @@ def solve_u(t: float, initial: SegmentState, params: SegmentParams, n: int,
         raise ValidityError("segment ODE characterization requires Liggett's "
                             "condition at both boundaries")
     dual = dual or build_dual_matrix(params, n)
+    matrix = dual.matrix
     u0 = _initial_vector(dual, initial)
     if t == 0:
-        return OdeSolution(dual, 0.0, u0, dual.matrix @ u0, 0.0)
-    propagator = expm(t * dual.matrix)
-    u = propagator @ u0
-    half = expm(0.5 * t * dual.matrix)
-    u2 = half @ (half @ u0)
+        return OdeSolution(dual, 0.0, u0, matrix @ u0, 0.0)
+    steps = _substeps(matrix, t)
+    u = _propagate(matrix, u0, t, steps)
+    half = 0.5 * t
+    u2 = _propagate(matrix, _propagate(matrix, u0, half, steps), half, steps)
     err = float(np.max(np.abs(u - u2)))
-    return OdeSolution(dual, t, u, dual.matrix @ u, err)
+    return OdeSolution(dual, t, u, matrix @ u, err)
 
 
 @dataclass

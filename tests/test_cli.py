@@ -285,6 +285,23 @@ def test_non_finite_or_negative_time_exits_2(argv, capsys):
     assert len(err.strip().splitlines()) == 1 and "finite" in err
 
 
+def test_segment_refuses_chamber_above_cap_before_enumerating(monkeypatch, capsys):
+    import asep_lab.cli as cli
+    import asep_lab.segment_ode as segment_ode
+
+    calls = []
+    record = lambda *args: calls.append(args) or []
+    monkeypatch.setattr(cli, "solve_u", record)
+    monkeypatch.setattr(segment_ode, "chamber", record)
+    monkeypatch.setattr(segment_ode, "chamber_vectors", record)
+    # C(40, 20) = 137,846,528,820
+    assert main(["segment", "--ell", "40", "--n", "20", "--t", "1",
+                 "--rho0", "0.5", "--rho-ell", "0.5"]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "cap of 100000" in err
+
+
 @pytest.mark.parametrize("where", ["missing", "directory"])
 def test_unwritable_output_exits_2_before_computing(where, tmp_path, monkeypatch, capsys):
     import asep_lab.cli as cli

@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 from asep_lab.duality import DUAL_SEGMENT, GeneratorSpec, apply_generator
 from asep_lab.model import SegmentParams, SegmentState, ValidityError
@@ -58,8 +60,7 @@ def test_semigroup_property():
     dm = build_dual_matrix(SEG, 2)
     s1 = solve_u(0.7, SegmentState.empty(4), SEG, 2, dm)
     mid = s1.values
-    import scipy.linalg
-    prop = scipy.linalg.expm(0.5 * dm.matrix)
+    prop = scipy.linalg.expm(0.5 * dm.matrix.toarray())
     two_step = prop @ mid
     direct = solve_u(1.2, SegmentState.empty(4), SEG, 2, dm).values
     assert np.max(np.abs(two_step - direct)) < 1e-10
@@ -128,8 +129,64 @@ def test_matrix_bit_equal_to_dense_construction():
             rows = _dense_rows(sp, n)
             dense = np.array([[float(v) for v in row] for row in rows])
             dm = build_dual_matrix(sp, n, exact=True)
-            assert dm.matrix.dtype == dense.dtype and dm.matrix.shape == dense.shape
-            assert dm.matrix.tobytes() == dense.tobytes()
+            image = dm.matrix.toarray()
+            assert image.dtype == dense.dtype and image.shape == dense.shape
+            assert image.tobytes() == dense.tobytes()
             assert dm.exact == rows
             assert all(type(v) is F for row in dm.exact for v in row)
             assert build_dual_matrix(sp, n).exact is None
+
+
+@pytest.mark.parametrize("ell", range(4, 9))
+def test_solve_matches_dense_exponential(ell):
+    sp = SegmentParams.from_densities(1, F(1, 2), F(3, 4), F(1, 3), ell)
+    initial = SegmentState(tuple(i % 2 for i in range(ell - 1)), 1)
+    for n in (1, 2, 3):
+        dm = build_dual_matrix(sp, n)
+        dense = dm.matrix.toarray()
+        u0 = solve_u(0.0, initial, sp, n, dm).values
+        for t in (0.0, 0.7, 2.0):
+            sol = solve_u(t, initial, sp, n, dm)
+            assert np.max(np.abs(sol.values - scipy.linalg.expm(t * dense) @ u0)) < 1e-13
+            assert sol.solver_error < 1e-13
+
+
+def test_solve_is_sparse_deterministic_and_leaves_global_rng_alone():
+    # at t = 20 one expm_multiply call over t would reach for onenormest,
+    # which draws from numpy's global random state
+    import tracemalloc
+    sp = SegmentParams.from_densities(1, F(1, 2), F(3, 4), F(1, 3), 12)
+    before = np.random.get_state()
+    tracemalloc.start()
+    try:
+        dm = build_dual_matrix(sp, 6)
+        first = solve_u(20.0, SegmentState.empty(12), sp, 6, dm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    second = solve_u(20.0, SegmentState.empty(12), sp, 6)
+    after = np.random.get_state()
+    assert scipy.sparse.issparse(dm.matrix) and dm.dimension == 924
+    assert peak < 924 * 924 * 8 / 2  # no dense dim x dim float array
+    assert first.values.tobytes() == second.values.tobytes()
+    assert first.solver_error == second.solver_error < 1e-13
+    assert before[0] == after[0] and np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
+
+
+@pytest.mark.parametrize("x, t", [((1, 3), 1.0), ((1, 2, 4), 0.5)])
+def test_truncated_segment_reproduces_halfline_moment(x, t):
+    # the half line's alpha and gamma at site 1, rho_ell = 1/2, empty start:
+    # exp(tM) 1 on a long enough segment is the half-line q-moment
+    from asep_lab.model import ModelParams
+    from asep_lab.moments import q_moment
+    half = ModelParams.from_density(1, F(1, 2), F(9, 10))
+    values = []
+    for ell in (16, 24):
+        sp = SegmentParams.from_densities(1, F(1, 2), F(9, 10), F(1, 2), ell)
+        assert (sp.alpha, sp.gamma) == (half.alpha, half.gamma)
+        sol = solve_u(t, SegmentState.empty(ell), sp, len(x))
+        assert np.all(solve_u(0.0, SegmentState.empty(ell), sp, len(x), sol.dual).values == 1)
+        values.append(sol.value(x))
+    assert abs(values[0] - values[1]) < 1e-12  # the truncation at ell = 16 is confirmed
+    assert abs(values[0] - q_moment(t, x, half).value) < 1e-12
