@@ -154,7 +154,10 @@ def cmd_simulate(args) -> int:
         params = _segment_params(args)
     else:
         params = _model_params(args)
-    observables = tuple(_parse_sites(s) for s in args.observable) or ((1,),)
+    # chamber vectors: strictly increasing sites from 1 (up to ell on the segment)
+    high = params.ell if args.ell is not None else None
+    observables = tuple(check_chamber(_parse_sites(s), 1, high)
+                        for s in args.observable) or ((1,),)
     config = SimConfig(params, args.t, args.trajectories, args.seed, observables)
     ests = estimate(config, threads=args.threads)
     rows = [{"observable": " ".join(map(str, e.observable)), "mean": repr(e.mean),

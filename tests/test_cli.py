@@ -85,6 +85,23 @@ def test_simulate_report_lines_pinned(model, tmp_path):
     assert hashlib.sha256(reports).hexdigest() == digest
 
 
+@pytest.mark.parametrize("flags", [["--ell", "4", "--rho0", "3/4", "--rho-ell", "1/3",
+                                    "--observable", "9"],
+                                   ["--rho", "0.9", "--observable", "3,1"],
+                                   ["--rho", "0.9", "--observable", "2", "--observable", "0"],
+                                   ["--rho", "0.9", "--observable", "2,2"]])
+def test_simulate_rejects_observable_outside_chamber(flags, monkeypatch, capsys):
+    # each used to exit 0 and print a mean of an H the duality does not define
+    import asep_lab.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "estimate", lambda *args, **kwargs: calls.append(args) or [])
+    assert main(["simulate", "--t", "1", "--trajectories", "200", *flags]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "site" in err
+
+
 def test_simulate_t0_mean_one(tmp_path):
     out = tmp_path / "s.csv"
     assert main(["simulate", "--t", "0", "--trajectories", "50", "--seed", "1",

@@ -204,13 +204,8 @@ def _halfline_finals(params, t_end, seed, start, stop):
     return list(simulate._finals(*simulate._loop(params, False), t_end, seed, start, stop))
 
 
-def _segment_finals(params, t_end, seed, start, stop):
-    return list(simulate._finals(*simulate._loop(params, True), t_end, seed, start, stop))
-
-
 @pytest.mark.parametrize("finals, params, t", [
     (_halfline_finals, PARAMS, 8.0),
-    (_segment_finals, SEG, 8.0),
 ])
 def test_trajectory_does_not_depend_on_earlier_ones(monkeypatch, finals, params, t):
     monkeypatch.setattr(simulate, "_Draws", _EventCountingDraws)
@@ -222,6 +217,160 @@ def test_trajectory_does_not_depend_on_earlier_ones(monkeypatch, finals, params,
     _EventCountingDraws.events = []
     assert finals(params, t, 31, block - 5, block + 12) == full[block - 5:]
     assert max(_EventCountingDraws.events) > simulate._K  # some row in it overflowed
+
+
+def _segment_blocks(params, t_end, seed, start, stop):
+    """Final (eta, n_ell) of trajectories start, ..., stop - 1, run in lockstep blocks."""
+    return [(tuple(eta), n_ell)
+            for block in simulate._blocks(*simulate._loop(params, True), t_end, seed, start, stop)
+            for eta, n_ell in zip(*(a.tolist() for a in block))]
+
+
+def test_segment_trajectory_does_not_depend_on_chunking(monkeypatch):
+    overflowed = []
+    overflow = simulate._Streams.overflow
+
+    def recording_overflow(streams, index):
+        overflowed.append(index)
+        return overflow(streams, index)
+
+    monkeypatch.setattr(simulate._Streams, "overflow", recording_overflow)
+    block = simulate._BLOCK
+    full = _segment_blocks(SEG, 8.0, 31, 0, block + 12)
+    assert _segment_blocks(SEG, 8.0, 31, 5, 12) == full[5:12]
+    # a chunk that starts mid-block and crosses the full run's first block boundary
+    overflowed.clear()
+    assert _segment_blocks(SEG, 8.0, 31, block - 5, block + 12) == full[block - 5:]
+    assert overflowed  # some row in it overflowed
+    # a shorter run is one smaller block, not a prefix of the same one
+    cfg = SimConfig(SEG, 8.0, block + 12, seed=31)
+    assert [(s.eta, s.n_ell) for s in simulate_segment(cfg, max_states=1001)] == full[:1001]
+
+
+def test_segment_estimate_does_not_depend_on_chunk_bounds():
+    # two workers split at (block + 13) // 2, the serial run at block
+    cfg = SimConfig(SEG, 1.0, simulate._BLOCK + 13, seed=5, observables=((1, 2), (3,)))
+    assert estimate(cfg, threads=1) == estimate(cfg, threads=2)
+
+
+# The per-trajectory event loops that the lockstep runners replaced, kept as
+# their reference.  They add rates in list order, as sum() did on Python 3.11
+# (from 3.12 on, sum() compensates float rounding).
+
+def _reference_segment(ell, p, q, alpha, gamma, beta, delta, t_end, draws):
+    eta = [0] * (ell - 1)
+    n_ell = 0
+    t = 0.0
+    while True:
+        moves = []
+        if eta[0] == 0:
+            if alpha > 0:
+                moves.append((alpha, 0, 0))
+        elif gamma > 0:
+            moves.append((gamma, 1, 0))
+        if eta[ell - 2] == 0:
+            if delta > 0:
+                moves.append((delta, 2, ell - 2))
+        elif beta > 0:
+            moves.append((beta, 3, ell - 2))
+        for x in range(ell - 2):
+            if eta[x] == 1 and eta[x + 1] == 0:
+                moves.append((p, 4, x))
+            elif eta[x] == 0 and eta[x + 1] == 1:
+                moves.append((q, 5, x))
+        total = 0.0
+        for r, _, _ in moves:
+            total += r
+        if total <= 0.0:
+            return tuple(eta), n_ell
+        t += draws.exponential() / total
+        if t > t_end:
+            return tuple(eta), n_ell
+        u = draws.uniform() * total
+        acc = 0.0
+        for r, kind, x in moves:
+            acc += r
+            if u <= acc:
+                if kind == 0:
+                    eta[0] = 1
+                elif kind == 1:
+                    eta[0] = 0
+                elif kind == 2:
+                    eta[ell - 2] = 1
+                    n_ell -= 1
+                elif kind == 3:
+                    eta[ell - 2] = 0
+                    n_ell += 1
+                else:
+                    eta[x], eta[x + 1] = eta[x + 1], eta[x]
+                break
+
+
+def _reference_dual(ell, p, q, rho0, rho_ell, x0, t_end, draws):
+    x = list(x0)
+    n = len(x)
+    t = 0.0
+    time_left = 0.0
+    time_right = 0.0
+    while True:
+        moves = []
+        for k in range(n):
+            lo = x[k - 1] + 1 if k > 0 else 1
+            hi = x[k + 1] - 1 if k < n - 1 else ell
+            if x[k] > lo:
+                moves.append((p, k, -1))
+            if x[k] < hi:
+                moves.append((q, k, +1))
+        total = 0.0
+        for r, _, _ in moves:
+            total += r
+        dt = draws.exponential() / total if total > 0 else float("inf")
+        step_end = min(t + dt, t_end)
+        if x[0] == 1:
+            time_left += step_end - t
+        if x[-1] == ell:
+            time_right += step_end - t
+        t = step_end
+        if t >= t_end:
+            break
+        u = draws.uniform() * total
+        acc = 0.0
+        for r, k, d in moves:
+            acc += r
+            if u <= acc:
+                x[k] += d
+                break
+    return tuple(x), math.exp(-(p - q) * rho0 * time_left + (p - q) * rho_ell * time_right)
+
+
+@pytest.mark.parametrize("ell", [2, 4, 6])
+@pytest.mark.parametrize("t_end", [0.0, 1.0, 3.0])
+def test_lockstep_runs_equal_per_trajectory_reference(monkeypatch, ell, t_end):
+    monkeypatch.setattr(simulate, "_Draws", _EventCountingDraws)
+    _EventCountingDraws.events = []
+    count = 1000
+    full = tuple(range(1, ell + 1))  # a jammed dual walk: no move, no clock drawn
+    starts = [(1,), (ell,), full] + [x0 for x0 in ((1, 3), (2, 4, 5)) if x0[-1] <= ell]
+    # the last two sets have a zero boundary rate on each side (gamma, delta; alpha, beta)
+    for seed, (q, rho0, rho_ell) in enumerate([(F(1, 2), F(3, 4), F(1, 3)),
+                                               (F(3, 5), 1, 0), (F(2, 5), 0, 1)]):
+        params = SegmentParams.from_densities(1, q, rho0, rho_ell, ell)
+        rates = simulate._loop(params, True)[1]
+        reference = list(simulate._finals(_reference_segment, rates, t_end, seed, 0, count))
+        assert _segment_blocks(params, t_end, seed, 0, count) == reference
+        for x0 in starts:
+            rates = (ell, float(params.p_rate), float(params.q_rate), float(params.rho0),
+                     float(params.rho_ell), x0)
+            reference = list(simulate._finals(_reference_dual, rates, t_end, seed, 0, count))
+            lockstep = [(tuple(x), weight)
+                        for block in simulate._blocks(simulate._run_dual, rates, t_end, seed,
+                                                      0, count)
+                        for x, weight in zip(*(a.tolist() for a in block))]
+            assert lockstep == reference
+            if x0 == full:
+                assert all(weight == reference[0][1] for _, weight in reference)
+    if (ell, t_end) == (6, 3.0):
+        assert max(_EventCountingDraws.events) > simulate._K  # some row overflowed
 
 
 def test_segment_thread_count_does_not_change_results():
