@@ -33,7 +33,7 @@ from .model import (ChamberError, ModelParams, SegmentParams, SegmentState, Vali
                     check_chamber)
 from .moments import QuadratureSpec, q_moment
 from .residues import ReductionError
-from .segment_ode import solve_u
+from .segment_ode import build_dual_matrix, solve_u, substeps
 from .simulate import SimConfig, estimate
 
 EXIT_OK = 0
@@ -44,6 +44,12 @@ EXIT_VERIFICATION = 4
 # the largest chamber C(ell, n) `segment` builds, solves and prints row by
 # row: about 3 s and 150 MB at 100,000 on 2 cores
 MAX_SEGMENT_DIMENSION = 100_000
+
+# the largest solve `segment` runs, as substeps(M, t) * max(nnz(M), 10,000):
+# an expm_multiply call costs about the same up to 10,000 nonzeros.  Timed on
+# 2 cores, the cap is about 38 s at C(12, 6) = 924 (6,468 nonzeros), 27 s at
+# C(18, 6) and 28 s at C(24, 6) (1,345,960 nonzeros)
+MAX_SEGMENT_WORK = 10 ** 8
 
 
 def _versions() -> Dict[str, str]:
@@ -239,8 +245,13 @@ def cmd_segment(args) -> int:
     if dim > MAX_SEGMENT_DIMENSION:
         raise ValidityError(f"chamber dimension C({args.ell}, {args.n}) = {dim} exceeds "
                             f"the cap of {MAX_SEGMENT_DIMENSION}")
-    initial = SegmentState.empty(params.ell)
-    sol = solve_u(args.t, initial, params, args.n)
+    dual = build_dual_matrix(params, args.n)
+    # solve_u itself refuses a time that is not finite and nonnegative
+    steps = substeps(dual.matrix, args.t) if math.isfinite(args.t) else 0
+    if steps * max(dual.matrix.nnz, 10_000) > MAX_SEGMENT_WORK:
+        raise ValidityError(f"--t {args.t} needs {steps} sub-steps on {dual.matrix.nnz} "
+                            f"nonzeros, above the cap of {MAX_SEGMENT_WORK:.0e} work")
+    sol = solve_u(args.t, SegmentState.empty(params.ell), params, args.n, dual)
     rows = []
     for x in sol.dual.vectors:
         row = {"t": args.t, "value": repr(sol.value(x)), "solver_err": repr(sol.solver_error)}
@@ -283,7 +294,7 @@ def _add_common(sub, rates=True):
     sub.add_argument("--output", default=None, help="write to a file instead of stdout")
     # a string default goes through type=int at parse time, so a malformed
     # ASEP_LAB_THREADS is reported like a malformed --threads
-    sub.add_argument("--threads", type=int,
+    sub.add_argument("--threads", type=_int_at_least(1),
                      default=os.environ.get("ASEP_LAB_THREADS", "1"))
     if rates:
         sub.add_argument("--p", default="1", help="right jump rate (exact rational)")

@@ -1,10 +1,11 @@
 """Exact rational verification of the Markov duality identities.
 
-Each generator is a finite list of (rate, new state) transitions plus an
-optional diagonal coefficient (boundary killing/duplication); applying one
-to the observable H = prod q^{N_{x_i}} is a finite sum of exact rationals,
-so affirmative duality residuals must be the rational number zero, with no
-tolerance anywhere.
+Each generator is a move function (params, state) -> [(rate, new state),
+...], plus for the two killed duals a diagonal coefficient (boundary
+killing/duplication); params may be Fractions or their `integer_rates`
+view.  `apply_generator` applies one to the observable H = prod q^{N_{x_i}}
+as a finite sum of exact rationals, so affirmative duality residuals must be
+the rational number zero, with no tolerance anywhere.
 
 The verifiers do that sum in integers only.  The rates and diagonal
 coefficients are carried as ints over their common denominator D (the
@@ -20,86 +21,47 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .model import (IntegerRates, ModelParams, SegmentParams, ValidityError, h_exponent,
+from .model import (ModelParams, SegmentParams, ValidityError, h_exponent,
                     h_exponent_segment)
 
 Eta = frozenset
-# generators yield (rate, new_state); diagonal terms are returned separately
 
 # one shared zero: Fractions are immutable and each construction costs ~1 us
 _ZERO = Fraction(0)
 
-FULL_LINE = "full_line"
-HALF_LINE = "half_line"
-HALF_LINE_CLOSED = "half_line_closed"
-DUAL_N = "dual_n"
-DUAL_N_BOUNDARY = "dual_n_boundary"
-SEGMENT = "segment"
-SEGMENT_CLOSED = "segment_closed"
-DUAL_SEGMENT = "dual_segment"
 
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """A generator kind with its exact parameters: Fraction params, or their
-    IntegerRates view, whose rates come out as ints."""
-
-    kind: str
-    params: Union[ModelParams, IntegerRates]
-    n: Optional[int] = None
-
-    def transitions(self, state):
-        return _TRANSITIONS[self.kind](self.params, state)
-
-    def diagonal(self, state):
-        """The diagonal coefficient at `state`, of the rates' type (zero if the kind has none)."""
-        fn = _DIAGONALS.get(self.kind)
-        return fn(self.params, state) if fn else 0 * self.params.p_rate
-
-
-def _swap_moves(eta: Eta, sites: Iterable[int], p: Fraction, q: Fraction):
-    """Bulk exclusion moves across bonds (x, x+1) for x in sites."""
-    for x in sites:
-        if x in eta and x + 1 not in eta:
-            yield p, (eta - {x}) | {x + 1}
-        elif x + 1 in eta and x not in eta:
-            yield q, (eta - {x + 1}) | {x}
-
-
-def _bond_range(eta: Eta, low: Optional[int]):
-    """Bonds with a particle on either end (all others have rate zero)."""
-    bonds = set()
-    for s in eta:
-        bonds.add(s)
-        bonds.add(s - 1)
-    if low is not None:
-        bonds = {b for b in bonds if b >= low}
-    return sorted(bonds)
-
-
-def _halfline_transitions(params: ModelParams, eta: Eta):
+def exclusion_moves(params, eta: Eta, low: Optional[int] = None):
+    """Bulk exclusion moves on the line: a particle steps right at p_rate and
+    left at q_rate across each bond (x, x+1) with x >= low (any x if low is
+    None), so low = 0 closes the half line at site 0."""
+    p, q = params.p_rate, params.q_rate
+    # only bonds with a particle on either end have a nonzero rate
+    bonds = {b for s in eta for b in (s - 1, s) if low is None or b >= low}
     out = []
-    if 1 not in eta:
-        out.append((params.alpha, eta | {1}))
-    else:
-        out.append((params.gamma, eta - {1}))
-    out.extend(_swap_moves(eta, _bond_range(eta, 1), params.p_rate, params.q_rate))
+    for x in sorted(bonds):
+        if x in eta and x + 1 not in eta:
+            out.append((p, (eta - {x}) | {x + 1}))
+        elif x + 1 in eta and x not in eta:
+            out.append((q, (eta - {x + 1}) | {x}))
     return out
 
 
-def _fullline_transitions(params: ModelParams, eta: Eta):
-    return list(_swap_moves(eta, _bond_range(eta, None), params.p_rate, params.q_rate))
+def halfline_moves(params, eta: Eta):
+    """Half-line moves: injection at site 1 at alpha, ejection at gamma, bulk exclusion."""
+    boundary = (params.alpha, eta | {1}) if 1 not in eta else (params.gamma, eta - {1})
+    return [boundary] + exclusion_moves(params, eta, 1)
 
 
-def _halfline_closed_transitions(params: ModelParams, eta: Eta):
-    return list(_swap_moves(eta, _bond_range(eta, 0), params.p_rate, params.q_rate))
+def dual_moves(params, x: Tuple[int, ...], low: Optional[int] = None,
+               high: Optional[int] = None):
+    """Dual n-particle moves: left at rate p, right at rate q (reversed roles).
 
-
-def _dual_moves(params: ModelParams, x: Tuple[int, ...], low: Optional[int],
-                high: Optional[int]):
-    """Dual n-particle moves: left at rate p, right at rate q (reversed roles)."""
+    Sites stay in [low, high], a bound of None being open: the line dual
+    has neither, the killed half-line dual low = 1 and the segment dual
+    (1, ell).  The killing itself is a diagonal term (dual_*_diagonal).
+    """
     p, q = params.p_rate, params.q_rate
     n = len(x)
     out = []
@@ -114,29 +76,21 @@ def _dual_moves(params: ModelParams, x: Tuple[int, ...], low: Optional[int],
     return out
 
 
-def _dual_n_transitions(params: ModelParams, x: Tuple[int, ...]):
-    return _dual_moves(params, x, low=None, high=None)
-
-
-def _dual_boundary_transitions(params: ModelParams, x: Tuple[int, ...]):
-    return _dual_moves(params, x, low=1, high=None)
-
-
-def _dual_boundary_diagonal(params: ModelParams, x: Tuple[int, ...]):
+def dual_boundary_diagonal(params, x: Tuple[int, ...]):
+    """Diagonal coefficient of the killed half-line dual at x."""
     return (x[0] == 1) * params.dual_diag_left
 
 
-def _dual_segment_transitions(params: SegmentParams, x: Tuple[int, ...]):
-    return _dual_moves(params, x, low=1, high=params.ell)
-
-
-def _dual_segment_diagonal(params: SegmentParams, x: Tuple[int, ...]):
+def dual_segment_diagonal(params, x: Tuple[int, ...]):
+    """Diagonal coefficient of the segment dual at x."""
     # dual_diag_left is (q - p) rho0 on a segment, since rho0 = rho = alpha / p
     return ((x[0] == 1) * params.dual_diag_left
             + (x[-1] == params.ell) * params.dual_diag_right)
 
 
-def _segment_transitions(params: SegmentParams, state):
+def segment_moves(params, state):
+    """Segment moves of (eta, n_ell): eta holds the 0/1 occupations of sites
+    1..ell-1, n_ell the net number of particles that left at the right end."""
     eta, n_ell = state
     ell = params.ell
     out = []
@@ -156,20 +110,6 @@ def _segment_transitions(params: SegmentParams, state):
     return out
 
 
-def _segment_closed_transitions(params: SegmentParams, state):
-    """Reflecting exclusion on sites 0..ell; crossings of (ell-1, ell) move N."""
-    occ, n_ell = state  # occ is a 0/1 tuple over sites 0..ell
-    ell = params.ell
-    out = []
-    for x in range(ell):
-        dn = 1 if x == ell - 1 else 0
-        if occ[x] == 1 and occ[x + 1] == 0:
-            out.append((params.p_rate, (_swap(occ, x), n_ell + dn)))
-        elif occ[x] == 0 and occ[x + 1] == 1:
-            out.append((params.q_rate, (_swap(occ, x), n_ell - dn)))
-    return out
-
-
 def _flip(eta: tuple, i: int, val: int) -> tuple:
     return eta[:i] + (val,) + eta[i + 1:]
 
@@ -178,35 +118,20 @@ def _swap(eta: tuple, x: int) -> tuple:
     return eta[:x] + (eta[x + 1], eta[x]) + eta[x + 2:]
 
 
-_TRANSITIONS = {
-    FULL_LINE: _fullline_transitions,
-    HALF_LINE: _halfline_transitions,
-    HALF_LINE_CLOSED: _halfline_closed_transitions,
-    DUAL_N: _dual_n_transitions,
-    DUAL_N_BOUNDARY: _dual_boundary_transitions,
-    SEGMENT: _segment_transitions,
-    SEGMENT_CLOSED: _segment_closed_transitions,
-    DUAL_SEGMENT: _dual_segment_transitions,
-}
-
-_DIAGONALS = {
-    DUAL_N_BOUNDARY: _dual_boundary_diagonal,
-    DUAL_SEGMENT: _dual_segment_diagonal,
-}
-
-
-def apply_generator(gen: GeneratorSpec, f: Callable, state):
-    """Exact sum of rate * (f(new) - f(state)) plus any diagonal term.
+def apply_generator(moves: Iterable, f: Callable, state, diagonal=0):
+    """Exact sum of rate * (f(new) - f(state)) over moves, plus diagonal * f(state).
 
     f must be exact-valued (int or Fraction).  The sum is a Fraction for
-    Fraction params and an int when the rates (an IntegerRates view) and f
-    are ints.  Rates are summed per distinct value of f(new) and moves that
-    leave f unchanged are skipped, so the arithmetic on f's values grows
-    with the number of distinct values, not with the number of transitions.
+    Fraction params (moves and diagonal) and a Fraction-valued f, and an
+    int when the rates and diagonal come from an IntegerRates view and f
+    is int-valued; the default diagonal 0 keeps either type.  Rates are
+    summed per distinct value of f(new) and moves that leave f unchanged
+    are skipped, so the arithmetic on f's values grows with the number of
+    distinct values, not with the number of moves.
     """
     f0 = f(state)
     rate_by_value = {}
-    for rate, new in gen.transitions(state):
+    for rate, new in moves:
         value = f(new)
         if value == f0:
             continue
@@ -214,7 +139,7 @@ def apply_generator(gen: GeneratorSpec, f: Callable, state):
             rate_by_value[value] += rate
         else:
             rate_by_value[value] = rate
-    total = gen.diagonal(state) * f0
+    total = diagonal * f0
     for value, rate in rate_by_value.items():
         total += rate * (value - f0)
     return total
@@ -296,9 +221,9 @@ def verify_halfline_duality(params: ModelParams, eta, x: Sequence[int]) -> Duali
     x = tuple(x)
     pw = _line_powers(params, eta, len(x))
     rates = params.integer_rates
-    lhs = apply_generator(GeneratorSpec(HALF_LINE, rates), lambda s: pw(h_exponent(s, x)), eta)
-    rhs = apply_generator(GeneratorSpec(DUAL_N_BOUNDARY, rates, len(x)),
-                          lambda y: pw(h_exponent(eta, y)), x)
+    lhs = apply_generator(halfline_moves(rates, eta), lambda s: pw(h_exponent(s, x)), eta)
+    rhs = apply_generator(dual_moves(rates, x, low=1), lambda y: pw(h_exponent(eta, y)), x,
+                          dual_boundary_diagonal(rates, x))
     d = rates.denominator
     return DualityReport(f"halfline eta={sorted(eta)} x={x}", pw.exact(lhs, d), pw.exact(rhs, d))
 
@@ -309,9 +234,8 @@ def verify_fullspace_duality(params: ModelParams, eta, x: Sequence[int]) -> Dual
     x = tuple(x)
     pw = _line_powers(params, eta, len(x))
     rates = params.integer_rates
-    lhs = apply_generator(GeneratorSpec(FULL_LINE, rates), lambda s: pw(h_exponent(s, x)), eta)
-    rhs = apply_generator(GeneratorSpec(DUAL_N, rates, len(x)),
-                          lambda y: pw(h_exponent(eta, y)), x)
+    lhs = apply_generator(exclusion_moves(rates, eta), lambda s: pw(h_exponent(s, x)), eta)
+    rhs = apply_generator(dual_moves(rates, x), lambda y: pw(h_exponent(eta, y)), x)
     d = rates.denominator
     return DualityReport(f"fullspace eta={sorted(eta)} x={x}", pw.exact(lhs, d), pw.exact(rhs, d))
 
@@ -333,10 +257,12 @@ def verify_segment_duality(params: SegmentParams, eta: Sequence[int], n_ell: int
     # so every N_{x_i} stays in [n_ell - 1, len(eta) + n_ell + 1]
     pw = _QPowers(params.q, n * (n_ell - 1), n * (len(eta) + n_ell + 1))
     rates = params.integer_rates
-    lhs = apply_generator(GeneratorSpec(SEGMENT, rates),
-                          lambda s: pw(h_exponent_segment(s[0], s[1], x)), (eta, n_ell))
-    rhs = apply_generator(GeneratorSpec(DUAL_SEGMENT, rates, n),
-                          lambda y: pw(h_exponent_segment(eta, n_ell, y)), x)
+    state = (eta, n_ell)
+    lhs = apply_generator(segment_moves(rates, state),
+                          lambda s: pw(h_exponent_segment(s[0], s[1], x)), state)
+    rhs = apply_generator(dual_moves(rates, x, 1, params.ell),
+                          lambda y: pw(h_exponent_segment(eta, n_ell, y)), x,
+                          dual_segment_diagonal(rates, x))
     d = rates.denominator
     return DualityReport(f"segment eta={eta} N={n_ell} x={x}",
                          pw.exact(lhs, d), pw.exact(rhs, d))
@@ -368,8 +294,8 @@ def negative_control_no_liggett(params: ModelParams, eta,
     rates = params.integer_rates
     d = rates.denominator
     h = lambda y: pw(h_exponent(eta, y))
-    lhs = apply_generator(GeneratorSpec(HALF_LINE, rates), lambda s: pw(h_exponent(s, x)), eta)
-    plain = apply_generator(GeneratorSpec(DUAL_N, rates, len(x)), h, x)
+    lhs = apply_generator(halfline_moves(rates, eta), lambda s: pw(h_exponent(s, x)), eta)
+    plain = apply_generator(dual_moves(rates, x), h, x)
     lhs_q = pw.exact(lhs, d)
 
     if x[0] >= 2:
@@ -381,9 +307,7 @@ def negative_control_no_liggett(params: ModelParams, eta,
     corrected = (rates.corrected_hop * h((2,) + tail)
                  - rates.corrected_stay * h((1,) + tail))
     if tail:
-        corrected += apply_generator(
-            GeneratorSpec(DUAL_N, rates, len(tail)),
-            lambda y: h((1,) + tuple(y)), tail)
+        corrected += apply_generator(dual_moves(rates, tail), lambda y: h((1,) + y), tail)
     rep = DualityReport(f"no-liggett corrected eta={sorted(eta)} x={x}", lhs_q,
                         pw.exact(corrected, d))
     return NegativeControlReport(x, None, rep, pw.exact(lhs - plain, d))
@@ -401,12 +325,13 @@ def verify_fictitious_site(params: ModelParams, eta, x: Sequence[int]) -> Dualit
     pw = _line_powers(params, eta, len(x))
     rates = params.integer_rates
     h = lambda s: pw(h_exponent(s, x))
-    lhs = apply_generator(GeneratorSpec(HALF_LINE, rates), h, eta)
-    closed = GeneratorSpec(HALF_LINE_CLOSED, rates)
+    lhs = apply_generator(halfline_moves(rates, eta), h, eta)
+    # the closed half line on sites 0, 1, ... with site 0 filled or empty
+    filled, empty = eta | {0}, eta - {0}
     # rho A + (1 - rho) B = (a A + (b - a) B) / b for rho = a / b
     a, b = params.rho.numerator, params.rho.denominator
-    rhs = (a * apply_generator(closed, h, eta | {0})
-           + (b - a) * apply_generator(closed, h, eta - {0}))
+    rhs = (a * apply_generator(exclusion_moves(rates, filled, 0), h, filled)
+           + (b - a) * apply_generator(exclusion_moves(rates, empty, 0), h, empty))
     d = rates.denominator
     return DualityReport(f"fictitious eta={sorted(eta)} x={x}",
                          pw.exact(lhs, d), pw.exact(rhs, d * b))

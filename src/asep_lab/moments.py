@@ -80,9 +80,10 @@ class MomentResult:
     on (512, 256, 256, 160) alike, and 0.0707 at t=0, where the value is 1
     to 4e-14.  Single diagrams there keep imaginary parts that cancel only
     partly across partitions.  They trace to simple poles on the
-    integration circle (ROADMAP item 2): the measurements fit a trapezoid
-    rule that returns a principal value plus an imaginary term depending on
-    the grid offset, while the real part does not move.
+    integration circle (ROADMAP, the item on on-contour poles): the
+    measurements fit a trapezoid rule that returns a principal value plus
+    an imaginary term depending on the grid offset, while the real part
+    does not move.
     """
 
     value: float
@@ -238,11 +239,20 @@ class PreparedMoment:
     @classmethod
     def fine_and_coarse(cls, n: int, ctx: EvalContext,
                         quad: QuadratureSpec) -> Tuple["PreparedMoment", "PreparedMoment"]:
-        """Objects on quad and on its half-resolution grid, sharing one reduction."""
+        """Objects on quad and on its half-resolution grid, sharing one reduction.
+
+        A dimension whose halved grid is quad's own (16 nodes stay 16) would
+        make quad_error read 0 whatever the error, so it raises ValidityError.
+        """
         phi = build_phi(range(n))  # F-factor sites are the slots 0..n-1 of x
         reduced = [(lam, (-1) ** (n - len(lam)), d, reduce_by_diagram(phi, d))
                    for lam in partitions_of(n) for d in canonical_diagrams(lam)]
-        return cls(reduced, ctx, quad), cls(reduced, ctx, quad.halved())
+        coarse = quad.halved()
+        for dim in sorted({len(red.free_vars) for *_, red in reduced}):
+            if coarse.nodes(dim) >= quad.nodes(dim):
+                raise ValidityError(f"{quad.nodes(dim)} nodes in dimension {dim} leave no "
+                                    "coarser grid for the error estimate; give more nodes")
+        return cls(reduced, ctx, quad), cls(reduced, ctx, coarse)
 
     def evaluate(self, x: Tuple[int, ...], time_derivative: bool = False):
         """(real part, imaginary part, per-partition sums) at sites x."""

@@ -11,7 +11,8 @@ solution is cross-checked against the segment simulator and against the
 lattice heat-equation reformulation with its two boundary relations.
 
 `asep-lab segment` refuses a chamber above C(ell, n) = 100,000
-(cli.MAX_SEGMENT_DIMENSION) before enumerating any site vector.
+(cli.MAX_SEGMENT_DIMENSION) before enumerating any site vector, and a solve
+above cli.MAX_SEGMENT_WORK before solving.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from scipy.sparse import csr_array
 # the exponential's action on a vector; solve_u applies exp(tM) only through this name
 from scipy.sparse.linalg import expm_multiply as expm
 
-from .duality import DUAL_SEGMENT, SEGMENT, GeneratorSpec, chamber_vectors
+from .duality import chamber_vectors, dual_moves, dual_segment_diagonal, segment_moves
 from .model import SegmentParams, SegmentState, ValidityError, h_product_segment
 
 # expm_multiply covers a step exp(A) v with 1-norm ||A - mu I||_1 <= 9.9,
@@ -54,14 +55,13 @@ class DualMatrix:
     vectors: List[Tuple[int, ...]]
     index: Dict[Tuple[int, ...], int]
     matrix: csr_array                     # float entries, sparse
-    exact: Optional[list] = None          # dense nested lists of Fractions on request
 
     @property
     def dimension(self) -> int:
         return len(self.vectors)
 
 
-def build_dual_matrix(params: SegmentParams, n: int, exact: bool = False) -> DualMatrix:
+def build_dual_matrix(params: SegmentParams, n: int) -> DualMatrix:
     """Matrix M with (M f)(x) = dual-generator f(x) on every chamber vector.
 
     Row sums equal -(p-q) rho0 [x_1 = 1] + (p-q) rho_ell [x_n = ell]; with
@@ -72,29 +72,22 @@ def build_dual_matrix(params: SegmentParams, n: int, exact: bool = False) -> Dua
     """
     vectors = chamber(params.ell, n)
     index = {v: i for i, v in enumerate(vectors)}
-    gen = GeneratorSpec(DUAL_SEGMENT, params.integer_rates, n)
+    rates = params.integer_rates
     dim = len(vectors)
     # the nonzero pattern row by row, at most 2n + 1 entries per row, times D
     indptr, indices, totals = [0], [], []
     for i, x in enumerate(vectors):
-        row = {i: gen.diagonal(x)}
-        for rate, y in gen.transitions(x):
+        row = {i: dual_segment_diagonal(rates, x)}
+        for rate, y in dual_moves(rates, x, 1, params.ell):
             row[index[y]] = rate   # distinct moves reach distinct vectors
             row[i] -= rate
         for j in sorted(row):
             indices.append(j)
             totals.append(row[j])
         indptr.append(len(indices))
-    denominator = params.integer_rates.denominator
-    data = np.array([v / denominator for v in totals])
+    data = np.array([v / rates.denominator for v in totals])
     matrix = csr_array((data, np.array(indices), np.array(indptr)), shape=(dim, dim))
-    rows = None
-    if exact:
-        rows = [[Fraction(0)] * dim for _ in range(dim)]
-        for i in range(dim):
-            for k in range(indptr[i], indptr[i + 1]):
-                rows[i][indices[k]] = Fraction(totals[k], denominator)
-    return DualMatrix(params, n, vectors, index, matrix, exact=rows)
+    return DualMatrix(params, n, vectors, index, matrix)
 
 
 def _initial_vector(dual: DualMatrix, state: SegmentState) -> np.ndarray:
@@ -115,7 +108,7 @@ class OdeSolution:
         return float(self.values[self.dual.index[tuple(x)]])
 
 
-def _substeps(matrix: csr_array, t: float) -> int:
+def substeps(matrix: csr_array, t: float) -> int:
     """Sub-steps of t whose t (M - mu I) / steps has 1-norm at most _STEP_NORM.
 
     Bounded by the triangle inequality, ||M - mu I||_1 <= ||M||_1 + |mu|.
@@ -154,7 +147,7 @@ def solve_u(t: float, initial: SegmentState, params: SegmentParams, n: int,
     u0 = _initial_vector(dual, initial)
     if t == 0:
         return OdeSolution(dual, 0.0, u0, matrix @ u0, 0.0)
-    steps = _substeps(matrix, t)
+    steps = substeps(matrix, t)
     u = _propagate(matrix, u0, t, steps)
     half = 0.5 * t
     u2 = _propagate(matrix, _propagate(matrix, u0, half, steps), half, steps)
@@ -229,11 +222,10 @@ def occupancy_generator(params: SegmentParams):
     ell = params.ell
     states = list(itertools.product((0, 1), repeat=ell - 1))
     index = {s: i for i, s in enumerate(states)}
-    gen = GeneratorSpec(SEGMENT, params)
     dim = len(states)
     A = [[Fraction(0)] * dim for _ in range(dim)]
     for x_idx, eta in enumerate(states):
-        for rate, (new_eta, _n) in gen.transitions((eta, 0)):
+        for rate, (new_eta, _n) in segment_moves(params, (eta, 0)):
             A[index[new_eta]][x_idx] += rate
             A[x_idx][x_idx] -= rate
     return states, A

@@ -14,6 +14,9 @@ def run_cli(args):
     return subprocess.run(RUN + args, capture_output=True, text=True)
 
 
+SEGMENT = ["segment", "--ell", "4", "--n", "1", "--rho0", "0.5", "--rho-ell", "0.5"]
+
+
 def test_moments_csv_roundtrip(tmp_path):
     out = tmp_path / "m.csv"
     code = main(["moments", "--t", "0.5", "--x", "1,3", "--rho", "0.9",
@@ -210,6 +213,39 @@ def test_malformed_threads_env_exits_2(monkeypatch):
     assert "--threads" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["simulate", "--t", "1", "--rho", "0.9", "--threads", "-3"], None),
+    (SEGMENT + ["--t", "1", "--threads", "0"], None),
+    (["simulate", "--t", "1", "--rho", "0.9"], "0"),
+])
+def test_nonpositive_threads_exits_2(argv, env, monkeypatch):
+    # such a value used to exit 0 and be recorded in the manifest
+    if env is not None:
+        monkeypatch.setenv("ASEP_LAB_THREADS", env)
+    proc = run_cli(argv)
+    _assert_one_line_exit_2(proc)
+    assert "--threads" in proc.stderr and ">= 1" in proc.stderr
+
+
+@pytest.mark.parametrize("nodes", ["-100", "0", "15", "16", "17", "32"])
+def test_moments_refuses_nodes_without_a_coarser_grid(nodes, capsys):
+    # every count used to be clamped to 16 nodes, whose halved grid is the
+    # same grid, and the run exited 0 with quad_err 0.0
+    assert main(["moments", "--t", "1", "--x", "1,3", "--rho", "0.9",
+                 "--nodes", nodes]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "coarser grid" in err
+
+
+def test_moments_accepts_nodes_with_a_coarser_grid(tmp_path):
+    out = tmp_path / "m.json"
+    assert main(["moments", "--t", "1", "--x", "1,3", "--rho", "0.9", "--nodes", "40",
+                 "--format", "json", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["manifest"]["nodes_by_dim"] == [40, 20, 20, 18]
+    assert float(doc["rows"][0]["quad_err"]) > 0
+
+
 def test_moments_rejects_unordered_sites():
     proc = run_cli(["moments", "--t", "0.5", "--x", "3,1", "--rho", "0.9"])
     _assert_one_line_exit_2(proc)
@@ -288,9 +324,6 @@ def test_internal_value_error_is_not_a_validation_error(monkeypatch):
         main(["kpz", "--t", "1", "--x", "0.5", "--A", "1"])
 
 
-SEGMENT = ["segment", "--ell", "4", "--n", "1", "--rho0", "0.5", "--rho-ell", "0.5"]
-
-
 @pytest.mark.parametrize("argv", [SEGMENT + ["--t", "nan"], SEGMENT + ["--t", "inf"],
                                   SEGMENT + ["--t", "-1"],
                                   ["moments", "--t", "nan", "--x", "1", "--rho", "0.9"],
@@ -317,6 +350,23 @@ def test_segment_refuses_chamber_above_cap_before_enumerating(monkeypatch, capsy
     assert calls == []
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "cap of 100000" in err
+
+
+def test_segment_refuses_long_solve_before_solving(monkeypatch, capsys):
+    # t = 1e6 at C(12, 6) = 924 needs about 2.1 million sub-steps, hours of
+    # expm_multiply calls; the refusal comes from the matrix alone
+    import time
+    import asep_lab.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "solve_u", lambda *args: calls.append(args))
+    start = time.monotonic()
+    assert main(["segment", "--ell", "12", "--n", "6", "--t", "1e6",
+                 "--rho0", "0.5", "--rho-ell", "0.5"]) == 2
+    assert time.monotonic() - start < 1.0
+    assert calls == []
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "sub-steps" in err and "cap" in err
 
 
 @pytest.mark.parametrize("where", ["missing", "directory"])

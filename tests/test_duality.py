@@ -3,11 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from asep_lab.duality import (DUAL_N, DUAL_N_BOUNDARY, HALF_LINE, GeneratorSpec,
-                              apply_generator, chamber_vectors, exhaustive_states,
-                              negative_control_no_liggett, verify_fictitious_site,
-                              verify_fullspace_duality, verify_halfline_duality,
-                              verify_segment_duality)
+from asep_lab.duality import (apply_generator, chamber_vectors, dual_boundary_diagonal,
+                              dual_moves, dual_segment_diagonal, exclusion_moves,
+                              exhaustive_states, halfline_moves, negative_control_no_liggett,
+                              segment_moves, verify_fictitious_site, verify_fullspace_duality,
+                              verify_halfline_duality, verify_segment_duality)
 from asep_lab.model import ModelParams, SegmentParams, h_product, h_product_segment
 from asep_lab.segment_ode import occupancy_generator
 
@@ -16,22 +16,22 @@ PARAMS = ModelParams.from_density(1, F(1, 2), F(3, 4))
 
 def test_generator_on_empty_state_injection_only():
     h = lambda s: h_product(s, (1,), PARAMS.q)
-    val = apply_generator(GeneratorSpec(HALF_LINE, PARAMS), h, frozenset())
+    val = apply_generator(halfline_moves(PARAMS, frozenset()), h, frozenset())
     assert val == PARAMS.alpha * (PARAMS.q - 1)
 
 
 def test_killed_dual_at_boundary_site():
     q = PARAMS.q
     h = lambda y: h_product({2}, y, q)
-    val = apply_generator(GeneratorSpec(DUAL_N_BOUNDARY, PARAMS, 1), h, (1,))
+    val = apply_generator(dual_moves(PARAMS, (1,), low=1), h, (1,),
+                          dual_boundary_diagonal(PARAMS, (1,)))
     expected = PARAMS.q_rate * (h((2,)) - h((1,))) \
         - (PARAMS.p_rate - PARAMS.q_rate) * PARAMS.rho * h((1,))
     assert val == expected
 
 
 def test_dual_transition_rates_read_off():
-    gen = GeneratorSpec(DUAL_N, PARAMS, 2)
-    moves = gen.transitions((3, 5))
+    moves = dual_moves(PARAMS, (3, 5))
     rates = sorted(r for r, _ in moves)
     assert rates == sorted([PARAMS.p_rate, PARAMS.p_rate, PARAMS.q_rate, PARAMS.q_rate])
     assert sorted(y for _, y in moves) == [(2, 5), (3, 4), (3, 6), (4, 5)]
@@ -86,22 +86,19 @@ def test_segment_observable_scales_with_through_count():
     # both generator applications scale by q^{n k} in the through-count
     q, n = SEG.q, 2
     x = (1, 3)
-    from asep_lab.duality import SEGMENT, DUAL_SEGMENT
+    eta = (1, 0, 0)
+    h_x = lambda s: h_product_segment(s[0], s[1], x, q)
+    f0 = apply_generator(segment_moves(SEG, (eta, 0)), h_x, (eta, 0))
+    dual_0 = apply_generator(dual_moves(SEG, x, 1, SEG.ell),
+                             lambda y: h_product_segment(eta, 0, y, q), x,
+                             dual_segment_diagonal(SEG, x))
     for k in (1, 2):
-        for kind in (SEGMENT, DUAL_SEGMENT):
-            if kind == SEGMENT:
-                f0 = apply_generator(GeneratorSpec(kind, SEG),
-                                     lambda s: h_product_segment(s[0], s[1], x, q),
-                                     ((1, 0, 0), 0))
-                fk = apply_generator(GeneratorSpec(kind, SEG),
-                                     lambda s: h_product_segment(s[0], s[1], x, q),
-                                     ((1, 0, 0), k))
-            else:
-                f0 = apply_generator(GeneratorSpec(kind, SEG, n),
-                                     lambda y: h_product_segment((1, 0, 0), 0, y, q), x)
-                fk = apply_generator(GeneratorSpec(kind, SEG, n),
-                                     lambda y: h_product_segment((1, 0, 0), k, y, q), x)
-            assert fk == q ** (n * k) * f0
+        fk = apply_generator(segment_moves(SEG, (eta, k)), h_x, (eta, k))
+        dual_k = apply_generator(dual_moves(SEG, x, 1, SEG.ell),
+                                 lambda y: h_product_segment(eta, k, y, q), x,
+                                 dual_segment_diagonal(SEG, x))
+        assert fk == q ** (n * k) * f0
+        assert dual_k == q ** (n * k) * dual_0
 
 
 def test_negative_control_matches_remark():
@@ -143,64 +140,43 @@ def test_occupancy_master_equation_conserves_mass():
             assert sum(A[i][j] for i in range(len(states))) == 0
 
 
-def test_closed_segment_generator_conserves_mass():
-    # reflecting exclusion on sites 0..ell: master-equation columns sum to
-    # zero exactly (through-count projected out)
-    from asep_lab.duality import SEGMENT_CLOSED
-    for ell in (2, 3, 4, 5):
-        sp = SegmentParams.from_densities(1, F(1, 2), F(3, 4), F(1, 3), ell)
-        gen = GeneratorSpec(SEGMENT_CLOSED, sp)
-        states = list(itertools.product((0, 1), repeat=ell + 1))
-        index = {s: i for i, s in enumerate(states)}
-        dim = len(states)
-        A = [[F(0)] * dim for _ in range(dim)]
-        for j, occ in enumerate(states):
-            for rate, (new_occ, _n) in gen.transitions((occ, 0)):
-                A[index[new_occ]][j] += rate
-                A[j][j] -= rate
-        for j in range(dim):
-            assert sum(A[i][j] for i in range(dim)) == 0
-
-
 # --- integer-encoded sides against the per-transition Fraction form ---------
 
-def _reference_apply(gen, f, state):
+def _reference_apply(moves, f, state, diagonal=0):
     """The per-transition sum rate * (f(new) - f(state)) plus the diagonal."""
     total = F(0)
     f0 = f(state)
-    for rate, new in gen.transitions(state):
+    for rate, new in moves:
         total += rate * (f(new) - f0)
-    diag = gen.diagonal(state)
-    if diag:
-        total += diag * f0
+    if diagonal:
+        total += diagonal * f0
     return total
 
 
 def _reference_line(mode, params, eta, x):
     """(lhs, rhs) of one line identity with Fraction h_product observables."""
-    from asep_lab.duality import FULL_LINE, HALF_LINE_CLOSED
     q, eta, x = params.q, frozenset(eta), tuple(x)
     h_x = lambda s: h_product(s, x, q)
     h_eta = lambda y: h_product(eta, y, q)
-    halfline = _reference_apply(GeneratorSpec(HALF_LINE, params), h_x, eta)
+    closed = lambda s: _reference_apply(exclusion_moves(params, s, 0), h_x, s)
+    halfline = _reference_apply(halfline_moves(params, eta), h_x, eta)
     if mode == "halfline":
-        return halfline, _reference_apply(GeneratorSpec(DUAL_N_BOUNDARY, params, len(x)),
-                                          h_eta, x)
+        return halfline, _reference_apply(dual_moves(params, x, low=1), h_eta, x,
+                                          dual_boundary_diagonal(params, x))
     if mode == "fullspace":
-        return (_reference_apply(GeneratorSpec(FULL_LINE, params), h_x, eta),
-                _reference_apply(GeneratorSpec(DUAL_N, params, len(x)), h_eta, x))
+        return (_reference_apply(exclusion_moves(params, eta), h_x, eta),
+                _reference_apply(dual_moves(params, x), h_eta, x))
     if mode == "fictitious":
-        closed = GeneratorSpec(HALF_LINE_CLOSED, params)
-        return halfline, (params.rho * _reference_apply(closed, h_x, eta | {0})
-                          + (1 - params.rho) * _reference_apply(closed, h_x, eta - {0}))
-    plain = _reference_apply(GeneratorSpec(DUAL_N, params, len(x)), h_eta, x)
+        return halfline, (params.rho * closed(eta | {0})
+                          + (1 - params.rho) * closed(eta - {0}))
+    plain = _reference_apply(dual_moves(params, x), h_eta, x)
     if x[0] >= 2:
         return halfline, plain, halfline - plain
     tail = x[1:]
     corrected = ((params.alpha * q + params.gamma) * h_eta((2,) + tail)
                  - (params.alpha + params.gamma) * h_eta((1,) + tail))
     if tail:
-        corrected += _reference_apply(GeneratorSpec(DUAL_N, params, len(tail)),
+        corrected += _reference_apply(dual_moves(params, tail),
                                       lambda y: h_eta((1,) + tuple(y)), tail)
     return halfline, corrected, halfline - plain
 
@@ -248,12 +224,12 @@ def test_no_liggett_sides_equal_per_transition_reference():
 
 def _reference_segment(sp, eta, n_ell, x):
     """(lhs, rhs) of one segment identity with Fraction h_product_segment observables."""
-    from asep_lab.duality import DUAL_SEGMENT, SEGMENT
     q = sp.q
-    return (_reference_apply(GeneratorSpec(SEGMENT, sp),
+    return (_reference_apply(segment_moves(sp, (eta, n_ell)),
                              lambda s: h_product_segment(s[0], s[1], x, q), (eta, n_ell)),
-            _reference_apply(GeneratorSpec(DUAL_SEGMENT, sp, len(x)),
-                             lambda y: h_product_segment(eta, n_ell, y, q), x))
+            _reference_apply(dual_moves(sp, x, 1, sp.ell),
+                             lambda y: h_product_segment(eta, n_ell, y, q), x,
+                             dual_segment_diagonal(sp, x)))
 
 
 def test_segment_sides_equal_per_transition_reference():
@@ -310,9 +286,29 @@ def test_apply_generator_equals_reference_on_fraction_observable():
     for eta in exhaustive_states(4):
         for x in chamber_vectors(1, 5, 2):
             h = lambda s: h_product(s, x, q)
-            got = apply_generator(GeneratorSpec(HALF_LINE, PARAMS), h, eta)
+            moves = halfline_moves(PARAMS, eta)
+            got = apply_generator(moves, h, eta)
             assert type(got) is F
-            assert got == _reference_apply(GeneratorSpec(HALF_LINE, PARAMS), h, eta)
+            assert got == _reference_apply(moves, h, eta)
+
+
+def test_apply_generator_keeps_the_type_of_its_inputs():
+    # Fraction params and observable give a Fraction, the IntegerRates view
+    # and an int observable an int; the default diagonal 0 keeps either type,
+    # also where no move changes the observable
+    rates, x = PARAMS.integer_rates, (1, 3)
+    h_frac = lambda y: h_product({2}, y, PARAMS.q)
+    h_int = lambda y: 5 ** sum(s >= 2 for s in y)
+    cases = ((PARAMS, h_frac, F), (PARAMS, lambda y: F(7), F),
+             (rates, h_int, int), (rates, lambda y: 7, int))
+    for params, f, kind in cases:
+        moves = dual_moves(params, x, low=1)
+        for diagonal in ((), (dual_boundary_diagonal(params, x),)):
+            assert type(apply_generator(moves, f, x, *diagonal)) is kind
+        assert apply_generator(moves, f, x) == apply_generator(moves, f, x, 0)
+        assert apply_generator(moves, f, x) == _reference_apply(moves, f, x)
+    eta = frozenset({2})
+    assert type(apply_generator(halfline_moves(rates, eta), lambda s: 5 ** len(s), eta)) is int
 
 
 def test_integer_q_powers_scale_back_and_raise_outside_bounds():

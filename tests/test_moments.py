@@ -105,6 +105,22 @@ def test_quadrature_spec_validation():
     assert spec.nodes(1) == 256 and spec.nodes(5) == spec.nodes(4)
 
 
+def test_grid_without_a_coarser_half_grid_is_refused():
+    # halved() keeps 16 nodes at 16, so quad_error used to read 0.0 there:
+    # at q = 9/10, rho = 1, x = (10,), t = 0 the value was 1.1995 > 1
+    high_q = ModelParams.from_density(1, F(9, 10), 1)
+    for spec, x in (((16,) * 4, (10,)), ((16,) * 4, (1, 3)), ((32, 16, 16, 16), (1, 3))):
+        with pytest.raises(ValidityError, match="coarser grid"):
+            q_moment(0.0, x, high_q, QuadratureSpec(spec))
+    with pytest.raises(ValidityError, match="coarser grid"):
+        free_evolution_residuals(1.0, (1, 3), PARAMS, QuadratureSpec((32, 16, 16, 16)))
+    # a 1-point moment integrates over one dimension only
+    res = q_moment(0.0, (10,), high_q, QuadratureSpec((32, 16, 16, 16)))
+    assert res.quad_error > 0
+    res = q_moment(1.0, (1, 3), PARAMS, QuadratureSpec.with_1d_nodes(40))
+    assert res.nodes_by_dim == (40, 20, 20, 18) and res.quad_error > 0
+
+
 def test_free_evolution_reports_quad_error():
     rep = free_evolution_residuals(1.0, (2, 3), PARAMS)
     assert math.isfinite(rep.quad_error) and rep.quad_error < 1e-8

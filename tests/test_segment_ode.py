@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from asep_lab.duality import DUAL_SEGMENT, GeneratorSpec, apply_generator
+from asep_lab.duality import apply_generator, dual_moves, dual_segment_diagonal
 from asep_lab.model import SegmentParams, SegmentState, ValidityError
 from asep_lab.segment_ode import (build_dual_matrix, chamber,
                                   check_segment_free_evolution, solve_u,
@@ -23,27 +23,33 @@ def test_chamber_enumeration_colex():
 
 def test_two_site_matrix_by_hand():
     sp = SegmentParams.from_densities(1, F(1, 2), F(3, 4), F(1, 3), 2)
-    dm = build_dual_matrix(sp, 1, exact=True)
+    dm = build_dual_matrix(sp, 1)
+    rows = _dense_rows(sp, 1)
     p, q = sp.p_rate, sp.q_rate
     pq = p - q
     assert dm.vectors == [(1,), (2,)]
-    assert dm.exact[0] == [-q - pq * sp.rho0, q]
-    assert dm.exact[1] == [p, -p + pq * sp.rho_ell]
+    assert rows[0] == [-q - pq * sp.rho0, q]
+    assert rows[1] == [p, -p + pq * sp.rho_ell]
+    assert dm.matrix.toarray().tolist() == [[float(v) for v in row] for row in rows]
 
 
 def test_matrix_equals_generator_application():
-    dm = build_dual_matrix(SEG, 2, exact=True)
-    gen = GeneratorSpec(DUAL_SEGMENT, SEG, 2)
+    dm = build_dual_matrix(SEG, 2)
+    rows = _dense_rows(SEG, 2)
+    image = dm.matrix.toarray()
     for j, y in enumerate(dm.vectors):
         indicator = lambda x, y=y: F(1) if tuple(x) == y else F(0)
         for i, x in enumerate(dm.vectors):
-            assert apply_generator(gen, indicator, x) == dm.exact[i][j]
+            applied = apply_generator(dual_moves(SEG, x, 1, SEG.ell), indicator, x,
+                                      dual_segment_diagonal(SEG, x))
+            assert applied == rows[i][j]
+            assert float(applied) == image[i, j]
 
 
 def test_closed_boundaries_zero_row_sums_and_constant_solution():
     closed = SegmentParams.from_densities(1, F(1, 2), 0, 0, 4)
-    dm = build_dual_matrix(closed, 2, exact=True)
-    assert all(sum(row) == 0 for row in dm.exact)
+    assert all(sum(row) == 0 for row in _dense_rows(closed, 2))
+    assert not build_dual_matrix(closed, 2).matrix.sum(axis=1).any()
     sol = solve_u(3.0, SegmentState.empty(4), closed, 2)
     assert np.allclose(sol.values, 1.0, atol=1e-12)
 
@@ -110,11 +116,10 @@ def _dense_rows(params, n):
     """Dense Fraction generator rows filled entry by entry over the chamber."""
     vectors = chamber(params.ell, n)
     index = {v: i for i, v in enumerate(vectors)}
-    gen = GeneratorSpec(DUAL_SEGMENT, params, n)
     rows = [[F(0)] * len(vectors) for _ in vectors]
     for i, x in enumerate(vectors):
-        diag = gen.diagonal(x)
-        for rate, y in gen.transitions(x):
+        diag = dual_segment_diagonal(params, x)
+        for rate, y in dual_moves(params, x, 1, params.ell):
             rows[i][index[y]] += rate
             diag -= rate
         rows[i][i] += diag
@@ -128,13 +133,10 @@ def test_matrix_bit_equal_to_dense_construction():
         for n in (1, 2, 3):
             rows = _dense_rows(sp, n)
             dense = np.array([[float(v) for v in row] for row in rows])
-            dm = build_dual_matrix(sp, n, exact=True)
-            image = dm.matrix.toarray()
+            image = build_dual_matrix(sp, n).matrix.toarray()
             assert image.dtype == dense.dtype and image.shape == dense.shape
             assert image.tobytes() == dense.tobytes()
-            assert dm.exact == rows
-            assert all(type(v) is F for row in dm.exact for v in row)
-            assert build_dual_matrix(sp, n).exact is None
+            assert all(type(v) is F for row in rows for v in row)
 
 
 @pytest.mark.parametrize("ell", range(4, 9))
