@@ -64,7 +64,7 @@ def _versions() -> Dict[str, str]:
 def _manifest(subcommand: str, args: argparse.Namespace, extra: Optional[dict] = None) -> dict:
     skip = {"func", "output", "config", "subcommand"}
     params = {k: v for k, v in sorted(vars(args).items())
-              if k not in skip and not callable(v)}
+              if k not in skip and v is not None and not callable(v)}
     man = {"subcommand": subcommand, "parameters": params, "versions": _versions()}
     if extra:
         man.update(extra)
@@ -118,6 +118,8 @@ def _parse_floats(text: str) -> tuple:
 
 def _model_params(args) -> ModelParams:
     if args.rho is not None:
+        if args.alpha is not None or args.gamma is not None:
+            raise ValidityError("give either --rho or --alpha/--gamma, not both")
         return ModelParams.from_density(args.p, args.q, args.rho)
     if args.alpha is None or args.gamma is None:
         raise ValidityError("give either --rho or both --alpha and --gamma")
@@ -125,13 +127,15 @@ def _model_params(args) -> ModelParams:
 
 
 def _segment_params(args) -> SegmentParams:
-    if args.rho0 is not None and args.rho_ell is not None:
+    densities = (args.rho0, args.rho_ell)
+    rates = (args.alpha, args.gamma, args.beta, args.delta)
+    if None not in densities and all(v is None for v in rates):
         return SegmentParams.from_densities(args.p, args.q, args.rho0, args.rho_ell, args.ell)
-    need = (args.alpha, args.gamma, args.beta, args.delta)
-    if any(v is None for v in need):
-        raise ValidityError("give --rho0/--rho-ell or all of --alpha/--gamma/--beta/--delta")
-    return SegmentParams(args.p, args.q, args.alpha, args.gamma, ell=args.ell,
-                         beta=args.beta, delta=args.delta)
+    if densities == (None, None) and None not in rates:
+        return SegmentParams(args.p, args.q, args.alpha, args.gamma, ell=args.ell,
+                             beta=args.beta, delta=args.delta)
+    raise ValidityError("give both --rho0/--rho-ell or all of --alpha/--gamma/--beta/--delta, "
+                        "not a mix")
 
 
 def _quad(args) -> QuadratureSpec:
@@ -157,7 +161,12 @@ def cmd_moments(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.ell is not None:
+        if args.rho is not None:
+            raise ValidityError("--rho is the half-line density; with --ell give --rho0/--rho-ell")
         params = _segment_params(args)
+    elif any(v is not None for v in (args.beta, args.delta, args.rho0, args.rho_ell)):
+        raise ValidityError("--beta, --delta, --rho0 and --rho-ell set segment rates; "
+                            "they need --ell")
     else:
         params = _model_params(args)
     # chamber vectors: strictly increasing sites from 1 (up to ell on the segment)
@@ -222,6 +231,17 @@ def _verify_reports(args) -> List[DualityReport]:
 
 
 def cmd_verify(args) -> int:
+    # the segment mode reads --ell (default 4), the others --max-site (default
+    # 5); the default goes into args so that the manifest records it
+    if args.mode == "segment":
+        if args.max_site is not None:
+            raise ValidityError("--max-site sets the line window; --mode segment takes --ell")
+        args.ell = 4 if args.ell is None else args.ell
+    else:
+        if args.ell is not None:
+            raise ValidityError(f"--ell sets the segment length; --mode {args.mode} "
+                                "takes --max-site")
+        args.max_site = 5 if args.max_site is None else args.max_site
     reports = _verify_reports(args)
     out = sys.stdout if args.output is None else open(args.output, "w")
     failed = 0
@@ -269,6 +289,8 @@ def cmd_kpz(args) -> int:
     kpz = KpzParams(t=args.t, x=x, A=args.A, boundary=boundary)
     rows = []
     if args.eps:
+        if args.form == "residue":
+            raise ValidityError("--eps compares against the nested form; drop --form residue")
         limit = she_moment_nested(kpz)
         for eps in _parse_floats(args.eps):
             val = scaled_asep_moment(eps, kpz)
@@ -289,18 +311,17 @@ def cmd_kpz(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub, rates=True):
+def _add_output(sub):
     sub.add_argument("--format", choices=["csv", "json"], default="csv")
     sub.add_argument("--output", default=None, help="write to a file instead of stdout")
-    # a string default goes through type=int at parse time, so a malformed
-    # ASEP_LAB_THREADS is reported like a malformed --threads
-    sub.add_argument("--threads", type=_int_at_least(1),
-                     default=os.environ.get("ASEP_LAB_THREADS", "1"))
-    if rates:
-        sub.add_argument("--p", default="1", help="right jump rate (exact rational)")
-        sub.add_argument("--q", default="1/2", help="left jump rate (exact rational)")
-        sub.add_argument("--alpha", default=None)
-        sub.add_argument("--gamma", default=None)
+
+
+def _add_rates(sub, rho=True):
+    sub.add_argument("--p", default="1", help="right jump rate (exact rational)")
+    sub.add_argument("--q", default="1/2", help="left jump rate (exact rational)")
+    sub.add_argument("--alpha", default=None)
+    sub.add_argument("--gamma", default=None)
+    if rho:
         sub.add_argument("--rho", default=None,
                          help="boundary density; fills alpha, gamma via Liggett's relation")
 
@@ -334,14 +355,20 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     m = subs.add_parser("moments", help="contour-integral q-moments")
-    _add_common(m)
+    _add_output(m)
+    _add_rates(m)
     m.add_argument("--t", type=float, required=True)
     m.add_argument("--x", required=True, help="comma-separated sites")
     m.add_argument("--nodes", type=int, default=None, help="1D trapezoid node count")
     m.set_defaults(func=cmd_moments)
 
     s = subs.add_parser("simulate", help="Monte Carlo estimates of the observables")
-    _add_common(s)
+    _add_output(s)
+    _add_rates(s)
+    # a string default goes through type at parse time, so a malformed
+    # ASEP_LAB_THREADS is reported like a malformed --threads
+    s.add_argument("--threads", type=_int_at_least(1),
+                   default=os.environ.get("ASEP_LAB_THREADS", "1"))
     s.add_argument("--t", type=float, required=True)
     s.add_argument("--trajectories", type=int, default=10000)
     s.add_argument("--seed", type=int, default=1)
@@ -355,19 +382,22 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_simulate)
 
     v = subs.add_parser("verify", help="exact duality residuals as JSON lines")
-    _add_common(v, rates=False)
+    v.add_argument("--output", default=None, help="write to a file instead of stdout")
     v.add_argument("--mode", required=True,
                    choices=["fullspace", "halfline", "segment", "no-liggett", "fictitious"])
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--points", type=_int_at_least(1), default=3,
                    help="random rational parameter points")
-    v.add_argument("--max-site", dest="max_site", type=_int_at_least(0), default=5)
+    v.add_argument("--max-site", dest="max_site", type=_int_at_least(0), default=None,
+                   help="line window of the other modes (default 5)")
     v.add_argument("--max-n", dest="max_n", type=_int_at_least(1), default=3)
-    v.add_argument("--ell", type=int, default=4)
+    v.add_argument("--ell", type=int, default=None, help="segment length of --mode segment "
+                   "(default 4)")
     v.set_defaults(func=cmd_verify)
 
     g = subs.add_parser("segment", help="dual-generator ODE solution on the segment")
-    _add_common(g)
+    _add_output(g)
+    _add_rates(g, rho=False)
     g.add_argument("--ell", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--t", type=float, required=True)
@@ -378,14 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_segment)
 
     k = subs.add_parser("kpz", help="stochastic-heat-equation moments")
-    _add_common(k, rates=False)
+    _add_output(k)
     k.add_argument("--A", type=float, default=None, help="Robin boundary parameter")
     k.add_argument("--t", type=float, required=True)
     k.add_argument("--x", required=True, help="comma-separated positions")
     k.add_argument("--boundary", choices=["robin", "dirichlet"], default="robin")
     k.add_argument("--form", choices=["nested", "residue"], default="nested")
     k.add_argument("--eps", default=None,
-                   help="comma-separated asymmetries for the scaling bridge")
+                   help="comma-separated asymmetries for the scaling bridge to the nested form")
     k.set_defaults(func=cmd_kpz)
     return parser
 

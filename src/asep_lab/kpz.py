@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -61,10 +61,40 @@ class KpzParams:
                 raise ValidityError("Robin moments need boundary parameter A > 0")
         elif self.boundary != DIRICHLET:
             raise ValidityError(f"unknown boundary kind {self.boundary}")
+        elif self.A is not None:
+            raise ValidityError("Dirichlet moments take no boundary parameter A")
 
     @property
     def n(self) -> int:
         return len(self.x)
+
+
+# defaults of both SHE forms' line grids (`she_grids`)
+TAIL_TOL = 1e-12
+SPACING_FACTOR = 0.05
+
+
+def _check_grid_rule(tail_tol: float, spacing_factor: float):
+    if not 0.0 < tail_tol < 1.0:
+        raise ValidityError("tail_tol must lie in (0, 1)")
+    if not 0.0 < spacing_factor < math.inf:
+        raise ValidityError("spacing_factor must be positive and finite")
+
+
+def she_grids(t: float, offsets: Sequence[float], reach: float, tail_tol: float,
+              spacing_factor: float) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Line nodes and weights, one grid per dimension at real part offsets[d].
+
+    Every grid has spacing spacing_factor / sqrt(t) and half-height
+    sqrt(reach^2 + 2 log(1e3 / tail_tol) / t), where |e^{t w^2 / 2}| at
+    real part reach is tail_tol / 1e3; reach is the largest real part the
+    integrand's Gaussian factors see.  Raises ValidityError for a tail_tol
+    outside (0, 1) or a spacing_factor that is not positive and finite.
+    """
+    _check_grid_rule(tail_tol, spacing_factor)
+    h = spacing_factor / math.sqrt(t)
+    y_max = math.sqrt(reach * reach + 2.0 * math.log(1e3 / tail_tol) / t)
+    return [line_nodes(r, y_max, h, d) for d, r in enumerate(offsets)]
 
 
 @dataclass(frozen=True)
@@ -72,17 +102,14 @@ class ContourSpec:
     """Vertical-line offsets and truncation for the nested integrals."""
 
     offsets: Tuple[float, ...]
-    tail_tol: float = 1e-12
-    spacing_factor: float = 0.05
+    tail_tol: float = TAIL_TOL
+    spacing_factor: float = SPACING_FACTOR
 
     def __post_init__(self):
         r = self.offsets
         if not all(map(math.isfinite, r)):
             raise ValidityError("contour offsets must be finite")
-        if not 0.0 < self.tail_tol < 1.0:
-            raise ValidityError("tail_tol must lie in (0, 1)")
-        if not 0.0 < self.spacing_factor < math.inf:
-            raise ValidityError("spacing_factor must be positive and finite")
+        _check_grid_rule(self.tail_tol, self.spacing_factor)
         if not r or r[0] != 0.0:
             raise ValidityError("first contour must sit on the imaginary axis")
         shifted = [rk - k for k, rk in enumerate(r)]
@@ -105,10 +132,6 @@ def _prefactor(kpz: KpzParams) -> float:
     return (2.0 if kpz.boundary == ROBIN else 4.0) ** kpz.n
 
 
-def _half_height(t: float, r: float, tail_tol: float) -> float:
-    return math.sqrt(r * r + 2.0 * math.log(1e3 / tail_tol) / t)
-
-
 def she_moment_nested(kpz: KpzParams, contours: Optional[ContourSpec] = None) -> float:
     """Mixed moment E[prod Z(t, x_i)] as a nested vertical-line integral.
 
@@ -123,9 +146,8 @@ def she_moment_nested(kpz: KpzParams, contours: Optional[ContourSpec] = None) ->
     contours = contours or ContourSpec.default(n)
     if len(contours.offsets) != n:
         raise ValidityError("need one contour offset per point")
-    h = contours.spacing_factor / math.sqrt(kpz.t)
-    y_max = _half_height(kpz.t, max(contours.offsets), contours.tail_tol)
-    grids = [line_nodes(r, y_max, h, d) for d, r in enumerate(contours.offsets)]
+    grids = she_grids(kpz.t, contours.offsets, max(contours.offsets), contours.tail_tol,
+                      contours.spacing_factor)
     unreduced = ReducedIntegrand(tuple(build_phi(range(n))), tuple(range(1, n + 1)))
     vectors, matrices = _line_operands(unreduced, kpz, grids)
     return float(contract_factored(n, vectors, matrices, _prefactor(kpz)).real)
@@ -189,21 +211,20 @@ def _line_operands(reduced: ReducedIntegrand, kpz: KpzParams,
     return vectors, pairs.matrices()
 
 
-def she_moment_residue_form(kpz: KpzParams, tail_tol: float = 1e-12,
-                            spacing_factor: float = 0.05) -> float:
+def she_moment_residue_form(kpz: KpzParams, tail_tol: float = TAIL_TOL,
+                            spacing_factor: float = SPACING_FACTOR) -> float:
     """Robin or Dirichlet moment as the diagram-indexed residue expansion on the axis.
 
     The nested form's prefactor, 2^n (Robin) or 4^n (Dirichlet), times the
     sum over partitions and canonical diagrams of the reduced integrands
     over one imaginary-axis contour per surviving variable; equals the
-    nested form.
+    nested form.  The grids are `she_grids` on the axis, cut for real parts
+    up to n - 1, which the additive shifts reach.
     """
     n = kpz.n
     if n > 4:
         raise ValidityError("residue evaluation supported for n <= 4")
-    h = spacing_factor / math.sqrt(kpz.t)
-    y_max = _half_height(kpz.t, n - 1.0, tail_tol)
-    grids = [line_nodes(0.0, y_max, h, d) for d in range(n)]
+    grids = she_grids(kpz.t, (0.0,) * n, n - 1.0, tail_tol, spacing_factor)
     phi = build_phi(range(n))
     total = 0.0
     for lam in partitions_of(n):
@@ -220,6 +241,9 @@ def she_moment_residue_form(kpz: KpzParams, tail_tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 # weak-asymmetry bridge
 
+# the largest quadrature error, relative to the lattice moment, the bridge returns
+BRIDGE_QUAD_BUDGET = 1e-6
+
 def scaled_asep_moment(eps: float, kpz: KpzParams,
                        quad: Optional[QuadratureSpec] = None) -> float:
     """Lattice moment under weak-asymmetry scaling, exact at fixed epsilon.
@@ -229,6 +253,11 @@ def scaled_asep_moment(eps: float, kpz: KpzParams,
     eps^{-n/2} (Robin) or eps^{-n} (Dirichlet) times the scaled-kernel
     lattice moment, and converges to the matching SHE moment.  `quad`
     defaults to 512 nodes in one dimension (`QuadratureSpec.with_1d_nodes`).
+
+    Raises ArithmeticError unless the lattice moment is positive and its
+    quadrature error is at most BRIDGE_QUAD_BUDGET of it: at A = 1, t = 1,
+    x = 0.5 the default grid meets that down to eps ~ 1e-4, and below it
+    the returned value would be wrong without a sign of it.
     """
     if eps <= 0:
         raise ValidityError("eps must be positive")
@@ -251,6 +280,11 @@ def scaled_asep_moment(eps: float, kpz: KpzParams,
     t_scaled = kpz.t / eps ** 2
     quad = quad or QuadratureSpec.with_1d_nodes(512)
     res = q_moment(t_scaled, sites, params, quad, kernel="scaled")
+    if not (res.value > 0 and res.quad_error <= BRIDGE_QUAD_BUDGET * res.value):
+        raise ArithmeticError(f"eps={eps}: lattice moment {res.value:.3e} with quadrature "
+                              f"error {res.quad_error:.1e} is not positive within "
+                              f"{BRIDGE_QUAD_BUDGET:g} relative error; use a larger eps "
+                              "or a finer quad")
     return float(eps ** power * res.value)
 
 
@@ -298,8 +332,14 @@ def _robin_heat_profile(A: float, t: float, length: float, dx: float, dt: float,
     return x, u
 
 
-def robin_pde_first_moment(A: float, t: float, x: float, dx: float = 2e-3,
-                           courant: float = 1.0, sigma: float = 3.2e-2) -> PdeOracleResult:
+# the oracle's cell width and time step (Courant number dt / dx = 1), and the
+# width of its widest half-normal initial profile
+_PDE_DX = 2e-3
+_PDE_DT = 2e-3
+_PDE_SIGMA = 3.2e-2
+
+
+def robin_pde_first_moment(A: float, t: float, x: float) -> PdeOracleResult:
     """First-moment oracle at (t, x) by implicit finite differences.
 
     The half-normal's center of mass sits at 0.8 sigma, which biases a
@@ -312,18 +352,17 @@ def robin_pde_first_moment(A: float, t: float, x: float, dx: float = 2e-3,
     if t <= 0 or x < 0:
         raise ValidityError("need t > 0 and x >= 0")
     length = x + 8.0 * math.sqrt(t) + 1.0
-    dt = courant * dx
 
     def delta_limit(h, step):
         vals = []
-        for width in (sigma, sigma / 2.0, sigma / 4.0):
+        for width in (_PDE_SIGMA, _PDE_SIGMA / 2.0, _PDE_SIGMA / 4.0):
             xs, u = _robin_heat_profile(A, t, length, h, step, width)
             vals.append(float(np.interp(x, xs, u)))
         return (8.0 * vals[2] - 6.0 * vals[1] + vals[0]) / 3.0
 
-    coarse = delta_limit(dx, dt)
-    value = delta_limit(dx / 2.0, dt / 2.0)
-    xs, u = _robin_heat_profile(A, t, length, dx, dt, sigma)
+    coarse = delta_limit(_PDE_DX, _PDE_DT)
+    value = delta_limit(_PDE_DX / 2.0, _PDE_DT / 2.0)
+    xs, u = _robin_heat_profile(A, t, length, _PDE_DX, _PDE_DT, _PDE_SIGMA)
     mass = float(np.trapezoid(u, xs))
     return PdeOracleResult(value=value, grid_error=abs(value - coarse), mass=mass)
 

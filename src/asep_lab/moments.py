@@ -27,7 +27,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import ModelParams, ValidityError
+from .model import ModelParams, SegmentParams, ValidityError
 from .partitions import Diagram, Partition, canonical_diagrams, partitions_of
 from .quadrature import PairProducts, circle_nodes, contract_factored
 from .residues import (DIFF, EvalContext, F_OVER_Z, INV_PROD, INV_QDIFF, QPROD, Factor,
@@ -293,6 +293,8 @@ def _moment_result(fine: PreparedMoment, coarse: PreparedMoment,
 
 
 def _validate(params: ModelParams, t: float, x: Sequence[int]):
+    if isinstance(params, SegmentParams):
+        raise TypeError("half-line moments need ModelParams, not SegmentParams")
     if not (math.isfinite(t) and t >= 0):
         raise ValidityError("time must be finite and nonnegative")
     if not params.liggett_ok():
@@ -320,14 +322,12 @@ def q_moment(t: float, x: Sequence[int], params: ModelParams,
     return _moment_result(fine, coarse, x)
 
 
-def first_moment(t: float, x: int, params: ModelParams,
-                 quad: Optional[QuadratureSpec] = None) -> float:
-    """E[q^{N_x(t)}], the n = 1 case of q_moment (same code path)."""
-    return q_moment(t, (x,), params, quad).value
+def first_moment(t: float, x: int, params: ModelParams) -> float:
+    """E[q^{N_x(t)}] on the default grid, the n = 1 case of q_moment (same code path)."""
+    return q_moment(t, (x,), params).value
 
 
-def second_moment_explicit(t: float, x1: int, x2: int, params: ModelParams,
-                           quad: Optional[QuadratureSpec] = None) -> float:
+def second_moment_explicit(t: float, x1: int, x2: int, params: ModelParams) -> float:
     """E[q^{N_{x1}+N_{x2}}] by the explicit three-integral form, engine-free.
 
     The double contour integral of the two-point integrand plus the two
@@ -336,13 +336,13 @@ def second_moment_explicit(t: float, x1: int, x2: int, params: ModelParams,
         (1-q)   oint (1-q^2 z^2)/(1-q z^2) F_{x1}(z) F_{x2}(qz) dz/(2 pi i z)
       + q(1-q)  oint (1-z^2)/(1-q z^2)     F_{x1}(z) F_{x2}(1/z) dz/(2 pi i z)
 
-    implemented directly on the trapezoid grid as an independent check of
-    the reduction engine.
+    implemented directly on the default trapezoid grid as an independent
+    check of the reduction engine.
     """
     if not (1 <= x1 < x2):
         raise ValidityError("need 1 <= x1 < x2")
     _validate(params, t, (x1, x2))
-    quad = quad or QuadratureSpec()
+    spec = QuadratureSpec()
     q = float(params.q)
     p = float(params.p_rate)
     rho = float(params.rho)
@@ -354,22 +354,19 @@ def second_moment_explicit(t: float, x1: int, x2: int, params: ModelParams,
                 * ((1 - z) / (1 - q * z)) ** site
                 * rho / (rho + (1 - rho) * z))
 
-    def run(spec: QuadratureSpec) -> float:
-        z1, w1 = circle_nodes(radius, spec.nodes(2), 0)
-        z2, w2 = circle_nodes(radius, spec.nodes(2), 1)
-        zz1, zz2 = z1[:, None], z2[None, :]
-        phi = (q * (zz1 - zz2) / (q * zz1 - zz2)
-               * (1 - q * zz1 * zz2) / (1 - zz1 * zz2)
-               * F(zz1, x1) * F(zz2, x2) / (zz1 * zz2))
-        term1 = np.sum(phi * w1[:, None] * w2[None, :])
-        z, w = circle_nodes(radius, spec.nodes(1), 0)
-        g2 = ((1 - q) * (1 - q ** 2 * z ** 2) / (1 - q * z ** 2)
-              * F(z, x1) * F(q * z, x2) / z)
-        g3 = (q * (1 - q) * (1 - z ** 2) / (1 - q * z ** 2)
-              * F(z, x1) * F(1 / z, x2) / z)
-        return float((term1 + np.sum(g2 * w) + np.sum(g3 * w)).real)
-
-    return run(quad)
+    z1, w1 = circle_nodes(radius, spec.nodes(2), 0)
+    z2, w2 = circle_nodes(radius, spec.nodes(2), 1)
+    zz1, zz2 = z1[:, None], z2[None, :]
+    phi = (q * (zz1 - zz2) / (q * zz1 - zz2)
+           * (1 - q * zz1 * zz2) / (1 - zz1 * zz2)
+           * F(zz1, x1) * F(zz2, x2) / (zz1 * zz2))
+    term1 = np.sum(phi * w1[:, None] * w2[None, :])
+    z, w = circle_nodes(radius, spec.nodes(1), 0)
+    g2 = ((1 - q) * (1 - q ** 2 * z ** 2) / (1 - q * z ** 2)
+          * F(z, x1) * F(q * z, x2) / z)
+    g3 = (q * (1 - q) * (1 - z ** 2) / (1 - q * z ** 2)
+          * F(z, x1) * F(1 / z, x2) / z)
+    return float((term1 + np.sum(g2 * w) + np.sum(g3 * w)).real)
 
 
 @dataclass

@@ -157,8 +157,8 @@ class ReducedIntegrand:
     prefactor_monos: Tuple[Monomial, ...] = ()
 
 
-def build_phi(x: Sequence[int], n: Optional[int] = None) -> List[Factor]:
-    """Atomic-factor list of the n-point integrand for sites x (x_i >= 0).
+def build_phi(x: Sequence[int]) -> List[Factor]:
+    """Atomic-factor list of the n = len(x) point integrand for sites x (x_i >= 0).
 
     The kernel F itself is supplied at evaluation time through the context,
     so the same factor list serves the plain and the weak-asymmetry-scaled
@@ -167,7 +167,7 @@ def build_phi(x: Sequence[int], n: Optional[int] = None) -> List[Factor]:
     x = tuple(int(v) for v in x)
     if any(v < 0 for v in x):
         raise ValueError("sites must be >= 0")
-    n = len(x) if n is None else n
+    n = len(x)
     factors: List[Factor] = [Factor(SCALAR, qexp=n * (n - 1) // 2)]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

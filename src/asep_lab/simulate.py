@@ -391,24 +391,24 @@ def _chunk(args) -> np.ndarray:
     return _powers(float(params.q), exponents)
 
 
-def _sampled(config: SimConfig, segment: bool, max_states: Optional[int]) -> Iterator:
-    count = config.trajectories if max_states is None else min(max_states, config.trajectories)
+def _sampled(config: SimConfig, segment: bool) -> Iterator:
     run, rates = _loop(config.params, segment)
-    return (_blocks if segment else _finals)(run, rates, config.t_end, config.seed, 0, count)
+    return (_blocks if segment else _finals)(run, rates, config.t_end, config.seed, 0,
+                                             config.trajectories)
 
 
-def simulate_halfline(config: SimConfig, max_states: Optional[int] = None) -> List[AsepState]:
+def simulate_halfline(config: SimConfig) -> List[AsepState]:
     """Final configurations, one exact CTMC sample per trajectory."""
     if isinstance(config.params, SegmentParams):
         raise TypeError("half-line simulation needs ModelParams, not SegmentParams")
-    return [AsepState(occ) for occ in _sampled(config, False, max_states)]
+    return [AsepState(occ) for occ in _sampled(config, False)]
 
 
-def simulate_segment(config: SimConfig, max_states: Optional[int] = None) -> List[SegmentState]:
+def simulate_segment(config: SimConfig) -> List[SegmentState]:
     """Final (occupations, through-count) samples for the segment process."""
     if not isinstance(config.params, SegmentParams):
         raise TypeError("segment simulation needs SegmentParams")
-    return [SegmentState(eta, n_ell) for block in _sampled(config, True, max_states)
+    return [SegmentState(eta, n_ell) for block in _sampled(config, True)
             for eta, n_ell in zip(*(a.tolist() for a in block))]
 
 

@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -208,14 +210,15 @@ def test_config_without_path_exits_2():
 
 def test_malformed_threads_env_exits_2(monkeypatch):
     monkeypatch.setenv("ASEP_LAB_THREADS", "two")
-    proc = run_cli(["moments", "--t", "0.5", "--x", "1", "--rho", "0.9"])
+    proc = run_cli(["simulate", "--t", "0.5", "--rho", "0.9"])
     _assert_one_line_exit_2(proc)
     assert "--threads" in proc.stderr
 
 
 @pytest.mark.parametrize("argv, env", [
     (["simulate", "--t", "1", "--rho", "0.9", "--threads", "-3"], None),
-    (SEGMENT + ["--t", "1", "--threads", "0"], None),
+    (["simulate", "--t", "1", "--ell", "4", "--rho0", "0.5", "--rho-ell", "0.5",
+      "--threads", "0"], None),
     (["simulate", "--t", "1", "--rho", "0.9"], "0"),
 ])
 def test_nonpositive_threads_exits_2(argv, env, monkeypatch):
@@ -380,3 +383,111 @@ def test_unwritable_output_exits_2_before_computing(where, tmp_path, monkeypatch
     assert calls == []
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "--output" in err
+
+
+# ---------------------------------------------------------------------------
+# every flag a subcommand accepts changes what its command does
+
+class _RecordingNamespace(argparse.Namespace):
+    """Records the name of every public attribute read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# one minimal valid command line per subcommand
+MINIMAL_RUNS = {
+    "moments": ["--t", "1", "--x", "1", "--rho", "0.9"],
+    "simulate": ["--t", "1", "--rho", "0.9"],
+    "verify": ["--mode", "halfline"],
+    "segment": SEGMENT[1:] + ["--t", "1"],
+    "kpz": ["--t", "1", "--x", "0.5", "--A", "1"],
+}
+
+
+def _stub_library(monkeypatch):
+    import asep_lab.cli as cli
+    from asep_lab.moments import MomentResult
+
+    report = SimpleNamespace(ok=True, to_json=lambda: "{}")
+    monkeypatch.setattr(cli, "q_moment", lambda *args, **kwargs: MomentResult(
+        value=0.5, per_partition={(1,): 0.5}, nodes_by_dim=(8,), quad_error=0.0))
+    monkeypatch.setattr(cli, "estimate", lambda *args, **kwargs: [])
+    for mode in cli._LINE_VERIFIERS:
+        monkeypatch.setitem(cli._LINE_VERIFIERS, mode, lambda *args: report)
+    monkeypatch.setattr(cli, "verify_segment_duality", lambda *args: report)
+    monkeypatch.setattr(cli, "solve_u", lambda *args: SimpleNamespace(
+        dual=SimpleNamespace(vectors=[]), solver_error=0.0))
+    for name in ("she_moment_nested", "she_moment_residue_form", "scaled_asep_moment"):
+        monkeypatch.setattr(cli, name, lambda *args: 1.0)
+
+
+def test_minimal_runs_cover_every_subcommand():
+    from asep_lab.cli import build_parser
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subs.choices) == sorted(MINIMAL_RUNS)
+
+
+@pytest.mark.parametrize("subcommand", sorted(MINIMAL_RUNS))
+def test_every_flag_of_a_subcommand_is_read_by_its_command(subcommand, monkeypatch, capsys):
+    # a flag no run reads is accepted, recorded in the manifest and ignored
+    from asep_lab.cli import build_parser
+
+    _stub_library(monkeypatch)
+    args = _RecordingNamespace()
+    args._reads = set()
+    build_parser().parse_args([subcommand, *MINIMAL_RUNS[subcommand]], namespace=args)
+    flags = set(vars(args)) - {"_reads", "config", "subcommand", "func"}
+    args._reads.clear()     # argparse itself reads every default it fills in
+    assert args.func(args) == 0
+    assert flags - args._reads == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--t", "1", "--x", "1", "--rho", "0.9", "--alpha", "1/2", "--gamma", "1/4"],
+    ["simulate", "--t", "1", "--rho", "0.9", "--rho0", "1/2", "--beta", "3"],
+    ["simulate", "--t", "1", "--ell", "4", "--rho", "0.1", "--rho0", "1/2", "--rho-ell", "1/3"],
+    SEGMENT[:5] + ["--t", "1", "--rho0", "1/2", "--rho-ell", "1/3", "--alpha", "5",
+                   "--beta", "7"],
+    SEGMENT[:5] + ["--t", "1", "--rho0", "1/2", "--alpha", "1/2", "--gamma", "1/4",
+                   "--beta", "1/2", "--delta", "1/4"],
+    ["kpz", "--A", "1", "--t", "1", "--x", "0.5", "--eps", "0.1", "--form", "residue"],
+    ["kpz", "--A", "7", "--t", "1", "--x", "0.5", "--boundary", "dirichlet"],
+    ["verify", "--mode", "halfline", "--ell", "9"],
+    ["verify", "--mode", "segment", "--max-site", "9"],
+    ["moments", "--t", "1", "--x", "1", "--rho", "0.9", "--threads", "7"],
+    ["verify", "--mode", "halfline", "--format", "csv"],
+    SEGMENT + ["--t", "1", "--rho", "0.1"],
+])
+def test_flag_the_run_would_ignore_exits_2(argv, monkeypatch, capsys):
+    # each used to exit 0 and record the ignored flag in the manifest
+    _stub_library(monkeypatch)
+    try:
+        code = main(argv)
+    except SystemExit as exc:     # the parser's own one-line refusal
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("mode, used, default, unused", [("halfline", "max_site", 5, "ell"),
+                                                         ("segment", "ell", 4, "max_site")])
+def test_verify_manifest_records_the_window_it_used(mode, used, default, unused, tmp_path,
+                                                    monkeypatch):
+    _stub_library(monkeypatch)
+    out = tmp_path / "v.jsonl"
+    assert main(["verify", "--mode", mode, "--points", "1", "--output", str(out)]) == 0
+    params = json.loads(out.read_text().splitlines()[0])["manifest"]["parameters"]
+    assert params[used] == default and unused not in params
+
+
+@pytest.mark.parametrize("boundary", [["--A", "1"], ["--boundary", "dirichlet"]])
+@pytest.mark.parametrize("eps", ["1e-5", "1e-9"])
+def test_kpz_bridge_below_its_error_budget_exits_3(boundary, eps, capsys):
+    # at A = 1 the rows used to read 0.47880 (1e-5) and 0.0 (1e-9) against 0.34093
+    assert main(["kpz", "--t", "1", "--x", "0.5", "--eps", eps] + boundary) == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "quadrature error" in err

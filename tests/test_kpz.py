@@ -137,6 +137,22 @@ def test_scaled_moment_validates():
         scaled_asep_moment(0.2, KpzParams(t=1.0, x=(0.41, 0.48), A=1.0))
 
 
+@pytest.mark.parametrize("kpz", [KpzParams(t=1.0, x=(0.5,), A=1.0),
+                                 KpzParams(t=1.0, x=(0.5,), boundary=DIRICHLET)])
+@pytest.mark.parametrize("eps", [1e-5, 1e-9])
+def test_bridge_refuses_a_lattice_moment_past_its_error_budget(kpz, eps):
+    # at A = 1 these used to return 0.47880 (1e-5) and 0.0 (1e-9) against a
+    # limit of 0.34093
+    with pytest.raises(ArithmeticError, match="quadrature error"):
+        scaled_asep_moment(eps, kpz)
+
+
+def test_dirichlet_params_refuse_a_boundary_parameter():
+    # the Dirichlet kernel has no A; one given used to be accepted and ignored
+    with pytest.raises(ValidityError, match="no boundary parameter"):
+        KpzParams(t=1.0, x=(0.5,), A=7.0, boundary=DIRICHLET)
+
+
 def test_bridge_differences_shrink():
     kpz = KpzParams(t=1.0, x=(1.0,), A=1.0)
     limit = she_moment_nested(kpz)
@@ -156,11 +172,8 @@ def test_rannacher_startup_profile_is_smooth():
 # both SHE forms against a per-factor dense evaluation of every pair matrix
 
 def _dense_grids(kpz, offsets, tail_tol, spacing_factor, r_max):
-    from asep_lab.kpz import _half_height
-    from asep_lab.quadrature import line_nodes
-    h = spacing_factor / math.sqrt(kpz.t)
-    y_max = _half_height(kpz.t, r_max, tail_tol)
-    return [line_nodes(r, y_max, h, d) for d, r in enumerate(offsets)]
+    from asep_lab.kpz import she_grids
+    return she_grids(kpz.t, offsets, r_max, tail_tol, spacing_factor)
 
 
 def _dense_nested(kpz, contours):
@@ -289,6 +302,17 @@ def test_params_reject_non_finite(kwargs):
 def test_contour_spec_rejects_non_finite_or_non_positive(kwargs):
     with pytest.raises(ValidityError):
         ContourSpec(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [dict(spacing_factor=-0.05), dict(spacing_factor=math.inf),
+                                    dict(spacing_factor=0.0), dict(spacing_factor=math.nan),
+                                    dict(tail_tol=0.0), dict(tail_tol=math.nan),
+                                    dict(tail_tol=1.0)])
+def test_residue_form_rejects_the_grids_contour_spec_rejects(kwargs):
+    # a negative or infinite spacing used to return 0.0, a zero one to divide
+    # by zero, and a NaN tail to fail converting NaN to an integer
+    with pytest.raises(ValidityError):
+        she_moment_residue_form(KpzParams(t=1.0, x=(0.5,), A=1.0), **kwargs)
 
 
 # scaled_asep_moment values taken before the kernels were summed into one

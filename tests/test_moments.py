@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from asep_lab.model import ModelParams, ValidityError
+from asep_lab.model import ModelParams, SegmentParams, ValidityError
 from asep_lab.moments import (QuadratureSpec, _factored_operands, first_moment,
                               free_evolution_residuals, q_moment,
                               second_moment_explicit)
@@ -28,6 +28,19 @@ def test_value_equals_partition_sum():
     res = q_moment(0.8, (1, 3), PARAMS)
     assert abs(res.value - math.fsum(res.per_partition.values())) < 1e-15
     assert set(res.per_partition) == {(2,), (1, 1)}
+
+
+@pytest.mark.parametrize("moment", [
+    lambda params: q_moment(1.0, (1, 3), params),
+    lambda params: first_moment(1.0, 1, params),
+    lambda params: second_moment_explicit(1.0, 1, 3, params),
+    lambda params: free_evolution_residuals(1.0, (1, 3), params),
+])
+def test_half_line_moments_refuse_segment_params(moment):
+    # q_moment used to return the half-line value 0.67964 here, against the
+    # segment ODE's 0.69510
+    with pytest.raises(TypeError, match="SegmentParams"):
+        moment(SegmentParams.from_densities(1, F(1, 2), F(9, 10), F(1, 3), 4))
 
 
 def test_first_moment_shares_the_moment_path():

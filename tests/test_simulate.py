@@ -107,6 +107,29 @@ def test_dual_reweighted_estimator_matches_ode():
     assert est.std_error.hex() == "0x1.40da1af3db801p-11"
 
 
+# float.hex of the mean and standard error at 20,000 trajectories, seed 13,
+# recorded when these initial states were first checked against the ODE
+PINNED_DUAL_FROM_STATE = {
+    (1, 0, 1): ("0x1.198ae85b26149p-3", "0x1.5404859797e49p-11"),
+    (0, 1, 1): ("0x1.8e229abe40112p-4", "0x1.f655c7aad2a30p-12"),
+}
+
+
+@pytest.mark.parametrize("eta", sorted(PINNED_DUAL_FROM_STATE))
+def test_dual_reweighted_estimate_from_a_nonempty_state(eta):
+    exact = solve_u(1.0, SegmentState(eta, 0), SEG, 2).value((1, 3))
+    est = dual_reweighted_estimate(SEG, (1, 3), 1.0, 20000, seed=13,
+                                   initial=SegmentState(eta, 0))
+    assert abs(est.mean - exact) <= 4 * est.std_error
+    assert (est.mean.hex(), est.std_error.hex()) == PINNED_DUAL_FROM_STATE[eta]
+    # a through-count N adds N to both exponents of H at x0 = (1, 3), so the
+    # estimate scales by q^2N, exactly 1/4 at q = 1/2 and N = 1
+    shifted = dual_reweighted_estimate(SEG, (1, 3), 1.0, 20000, seed=13,
+                                       initial=SegmentState(eta, 1))
+    assert SEG.q == F(1, 2)
+    assert shifted.mean == est.mean / 4 and shifted.std_error == est.std_error / 4
+
+
 @pytest.mark.parametrize("x0, t_end, trajectories, error", [
     ((1, 3), float("nan"), 10, ValidityError),  # would never stop the event loop
     ((1, 3), -1.0, 10, ValidityError),          # negative time
@@ -243,8 +266,8 @@ def test_segment_trajectory_does_not_depend_on_chunking(monkeypatch):
     assert _segment_blocks(SEG, 8.0, 31, block - 5, block + 12) == full[block - 5:]
     assert overflowed  # some row in it overflowed
     # a shorter run is one smaller block, not a prefix of the same one
-    cfg = SimConfig(SEG, 8.0, block + 12, seed=31)
-    assert [(s.eta, s.n_ell) for s in simulate_segment(cfg, max_states=1001)] == full[:1001]
+    cfg = SimConfig(SEG, 8.0, 1001, seed=31)
+    assert [(s.eta, s.n_ell) for s in simulate_segment(cfg)] == full[:1001]
 
 
 def test_segment_estimate_does_not_depend_on_chunk_bounds():
