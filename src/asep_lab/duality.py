@@ -172,13 +172,6 @@ class _QPowers:
         return self.a ** (e - self.lo) * self.b ** (self.hi - e)
 
 
-def _line_powers(params: ModelParams, eta: Eta, n: int) -> _QPowers:
-    """Bounds for one line identity: every state it reaches holds at most
-    |eta| + 1 particles (one injected at site 1 or put on the fictitious
-    site 0), so every N_{x_i} stays in [0, |eta| + 1]."""
-    return _QPowers(params.q, 0, n * (len(eta) + 1))
-
-
 @dataclass
 class DualityReport:
     """One exact duality check: residual must be the rational zero."""
@@ -206,10 +199,17 @@ class DualityReport:
         }, sort_keys=True)
 
 
-def _coerce_eta(eta) -> Eta:
-    if hasattr(eta, "occupied"):
-        return frozenset(eta.occupied)
-    return frozenset(eta)
+def _line_identity(params: ModelParams, eta, x: Sequence[int]):
+    """(eta, x, q-powers, integer rates) of one line identity at eta (a set
+    of sites or an AsepState) and sites x.
+
+    The q-power bounds: every state the identity reaches holds at most
+    |eta| + 1 particles (one injected at site 1 or put on the fictitious
+    site 0), so every N_{x_i} stays in [0, |eta| + 1].
+    """
+    eta = frozenset(getattr(eta, "occupied", eta))
+    x = tuple(x)
+    return eta, x, _QPowers(params.q, 0, len(x) * (len(eta) + 1)), params.integer_rates
 
 
 def verify_halfline_duality(params: ModelParams, eta, x: Sequence[int]) -> DualityReport:
@@ -217,10 +217,7 @@ def verify_halfline_duality(params: ModelParams, eta, x: Sequence[int]) -> Duali
     if not params.liggett_ok():
         raise ValidityError("half-line duality requires alpha/p + gamma/q = 1 "
                             "(use negative_control_no_liggett otherwise)")
-    eta = _coerce_eta(eta)
-    x = tuple(x)
-    pw = _line_powers(params, eta, len(x))
-    rates = params.integer_rates
+    eta, x, pw, rates = _line_identity(params, eta, x)
     lhs = apply_generator(halfline_moves(rates, eta), lambda s: pw(h_exponent(s, x)), eta)
     rhs = apply_generator(dual_moves(rates, x, low=1), lambda y: pw(h_exponent(eta, y)), x,
                           dual_boundary_diagonal(rates, x))
@@ -230,10 +227,7 @@ def verify_halfline_duality(params: ModelParams, eta, x: Sequence[int]) -> Duali
 
 def verify_fullspace_duality(params: ModelParams, eta, x: Sequence[int]) -> DualityReport:
     """Full-line generator vs n-particle dual generator; residual 0, no boundary condition."""
-    eta = _coerce_eta(eta)
-    x = tuple(x)
-    pw = _line_powers(params, eta, len(x))
-    rates = params.integer_rates
+    eta, x, pw, rates = _line_identity(params, eta, x)
     lhs = apply_generator(exclusion_moves(rates, eta), lambda s: pw(h_exponent(s, x)), eta)
     rhs = apply_generator(dual_moves(rates, x), lambda y: pw(h_exponent(eta, y)), x)
     d = rates.denominator
@@ -288,10 +282,7 @@ def negative_control_no_liggett(params: ModelParams, eta,
     + D^{(n-1)} H(eta; 1, x_2, ...) with the dual generator acting on the
     remaining coordinates (which may step outside the ordered chamber).
     """
-    eta = _coerce_eta(eta)
-    x = tuple(x)
-    pw = _line_powers(params, eta, len(x))
-    rates = params.integer_rates
+    eta, x, pw, rates = _line_identity(params, eta, x)
     d = rates.denominator
     h = lambda y: pw(h_exponent(eta, y))
     lhs = apply_generator(halfline_moves(rates, eta), lambda s: pw(h_exponent(s, x)), eta)
@@ -320,10 +311,7 @@ def verify_fictitious_site(params: ModelParams, eta, x: Sequence[int]) -> Dualit
     """
     if not params.liggett_ok():
         raise ValidityError("fictitious-site identity requires Liggett's condition")
-    eta = _coerce_eta(eta)
-    x = tuple(x)
-    pw = _line_powers(params, eta, len(x))
-    rates = params.integer_rates
+    eta, x, pw, rates = _line_identity(params, eta, x)
     h = lambda s: pw(h_exponent(s, x))
     lhs = apply_generator(halfline_moves(rates, eta), h, eta)
     # the closed half line on sites 0, 1, ... with site 0 filled or empty

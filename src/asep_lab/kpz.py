@@ -132,13 +132,29 @@ def _prefactor(kpz: KpzParams) -> float:
     return (2.0 if kpz.boundary == ROBIN else 4.0) ** kpz.n
 
 
+def _positive(kpz: KpzParams, value: float, form: str) -> float:
+    """value, or ArithmeticError where it is provably wrong.
+
+    Z(t, x) > 0 away from a Dirichlet wall, so a moment that is not finite,
+    or not positive unless x_1 = 0 under Dirichlet (where it is 0), has
+    lost its digits to cancellation or overflow; at n = 3 that starts near
+    t = 20 for the nested form.
+    """
+    at_wall = kpz.boundary == DIRICHLET and kpz.x[0] == 0.0
+    if not math.isfinite(value) or (value <= 0 and not at_wall):
+        raise ArithmeticError(f"the {form} form gives {value:.3e} at t={kpz.t:g} for a "
+                              "moment that is positive; use a smaller t")
+    return value
+
+
 def she_moment_nested(kpz: KpzParams, contours: Optional[ContourSpec] = None) -> float:
     """Mixed moment E[prod Z(t, x_i)] as a nested vertical-line integral.
 
     2^n (Robin) or 4^n (Dirichlet) times the integral over lines
     Re w_k = r_k of prod_{i<j} (w_i-w_j)/(w_i-w_j+1) (w_i+w_j)/(w_i+w_j-1)
     prod_i e^{t w_i^2/2 - x_i w_i} k(w_i), the unreduced integrand that the
-    residue expansion starts from.
+    residue expansion starts from.  Raises ArithmeticError for a value that
+    is not finite or not positive off the Dirichlet wall (`_positive`).
     """
     n = kpz.n
     if n > 4:
@@ -149,8 +165,10 @@ def she_moment_nested(kpz: KpzParams, contours: Optional[ContourSpec] = None) ->
     grids = she_grids(kpz.t, contours.offsets, max(contours.offsets), contours.tail_tol,
                       contours.spacing_factor)
     unreduced = ReducedIntegrand(tuple(build_phi(range(n))), tuple(range(1, n + 1)))
-    vectors, matrices = _line_operands(unreduced, kpz, grids)
-    return float(contract_factored(n, vectors, matrices, _prefactor(kpz)).real)
+    with np.errstate(over="ignore", invalid="ignore"):  # `_positive` reports them
+        vectors, matrices = _line_operands(unreduced, kpz, grids)
+        value = contract_factored(n, vectors, matrices, _prefactor(kpz)).real
+    return _positive(kpz, float(value), "nested")
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +219,13 @@ def _line_operands(reduced: ReducedIntegrand, kpz: KpzParams,
             arg = sign_a * w + shift_a + sign * (sign_b * w + shift_b) + shift
             vectors[d] = vectors[d] * (arg if power == 1 else 1.0 / arg)
             continue
-        # rows belong to the lower dimension; w_a + w_b is Hankel, w_a - w_b Toeplitz
-        (da, sa), (db, sb) = sorted([(d, sign_a), (dims[f.b.var], sign * sign_b)])
-        hankel = sa == sb
-        ka, kb = pairs.entries(hankel)
-        wa, wb = grids[da][0][ka], grids[db][0][kb]
-        arg = sa * (wa + wb if hankel else wa - wb) + (shift_a + sign * shift_b + shift)
-        pairs.multiply((da, db), hankel, arg, power)
+        # s_a w_a + s_b w_b is s_a (w_a + w_b), Hankel, or s_a (w_a - w_b), Toeplitz
+        db = dims[f.b.var]
+        hankel = sign_a == sign * sign_b
+        ka, kb = pairs.entries(d, db, hankel)
+        wa, wb = grids[d][0][ka], grids[db][0][kb]
+        arg = sign_a * (wa + wb if hankel else wa - wb) + (shift_a + sign * shift_b + shift)
+        pairs.multiply(d, db, hankel, arg, power)
     return vectors, pairs.matrices()
 
 
@@ -219,7 +237,8 @@ def she_moment_residue_form(kpz: KpzParams, tail_tol: float = TAIL_TOL,
     sum over partitions and canonical diagrams of the reduced integrands
     over one imaginary-axis contour per surviving variable; equals the
     nested form.  The grids are `she_grids` on the axis, cut for real parts
-    up to n - 1, which the additive shifts reach.
+    up to n - 1, which the additive shifts reach.  Raises ArithmeticError
+    as `she_moment_nested` does.
     """
     n = kpz.n
     if n > 4:
@@ -227,15 +246,16 @@ def she_moment_residue_form(kpz: KpzParams, tail_tol: float = TAIL_TOL,
     grids = she_grids(kpz.t, (0.0,) * n, n - 1.0, tail_tol, spacing_factor)
     phi = build_phi(range(n))
     total = 0.0
-    for lam in partitions_of(n):
-        for diagram in canonical_diagrams(lam):
-            reduced = _reduce_additive(diagram, phi)
-            # a consumed 1/(w + w' - 1) has limit +1 where 1/(1 - M M') has -1/M
-            sign = reduced.sign * (-1) ** len(reduced.prefactor_monos)
-            vectors, matrices = _line_operands(reduced, kpz, grids)
-            total += contract_factored(len(reduced.free_vars), vectors, matrices,
-                                       complex(sign)).real
-    return float(_prefactor(kpz) * total)
+    with np.errstate(over="ignore", invalid="ignore"):  # `_positive` reports them
+        for lam in partitions_of(n):
+            for diagram in canonical_diagrams(lam):
+                reduced = _reduce_additive(diagram, phi)
+                # a consumed 1/(w + w' - 1) has limit +1 where 1/(1 - M M') has -1/M
+                sign = reduced.sign * (-1) ** len(reduced.prefactor_monos)
+                vectors, matrices = _line_operands(reduced, kpz, grids)
+                total += contract_factored(len(reduced.free_vars), vectors, matrices,
+                                           complex(sign)).real
+    return _positive(kpz, float(_prefactor(kpz) * total), "residue")
 
 
 # ---------------------------------------------------------------------------

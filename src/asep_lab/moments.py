@@ -34,19 +34,24 @@ from .residues import (DIFF, EvalContext, F_OVER_Z, INV_PROD, INV_QDIFF, QPROD, 
                        ReducedIntegrand, build_phi, factor_value, reduce_by_diagram,
                        time_derivative_terms)
 
-_DEFAULT_NODES = (256, 128, 128, 112)
+# each dimension's node count as a share of the 1D count
+_NODE_SCALE = (1.0, 0.5, 0.5, 0.4375)
+
+
+def _node_table(n_1d: int) -> Tuple[int, ...]:
+    return tuple(max(16, 2 * round(n_1d * s / 2)) for s in _NODE_SCALE)
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Trapezoid node counts per integral dimension.
 
-    The defaults shrink with dimension; 1e-8 accuracy at asymmetry up to
-    0.6 needs about 128 nodes in 3D and 112 in 4D, while 4D at the 1D count
-    would be infeasible.
+    The defaults, `with_1d_nodes(256)`, shrink with dimension; 1e-8
+    accuracy at asymmetry up to 0.6 needs about 128 nodes in 3D and 112 in
+    4D, while 4D at the 1D count would be infeasible.
     """
 
-    nodes_by_dim: Tuple[int, ...] = _DEFAULT_NODES
+    nodes_by_dim: Tuple[int, ...] = _node_table(256)
 
     def __post_init__(self):
         if any(n < 16 or n % 2 for n in self.nodes_by_dim):
@@ -54,9 +59,7 @@ class QuadratureSpec:
 
     @classmethod
     def with_1d_nodes(cls, n: int) -> "QuadratureSpec":
-        scale = [1.0, 0.5, 0.5, 0.4375]
-        table = tuple(max(16, 2 * round(n * s / 2)) for s in scale)
-        return cls(table)
+        return cls(_node_table(n))
 
     def nodes(self, n_dims: int) -> int:
         if n_dims <= len(self.nodes_by_dim):
@@ -102,8 +105,8 @@ def _factored_operands(reduced: ReducedIntegrand, ctx: EvalContext,
 
     Each F-factor's site-free multiplier goes into its dimension's vector.
     Its exponent is summed per dimension, and its log step kept with its
-    site slot, as kernels (dim, summed exponent, slots, log steps) to be
-    exponentiated once per dimension when the sites are known.  Summing
+    site slot, as kernels {dim: [summed exponent, [(slot, log step), ...]]}
+    to be exponentiated once per dimension when the sites are known.  Summing
     first matters: along a diagram row the exponents telescope to a sum
     with bounded real part on the contour, while a single E reaches about
     (1-q)pt/(1-sqrt q) and overflows under weak-asymmetry scaling.  Pair
@@ -112,7 +115,7 @@ def _factored_operands(reduced: ReducedIntegrand, ctx: EvalContext,
     dims = {v: d for d, v in enumerate(reduced.free_vars)}
     vectors = {d: weights[d].astype(complex) for d in dims.values()}
     pairs = PairProducts(len(nodes[0]))
-    exponents: Dict[int, tuple] = {}
+    kernels: Dict[int, list] = {}
     scalar = complex(reduced.sign)
     for m in reduced.prefactor_monos:
         d = dims[m.var]
@@ -124,12 +127,11 @@ def _factored_operands(reduced: ReducedIntegrand, ctx: EvalContext,
             multiplier, exponent, log_step = ctx.kernel_parts(
                 f.a.value(ctx.q, {fvars[0]: nodes[d]}))
             vectors[d] *= multiplier
-            if d in exponents:
-                summed, slots, log_steps = exponents[d]
-                exponent = summed + exponent
+            if d in kernels:
+                kernels[d][0] = kernels[d][0] + exponent
+                kernels[d][1].append((f.site, log_step))
             else:
-                slots, log_steps = (), ()
-            exponents[d] = (exponent, slots + (f.site,), log_steps + (log_step,))
+                kernels[d] = [exponent, [(f.site, log_step)]]
         elif not fvars:
             scalar *= factor_value(f, ctx, {})
         elif len(fvars) == 1:
@@ -137,7 +139,6 @@ def _factored_operands(reduced: ReducedIntegrand, ctx: EvalContext,
             vectors[d] *= factor_value(f, ctx, {fvars[0]: nodes[d]})
         else:
             _circle_pair(f, ctx.q, dims, nodes, vectors, pairs)
-    kernels = tuple((d,) + parts for d, parts in exponents.items())
     return vectors, pairs.matrices(), scalar, kernels
 
 
@@ -155,22 +156,20 @@ def _circle_pair(f: Factor, q: float, dims: Dict[int, int], nodes: Dict[int, np.
     da, db = dims[f.a.var], dims[f.b.var]
     ratio = f.kind in (DIFF, INV_QDIFF)
     hankel = (f.a.vpow == f.b.vpow) != ratio
-    k_lo, k_hi = pairs.entries(hankel)
-    ka, kb = (k_lo, k_hi) if da < db else (k_hi, k_lo)
+    ka, kb = pairs.entries(da, db, hankel)
     a_nodes = f.a.value(q, {f.a.var: nodes[da]})
     a = a_nodes[ka]
     b = f.b.value(q, {f.b.var: nodes[db][kb]})
-    pair = (min(da, db), max(da, db))
     if f.kind == DIFF:
         vectors[da] *= a_nodes
-        pairs.multiply(pair, hankel, 1.0 - b / a, 1)
+        pairs.multiply(da, db, hankel, 1.0 - b / a, 1)
     elif f.kind == INV_QDIFF:
         vectors[da] /= a_nodes
-        pairs.multiply(pair, hankel, q - b / a, -1)
+        pairs.multiply(da, db, hankel, q - b / a, -1)
     elif f.kind == QPROD:
-        pairs.multiply(pair, hankel, 1.0 - q * a * b, 1)
+        pairs.multiply(da, db, hankel, 1.0 - q * a * b, 1)
     elif f.kind == INV_PROD:
-        pairs.multiply(pair, hankel, 1.0 - a * b, -1)
+        pairs.multiply(da, db, hankel, 1.0 - a * b, -1)
     else:
         raise ValueError(f"no pair form for factor kind {f.kind}")
 
@@ -187,7 +186,7 @@ class _DiagramOperands:
     vectors: Dict[int, np.ndarray]
     matrices: Dict[Tuple[int, int], np.ndarray]
     scalar: complex
-    kernels: Tuple[Tuple[int, np.ndarray, Tuple[int, ...], Tuple[np.ndarray, ...]], ...]
+    kernels: Dict[int, list]
 
     def integral(self, ctx: EvalContext, x: Tuple[int, ...],
                  time_derivative: bool = False) -> complex:
@@ -197,8 +196,8 @@ class _DiagramOperands:
         derivative is one contraction per dimension.
         """
         vectors = dict(self.vectors)
-        for d, exponent, slots, log_steps in self.kernels:
-            for slot, log_step in zip(slots, log_steps):
+        for d, (exponent, steps) in self.kernels.items():
+            for slot, log_step in steps:
                 exponent = exponent + x[slot] * log_step
             vectors[d] = vectors[d] * np.exp(exponent)
         n_dims = len(vectors)

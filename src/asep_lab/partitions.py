@@ -41,19 +41,11 @@ def partitions_of(n: int) -> List[Partition]:
     return list(gen(n, n))
 
 
-def multiplicities(lam: Partition) -> Dict[int, int]:
-    """Part sizes -> how many times they occur."""
-    out: Dict[int, int] = {}
-    for part in lam:
-        out[part] = out.get(part, 0) + 1
-    return out
-
-
 def multiplicity_factor(lam: Partition) -> int:
     """m_1! m_2! ... for the partition."""
     out = 1
-    for m in multiplicities(lam).values():
-        out *= math.factorial(m)
+    for part in set(lam):
+        out *= math.factorial(lam.count(part))
     return out
 
 

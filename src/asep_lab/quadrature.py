@@ -20,7 +20,9 @@ moment code folds the per-node scale that is left into the vectors).
 `PairProducts` is the one materializer for both: each factor is given on
 its 2N - 1 distinct values, the Toeplitz-type and the Hankel-type vectors
 of each dimension pair are multiplied separately, and the N x N pair matrix
-is one product of two strided views.
+is one product of two strided views.  Callers name a pair's dimensions in
+the factor's own order; `PairProducts` alone orients the node indices and
+keys the pair, with rows belonging to the lower dimension.
 
 Integrals are contracted factor-wise: an integrand that is a product of
 per-dimension vectors and pair matrices is summed in BLAS matrix products
@@ -69,10 +71,11 @@ class PairProducts:
     A factor of two dimensions' nodes that depends on k_a - k_b alone
     (Toeplitz type) or on k_a + k_b alone (Hankel type) takes one value per
     index difference or sum.  `entries` names one node pair (k_a, k_b) for
-    each of those 2N - 1 values, in the order k_a - k_b + N - 1 or k_a + k_b;
-    `multiply` accumulates factors given on those entries, per dimension
-    pair and type; `matrices` forms each N x N matrix as one product of two
-    strided views.  Rows belong to the lower dimension a of a pair (a, b).
+    each of those 2N - 1 values; `multiply` accumulates factors given on
+    those entries, per dimension pair and type; `matrices` forms each N x N
+    matrix as one product of two strided views.  Both take the dimensions
+    a, b in factor order: rows belong to the lower one, and the entries run
+    in the order k_lo - k_hi + N - 1 or k_lo + k_hi of its index k_lo.
     """
 
     def __init__(self, n_nodes: int):
@@ -81,8 +84,8 @@ class PairProducts:
         # (hankel, (a, b)) -> product of the factors' 2N - 1 values
         self._products: Dict[Tuple[bool, Tuple[int, int]], np.ndarray] = {}
 
-    def entries(self, hankel: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """Row and column node indices of the 2N - 1 distinct entries."""
+    def entries(self, a: int, b: int, hankel: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """Node indices (k_a, k_b) of the 2N - 1 distinct entries of pair (a, b)."""
         if hankel not in self._entries:
             n = self.n_nodes
             if hankel:
@@ -91,11 +94,12 @@ class PairProducts:
             else:
                 diff = np.arange(1 - n, n)
                 self._entries[hankel] = (np.maximum(diff, 0), np.maximum(-diff, 0))
-        return self._entries[hankel]
+        rows, cols = self._entries[hankel]
+        return (rows, cols) if a < b else (cols, rows)
 
-    def multiply(self, pair: Tuple[int, int], hankel: bool, values: np.ndarray, power: int):
-        """Multiply pair (a, b), a < b, by values ** power (power +-1) on `entries`."""
-        key = (hankel, pair)
+    def multiply(self, a: int, b: int, hankel: bool, values: np.ndarray, power: int):
+        """Multiply pair (a, b) by values ** power (power +-1) on `entries(a, b, hankel)`."""
+        key = (hankel, (min(a, b), max(a, b)))
         prev = self._products.get(key, 1.0)
         self._products[key] = prev * values if power == 1 else prev / values
 
@@ -137,8 +141,6 @@ def contract_factored(n_dims: int,
 def _contract_complete(vectors: List[np.ndarray],
                        matrices: Dict[Tuple[int, int], np.ndarray]) -> complex:
     n_dims = len(vectors)
-    if n_dims == 0:
-        return 1.0
     if n_dims == 1:
         return vectors[0].sum()
     if n_dims == 2:

@@ -47,15 +47,11 @@ class ReductionError(RuntimeError):
 
 @dataclass(frozen=True)
 class Monomial:
-    """q^qexp * z_var^vpow; vpow = 0 with var None means a pure q-power."""
+    """q^qexp * z_var^vpow with vpow = +-1."""
 
     qexp: int
-    var: Optional[int]
+    var: int
     vpow: int
-
-    def __post_init__(self):
-        if (self.var is None) != (self.vpow == 0):
-            raise ValueError("vpow must be 0 exactly when var is None")
 
     def subst(self, var: int, target: "Monomial") -> "Monomial":
         """Replace z_var by the target monomial (closed under composition)."""
@@ -68,8 +64,6 @@ class Monomial:
         return Monomial(-self.qexp, self.var, -self.vpow)
 
     def value(self, q: float, assign: Dict[int, object]):
-        if self.var is None:
-            return q ** self.qexp
         z = assign[self.var]
         if self.vpow != 1:
             z = z ** self.vpow
@@ -111,7 +105,7 @@ class Factor:
     def vars(self) -> Tuple[int, ...]:
         vs = []
         for m in (self.a, self.b):
-            if m is not None and m.var is not None and m.var not in vs:
+            if m is not None and m.var not in vs:
                 vs.append(m.var)
         return tuple(vs)
 

@@ -491,3 +491,19 @@ def test_kpz_bridge_below_its_error_budget_exits_3(boundary, eps, capsys):
     assert main(["kpz", "--t", "1", "--x", "0.5", "--eps", eps] + boundary) == 3
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "quadrature error" in err
+
+
+@pytest.mark.parametrize("boundary", [["--A", "1"], ["--boundary", "dirichlet"]])
+@pytest.mark.parametrize("t", ["20", "200"])
+def test_kpz_value_that_cannot_be_a_moment_exits_3(boundary, t, capsys):
+    # at t = 20 these printed -9.49e12 (Robin) and -6.54e13 (Dirichlet), at
+    # t = 200 nan, with exit 0
+    assert main(["kpz", "--t", t, "--x", "0.1,0.4,0.9"] + boundary) == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "nested form" in err
+
+
+def test_malformed_site_list_exits_2(capsys):
+    assert main(["moments", "--t", "0.5", "--x", "1,a", "--rho", "0.9"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "bad site list" in err

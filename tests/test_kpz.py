@@ -135,6 +135,9 @@ def test_scaled_moment_validates():
     with pytest.raises(ValidityError):
         # sites collide after rounding
         scaled_asep_moment(0.2, KpzParams(t=1.0, x=(0.41, 0.48), A=1.0))
+    with pytest.raises(ValidityError, match="above 1"):
+        # boundary density 1/2 + sqrt(0.2) (1/4 + 3/2) = 1.28
+        scaled_asep_moment(0.2, KpzParams(t=1.0, x=(0.5,), A=3.0))
 
 
 @pytest.mark.parametrize("kpz", [KpzParams(t=1.0, x=(0.5,), A=1.0),
@@ -387,3 +390,47 @@ def test_she_values_pinned(boundary, x, t, A, spacing, nested, residue):
     assert she_moment_nested(kpz, contours).hex() == nested
     if residue is not None:
         assert she_moment_residue_form(kpz, spacing_factor=spacing).hex() == residue
+
+
+THREE_POINTS = (0.1, 0.4, 0.9)
+
+
+@pytest.mark.parametrize("boundary", [{"A": 1.0}, {"boundary": DIRICHLET}])
+@pytest.mark.parametrize("t", [20.0, 200.0])
+def test_nested_form_refuses_a_value_that_cannot_be_a_moment(boundary, t):
+    # Z > 0 off the Dirichlet wall; at t = 20 these read -9.49e12 (Robin) and
+    # -6.54e13 (Dirichlet), at t = 200 nan, and were returned
+    with pytest.raises(ArithmeticError, match="nested form"):
+        she_moment_nested(KpzParams(t=t, x=THREE_POINTS, **boundary))
+
+
+def test_residue_form_refuses_a_value_that_cannot_be_a_moment():
+    # at t = 400 the residue form's sum overflows to nan
+    with pytest.raises(ArithmeticError, match="residue form"):
+        she_moment_residue_form(KpzParams(t=400.0, x=THREE_POINTS, A=1.0))
+
+
+@pytest.mark.parametrize("t", [1.0, 10.0])
+def test_dirichlet_moment_at_the_wall_may_read_zero(t):
+    # the true value is 0, so a rounding-sized value of either sign is returned
+    kpz = KpzParams(t=t, x=(0.0, 0.4, 0.9), boundary=DIRICHLET)
+    assert abs(she_moment_residue_form(kpz)) < 1e-12
+    assert math.isfinite(she_moment_nested(kpz))
+
+
+def test_she_forms_refuse_more_than_four_points():
+    kpz = KpzParams(t=1.0, x=(0.1, 0.2, 0.3, 0.4, 0.5), A=1.0)
+    with pytest.raises(ValidityError, match="n <= 4"):
+        she_moment_nested(kpz)
+    with pytest.raises(ValidityError, match="n <= 4"):
+        she_moment_residue_form(kpz)
+
+
+def test_nested_form_needs_one_contour_per_point():
+    with pytest.raises(ValidityError, match="one contour offset per point"):
+        she_moment_nested(KpzParams(t=1.0, x=(0.1, 0.4), A=1.0), ContourSpec.default(3))
+
+
+def test_pde_oracle_refuses_time_zero():
+    with pytest.raises(ValidityError, match="t > 0"):
+        robin_pde_first_moment(1.0, 0.0, 0.5)

@@ -77,6 +77,12 @@ def test_chamber_violations():
         observable_h_segment(SegmentState.empty(4), (1, 5), 0.5)
 
 
+def test_segment_current_counts_sites_at_or_right_of_x_plus_through_count():
+    state = SegmentState((1, 0, 1, 1), 2)  # ell = 5
+    assert [current_segment(state, x) for x in (1, 2, 3, 4, 5)] == [5, 4, 4, 3, 2]
+    assert current_segment(SegmentState.empty(5), 1) == 0
+
+
 def test_segment_observable_examples():
     assert observable_h_segment(SegmentState.empty(5), (1, 3), 0.5) == 1
     assert observable_h_segment(SegmentState((0, 0, 0, 0), 2), (5,), 0.5) == 0.25

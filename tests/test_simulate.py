@@ -366,11 +366,11 @@ def _reference_dual(ell, p, q, rho0, rho_ell, x0, t_end, draws):
     return tuple(x), math.exp(-(p - q) * rho0 * time_left + (p - q) * rho_ell * time_right)
 
 
-@pytest.mark.parametrize("ell", [2, 4, 6])
-@pytest.mark.parametrize("t_end", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize("t_end, ell", [(t_end, ell) for t_end in (0.0, 1.0, 3.0)
+                                         for ell in (2, 4, 6)] + [(12.0, 6)])
 def test_lockstep_runs_equal_per_trajectory_reference(monkeypatch, ell, t_end):
     monkeypatch.setattr(simulate, "_Draws", _EventCountingDraws)
-    _EventCountingDraws.events = []
+    segment_events, dual_events = [], []
     count = 1000
     full = tuple(range(1, ell + 1))  # a jammed dual walk: no move, no clock drawn
     starts = [(1,), (ell,), full] + [x0 for x0 in ((1, 3), (2, 4, 5)) if x0[-1] <= ell]
@@ -379,8 +379,10 @@ def test_lockstep_runs_equal_per_trajectory_reference(monkeypatch, ell, t_end):
                                                (F(3, 5), 1, 0), (F(2, 5), 0, 1)]):
         params = SegmentParams.from_densities(1, q, rho0, rho_ell, ell)
         rates = simulate._loop(params, True)[1]
+        _EventCountingDraws.events = segment_events
         reference = list(simulate._finals(_reference_segment, rates, t_end, seed, 0, count))
         assert _segment_blocks(params, t_end, seed, 0, count) == reference
+        _EventCountingDraws.events = dual_events
         for x0 in starts:
             rates = (ell, float(params.p_rate), float(params.q_rate), float(params.rho0),
                      float(params.rho_ell), x0)
@@ -393,7 +395,10 @@ def test_lockstep_runs_equal_per_trajectory_reference(monkeypatch, ell, t_end):
             if x0 == full:
                 assert all(weight == reference[0][1] for _, weight in reference)
     if (ell, t_end) == (6, 3.0):
-        assert max(_EventCountingDraws.events) > simulate._K  # some row overflowed
+        assert max(segment_events + dual_events) > simulate._K  # some row overflowed
+    if t_end == 12.0:
+        # past 2 _K events a trajectory moves on to its overflow stream's next row
+        assert max(segment_events) > 3 * simulate._K and max(dual_events) > 3 * simulate._K
 
 
 def test_segment_thread_count_does_not_change_results():
