@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 import scipy
@@ -33,23 +32,13 @@ from .model import (ChamberError, ModelParams, SegmentParams, SegmentState, Vali
                     check_chamber)
 from .moments import QuadratureSpec, q_moment
 from .residues import ReductionError
-from .segment_ode import build_dual_matrix, solve_u, substeps
+from .segment_ode import solve_u
 from .simulate import SimConfig, estimate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
-
-# the largest chamber C(ell, n) `segment` builds, solves and prints row by
-# row: about 3 s and 150 MB at 100,000 on 2 cores
-MAX_SEGMENT_DIMENSION = 100_000
-
-# the largest solve `segment` runs, as substeps(M, t) * max(nnz(M), 10,000):
-# an expm_multiply call costs about the same up to 10,000 nonzeros.  Timed on
-# 2 cores, the cap is about 38 s at C(12, 6) = 924 (6,468 nonzeros), 27 s at
-# C(18, 6) and 28 s at C(24, 6) (1,345,960 nonzeros)
-MAX_SEGMENT_WORK = 10 ** 8
 
 
 def _versions() -> Dict[str, str]:
@@ -169,10 +158,7 @@ def cmd_simulate(args) -> int:
                             "they need --ell")
     else:
         params = _model_params(args)
-    # chamber vectors: strictly increasing sites from 1 (up to ell on the segment)
-    high = params.ell if args.ell is not None else None
-    observables = tuple(check_chamber(_parse_sites(s), 1, high)
-                        for s in args.observable) or ((1,),)
+    observables = tuple(_parse_sites(s) for s in args.observable) or ((1,),)
     config = SimConfig(params, args.t, args.trajectories, args.seed, observables)
     ests = estimate(config, threads=args.threads)
     rows = [{"observable": " ".join(map(str, e.observable)), "mean": repr(e.mean),
@@ -197,24 +183,23 @@ _LINE_VERIFIERS = {
 }
 
 
-def _verify_reports(args) -> List[DualityReport]:
+def _verify_reports(args) -> Iterator[DualityReport]:
     rng = np.random.default_rng(args.seed)
 
     def rand_fraction(lo_num=1, hi_num=9, den=10):
         return Fraction(int(rng.integers(lo_num, hi_num + 1)), den)
 
-    reports = []
     for _ in range(args.points):
         qv = rand_fraction(1, 9)          # q in (0,1)
         rho = rand_fraction(1, 10)        # in (0,1]
         if args.mode == "segment":
             ell = args.ell
             sp = SegmentParams.from_densities(1, qv, rho, rand_fraction(1, 10), ell)
-            reports.extend(verify_segment_duality(sp, eta, n_ell, x)
-                           for eta in itertools.product((0, 1), repeat=ell - 1)
-                           for n_ell in (0, 1)
-                           for n in range(1, min(args.max_n, ell) + 1)
-                           for x in chamber_vectors(1, ell, n))
+            yield from (verify_segment_duality(sp, eta, n_ell, x)
+                        for eta in itertools.product((0, 1), repeat=ell - 1)
+                        for n_ell in (0, 1)
+                        for n in range(1, min(args.max_n, ell) + 1)
+                        for x in chamber_vectors(1, ell, n))
             continue
         if args.mode == "no-liggett":
             params = ModelParams(1, qv, rand_fraction(1, 9), rand_fraction(1, 9))
@@ -223,11 +208,10 @@ def _verify_reports(args) -> List[DualityReport]:
         else:
             params = ModelParams.from_density(1, qv, rho)
         verify = _LINE_VERIFIERS[args.mode]
-        reports.extend(verify(params, eta, x)
-                       for eta in exhaustive_states(args.max_site)
-                       for n in range(1, args.max_n + 1)
-                       for x in chamber_vectors(1, args.max_site + 1, n))
-    return reports
+        yield from (verify(params, eta, x)
+                    for eta in exhaustive_states(args.max_site)
+                    for n in range(1, args.max_n + 1)
+                    for x in chamber_vectors(1, args.max_site + 1, n))
 
 
 def cmd_verify(args) -> int:
@@ -242,36 +226,24 @@ def cmd_verify(args) -> int:
             raise ValidityError(f"--ell sets the segment length; --mode {args.mode} "
                                 "takes --max-site")
         args.max_site = 5 if args.max_site is None else args.max_site
-    reports = _verify_reports(args)
     out = sys.stdout if args.output is None else open(args.output, "w")
-    failed = 0
+    checked = failed = 0
     try:
         man = json.dumps(_manifest("verify", args), sort_keys=True, default=str)
         out.write(json.dumps({"manifest": json.loads(man)}, sort_keys=True) + "\n")
-        for rep in reports:
+        for checked, rep in enumerate(_verify_reports(args), 1):
             out.write(rep.to_json() + "\n")
             failed += 0 if rep.ok else 1
     finally:
         if out is not sys.stdout:
             out.close()
-    print(f"checked {len(reports)} identities, {failed} failures", file=sys.stderr)
+    print(f"checked {checked} identities, {failed} failures", file=sys.stderr)
     return EXIT_OK if failed == 0 else EXIT_VERIFICATION
 
 
 def cmd_segment(args) -> int:
     params = _segment_params(args)
-    # before any site vector is enumerated; an n outside [1, ell] fails in chamber()
-    dim = math.comb(args.ell, args.n) if 0 <= args.n <= args.ell else 0
-    if dim > MAX_SEGMENT_DIMENSION:
-        raise ValidityError(f"chamber dimension C({args.ell}, {args.n}) = {dim} exceeds "
-                            f"the cap of {MAX_SEGMENT_DIMENSION}")
-    dual = build_dual_matrix(params, args.n)
-    # solve_u itself refuses a time that is not finite and nonnegative
-    steps = substeps(dual.matrix, args.t) if math.isfinite(args.t) else 0
-    if steps * max(dual.matrix.nnz, 10_000) > MAX_SEGMENT_WORK:
-        raise ValidityError(f"--t {args.t} needs {steps} sub-steps on {dual.matrix.nnz} "
-                            f"nonzeros, above the cap of {MAX_SEGMENT_WORK:.0e} work")
-    sol = solve_u(args.t, SegmentState.empty(params.ell), params, args.n, dual)
+    sol = solve_u(args.t, SegmentState.empty(params.ell), params, args.n)
     rows = []
     for x in sol.dual.vectors:
         row = {"t": args.t, "value": repr(sol.value(x)), "solver_err": repr(sol.solver_error)}
@@ -391,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--max-site", dest="max_site", type=_int_at_least(0), default=None,
                    help="line window of the other modes (default 5)")
     v.add_argument("--max-n", dest="max_n", type=_int_at_least(1), default=3)
-    v.add_argument("--ell", type=int, default=None, help="segment length of --mode segment "
-                   "(default 4)")
+    v.add_argument("--ell", type=_int_at_least(2), default=None,
+                   help="segment length of --mode segment (default 4)")
     v.set_defaults(func=cmd_verify)
 
     g = subs.add_parser("segment", help="dual-generator ODE solution on the segment")

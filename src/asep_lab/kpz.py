@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -48,6 +48,8 @@ class KpzParams:
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
+        if not self.x:
+            raise ValidityError("x must hold at least one point")
         if not math.isfinite(self.t) or not all(map(math.isfinite, self.x)):
             raise ValidityError("t and every x must be finite")
         if self.A is not None and not math.isfinite(self.A):
@@ -132,16 +134,28 @@ def _prefactor(kpz: KpzParams) -> float:
     return (2.0 if kpz.boundary == ROBIN else 4.0) ** kpz.n
 
 
-def _positive(kpz: KpzParams, value: float, form: str) -> float:
-    """value, or ArithmeticError where it is provably wrong.
+def _she_value(kpz: KpzParams, form: str, grids: Sequence[Tuple[np.ndarray, np.ndarray]],
+               terms: Iterable[Tuple[int, ReducedIntegrand]]) -> float:
+    """_prefactor(kpz) times the sum of sign times each reduced integrand on grids.
 
-    Z(t, x) > 0 away from a Dirichlet wall, so a moment that is not finite,
-    or not positive unless x_1 = 0 under Dirichlet (where it is 0), has
-    lost its digits to cancellation or overflow; at n = 3 that starts near
-    t = 20 for the nested form.
+    Both SHE forms' one refusal tail: ValidityError for n > 4 before a term
+    is reduced, and 0.0 at a Dirichlet wall, where Z(t, 0) = 0.  Z(t, x) > 0
+    elsewhere, so a value that is not finite or not positive has lost its
+    digits to cancellation or overflow (for the nested form at n = 3 from
+    near t = 20): ArithmeticError.
     """
-    at_wall = kpz.boundary == DIRICHLET and kpz.x[0] == 0.0
-    if not math.isfinite(value) or (value <= 0 and not at_wall):
+    if kpz.n > 4:
+        raise ValidityError(f"{form} evaluation supported for n <= 4")
+    if kpz.boundary == DIRICHLET and kpz.x[0] == 0.0:
+        return 0.0
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
+        for sign, reduced in terms:
+            vectors, matrices = _line_operands(reduced, kpz, grids)
+            total += contract_factored(len(reduced.free_vars), vectors, matrices,
+                                       complex(sign)).real
+    value = float(_prefactor(kpz) * total)
+    if not (math.isfinite(value) and value > 0):
         raise ArithmeticError(f"the {form} form gives {value:.3e} at t={kpz.t:g} for a "
                               "moment that is positive; use a smaller t")
     return value
@@ -153,22 +167,17 @@ def she_moment_nested(kpz: KpzParams, contours: Optional[ContourSpec] = None) ->
     2^n (Robin) or 4^n (Dirichlet) times the integral over lines
     Re w_k = r_k of prod_{i<j} (w_i-w_j)/(w_i-w_j+1) (w_i+w_j)/(w_i+w_j-1)
     prod_i e^{t w_i^2/2 - x_i w_i} k(w_i), the unreduced integrand that the
-    residue expansion starts from.  Raises ArithmeticError for a value that
-    is not finite or not positive off the Dirichlet wall (`_positive`).
+    residue expansion starts from.  Refusals and the Dirichlet wall's 0.0
+    come from the tail it shares with the residue form (`_she_value`).
     """
     n = kpz.n
-    if n > 4:
-        raise ValidityError("nested evaluation supported for n <= 4")
     contours = contours or ContourSpec.default(n)
     if len(contours.offsets) != n:
         raise ValidityError("need one contour offset per point")
     grids = she_grids(kpz.t, contours.offsets, max(contours.offsets), contours.tail_tol,
                       contours.spacing_factor)
     unreduced = ReducedIntegrand(tuple(build_phi(range(n))), tuple(range(1, n + 1)))
-    with np.errstate(over="ignore", invalid="ignore"):  # `_positive` reports them
-        vectors, matrices = _line_operands(unreduced, kpz, grids)
-        value = contract_factored(n, vectors, matrices, _prefactor(kpz)).real
-    return _positive(kpz, float(value), "nested")
+    return _she_value(kpz, "nested", grids, [(1, unreduced)])
 
 
 # ---------------------------------------------------------------------------
@@ -237,25 +246,18 @@ def she_moment_residue_form(kpz: KpzParams, tail_tol: float = TAIL_TOL,
     sum over partitions and canonical diagrams of the reduced integrands
     over one imaginary-axis contour per surviving variable; equals the
     nested form.  The grids are `she_grids` on the axis, cut for real parts
-    up to n - 1, which the additive shifts reach.  Raises ArithmeticError
-    as `she_moment_nested` does.
+    up to n - 1, which the additive shifts reach.  Refusals and the
+    Dirichlet wall's 0.0 come from the tail it shares with the nested form
+    (`_she_value`).
     """
     n = kpz.n
-    if n > 4:
-        raise ValidityError("residue evaluation supported for n <= 4")
     grids = she_grids(kpz.t, (0.0,) * n, n - 1.0, tail_tol, spacing_factor)
     phi = build_phi(range(n))
-    total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # `_positive` reports them
-        for lam in partitions_of(n):
-            for diagram in canonical_diagrams(lam):
-                reduced = _reduce_additive(diagram, phi)
-                # a consumed 1/(w + w' - 1) has limit +1 where 1/(1 - M M') has -1/M
-                sign = reduced.sign * (-1) ** len(reduced.prefactor_monos)
-                vectors, matrices = _line_operands(reduced, kpz, grids)
-                total += contract_factored(len(reduced.free_vars), vectors, matrices,
-                                           complex(sign)).real
-    return _positive(kpz, float(_prefactor(kpz) * total), "residue")
+    reduced = (_reduce_additive(diagram, phi)
+               for lam in partitions_of(n) for diagram in canonical_diagrams(lam))
+    # a consumed 1/(w + w' - 1) has limit +1 where 1/(1 - M M') has -1/M
+    terms = ((r.sign * (-1) ** len(r.prefactor_monos), r) for r in reduced)
+    return _she_value(kpz, "residue", grids, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ with the chamber dimension and time with t times the 1-norm of M.  The
 solution is cross-checked against the segment simulator and against the
 lattice heat-equation reformulation with its two boundary relations.
 
-`asep-lab segment` refuses a chamber above C(ell, n) = 100,000
-(cli.MAX_SEGMENT_DIMENSION) before enumerating any site vector, and a solve
-above cli.MAX_SEGMENT_WORK before solving.
+Every caller is refused a chamber above C(ell, n) = MAX_SEGMENT_DIMENSION
+before any site vector is enumerated (`chamber`), and a solve above
+MAX_SEGMENT_WORK before it is solved (`solve_u`).
 """
 
 from __future__ import annotations
@@ -38,11 +38,25 @@ from .model import SegmentParams, SegmentState, ValidityError, h_product_segment
 # which draws from numpy's global random state.
 _STEP_NORM = 9.9
 
+# the largest chamber C(ell, n) built, solved and printed row by row: about
+# 3 s and 150 MB at 100,000 on 2 cores
+MAX_SEGMENT_DIMENSION = 100_000
+
+# the largest solve, as _substeps(M, t) * max(nnz(M), 10,000): an
+# expm_multiply call costs about the same up to 10,000 nonzeros.  Timed on
+# 2 cores, the cap is about 38 s at C(12, 6) = 924 (6,468 nonzeros), 27 s at
+# C(18, 6) and 28 s at C(24, 6) (1,345,960 nonzeros)
+MAX_SEGMENT_WORK = 10 ** 8
+
 
 def chamber(ell: int, n: int) -> List[Tuple[int, ...]]:
     """Ordered site vectors 1 <= x_1 < ... < x_n <= ell, in colex order."""
     if not (1 <= n <= ell):
         raise ValidityError(f"chamber is empty for n={n}, ell={ell}")
+    dim = math.comb(ell, n)
+    if dim > MAX_SEGMENT_DIMENSION:
+        raise ValidityError(f"chamber dimension C({ell}, {n}) = {dim} exceeds "
+                            f"the cap of {MAX_SEGMENT_DIMENSION}")
     return sorted(chamber_vectors(1, ell, n), key=lambda c: c[::-1])
 
 
@@ -108,7 +122,7 @@ class OdeSolution:
         return float(self.values[self.dual.index[tuple(x)]])
 
 
-def substeps(matrix: csr_array, t: float) -> int:
+def _substeps(matrix: csr_array, t: float) -> int:
     """Sub-steps of t whose t (M - mu I) / steps has 1-norm at most _STEP_NORM.
 
     Bounded by the triangle inequality, ||M - mu I||_1 <= ||M||_1 + |mu|.
@@ -147,7 +161,10 @@ def solve_u(t: float, initial: SegmentState, params: SegmentParams, n: int,
     u0 = _initial_vector(dual, initial)
     if t == 0:
         return OdeSolution(dual, 0.0, u0, matrix @ u0, 0.0)
-    steps = substeps(matrix, t)
+    steps = _substeps(matrix, t)
+    if steps * max(matrix.nnz, 10_000) > MAX_SEGMENT_WORK:
+        raise ValidityError(f"t = {t} needs {steps} sub-steps on {matrix.nnz} nonzeros, "
+                            f"above the cap of {MAX_SEGMENT_WORK:.0e} work")
     u = _propagate(matrix, u0, t, steps)
     half = 0.5 * t
     u2 = _propagate(matrix, _propagate(matrix, u0, half, steps), half, steps)
@@ -176,8 +193,7 @@ def check_segment_free_evolution(t: float, initial: SegmentState,
     (p+q) u(x).  With those substitutions the free lattice Laplacian must
     reproduce d/dt u = M u at every chamber vector.
     """
-    dual = build_dual_matrix(params, n)
-    sol = solve_u(t, initial, params, n, dual)
+    sol = solve_u(t, initial, params, n)
 
     p = float(params.p_rate)
     qr = float(params.q_rate)
@@ -196,7 +212,7 @@ def check_segment_free_evolution(t: float, initial: SegmentState,
         return sol.value(x)
 
     residuals: Dict[Tuple[int, ...], float] = {}
-    for idx, x in enumerate(dual.vectors):
+    for idx, x in enumerate(sol.dual.vectors):
         lattice = -n * (p + qr) * sol.value(x)
         for i in range(n):
             blocked_down = i > 0 and x[i] - 1 == x[i - 1]

@@ -54,8 +54,11 @@ class SimConfig:
     observables: Tuple[Tuple[int, ...], ...] = ()
 
     def __post_init__(self):
+        # chamber vectors from site 1, up to ell on the segment; () is H = 1
+        high = self.params.ell if isinstance(self.params, SegmentParams) else None
         object.__setattr__(self, "observables",
-                           tuple(tuple(int(v) for v in obs) for obs in self.observables))
+                           tuple(check_chamber(obs, 1, high) if len(obs) else ()
+                                 for obs in self.observables))
         if self.trajectories < 1:
             raise ValidityError("need at least one trajectory")
         # a NaN or infinite end time would never stop the event loops

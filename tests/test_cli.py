@@ -269,6 +269,36 @@ def test_verify_refuses_empty_sweep(flags):
     _assert_one_line_exit_2(run_cli(["verify", "--mode", "halfline"] + flags))
 
 
+def test_verify_writes_each_report_as_it_is_checked(tmp_path, monkeypatch):
+    # the reports used to be held in memory and written only once all were checked
+    import asep_lab.cli as cli
+
+    checked = []
+
+    def verifier(params, eta, x):
+        if len(checked) == 5:
+            raise ArithmeticError("stop")
+        checked.append(x)
+        return SimpleNamespace(ok=True, to_json=lambda: "{}")
+
+    monkeypatch.setitem(cli._LINE_VERIFIERS, "halfline", verifier)
+    out = tmp_path / "v.jsonl"
+    assert main(["verify", "--mode", "halfline", "--output", str(out)]) == 3
+    lines = out.read_text().splitlines()
+    assert "manifest" in json.loads(lines[0]) and lines[1:] == ["{}"] * 5
+
+
+def test_verify_refuses_a_one_site_segment_before_writing(capsys):
+    # the report lines stream after the manifest, so --ell 1 must fail first
+    try:
+        code = main(["verify", "--mode", "segment", "--ell", "1"])
+    except SystemExit as exc:     # the parser's own one-line refusal
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+
+
 # sha256 of the report lines (manifest line excluded) of
 # `verify --mode M --seed 0 --points 2`, recorded before the verifiers moved
 # to integer-encoded q-powers
@@ -339,13 +369,10 @@ def test_non_finite_or_negative_time_exits_2(argv, capsys):
 
 
 def test_segment_refuses_chamber_above_cap_before_enumerating(monkeypatch, capsys):
-    import asep_lab.cli as cli
     import asep_lab.segment_ode as segment_ode
 
     calls = []
     record = lambda *args: calls.append(args) or []
-    monkeypatch.setattr(cli, "solve_u", record)
-    monkeypatch.setattr(segment_ode, "chamber", record)
     monkeypatch.setattr(segment_ode, "chamber_vectors", record)
     # C(40, 20) = 137,846,528,820
     assert main(["segment", "--ell", "40", "--n", "20", "--t", "1",
@@ -359,10 +386,10 @@ def test_segment_refuses_long_solve_before_solving(monkeypatch, capsys):
     # t = 1e6 at C(12, 6) = 924 needs about 2.1 million sub-steps, hours of
     # expm_multiply calls; the refusal comes from the matrix alone
     import time
-    import asep_lab.cli as cli
+    import asep_lab.segment_ode as segment_ode
 
     calls = []
-    monkeypatch.setattr(cli, "solve_u", lambda *args: calls.append(args))
+    monkeypatch.setattr(segment_ode, "expm", lambda *args: calls.append(args))
     start = time.monotonic()
     assert main(["segment", "--ell", "12", "--n", "6", "--t", "1e6",
                  "--rho0", "0.5", "--rho-ell", "0.5"]) == 2

@@ -19,6 +19,8 @@ def test_params_validation():
         KpzParams(t=1.0, x=(0.7, 0.2), A=1.0)       # not increasing
     with pytest.raises(ValidityError):
         KpzParams(t=0.0, x=(0.5,), A=1.0)
+    with pytest.raises(ValidityError, match="at least one point"):
+        KpzParams(t=1.0, x=(), A=1.0)
     KpzParams(t=1.0, x=(0.5,), boundary=DIRICHLET)  # no A needed
 
 
@@ -410,12 +412,13 @@ def test_residue_form_refuses_a_value_that_cannot_be_a_moment():
         she_moment_residue_form(KpzParams(t=400.0, x=THREE_POINTS, A=1.0))
 
 
-@pytest.mark.parametrize("t", [1.0, 10.0])
+@pytest.mark.parametrize("t", [1.0, 10.0, 20.0])
 def test_dirichlet_moment_at_the_wall_may_read_zero(t):
-    # the true value is 0, so a rounding-sized value of either sign is returned
+    # Z(t, 0) = 0, so both forms return it exactly; the nested form used to
+    # read -0.0296 at t = 10 and -1.07e13 at t = 20
     kpz = KpzParams(t=t, x=(0.0, 0.4, 0.9), boundary=DIRICHLET)
-    assert abs(she_moment_residue_form(kpz)) < 1e-12
-    assert math.isfinite(she_moment_nested(kpz))
+    assert she_moment_residue_form(kpz) == 0.0
+    assert she_moment_nested(kpz) == 0.0
 
 
 def test_she_forms_refuse_more_than_four_points():

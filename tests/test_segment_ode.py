@@ -86,6 +86,40 @@ def test_liggett_required_for_solver():
         solve_u(1.0, SegmentState.empty(4), bad, 1)
 
 
+WIDE = SegmentParams.from_densities(1, F(1, 2), F(1, 2), F(1, 2), 40)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_dual_matrix(WIDE, 20),
+    lambda: solve_u(1.0, SegmentState.empty(40), WIDE, 20),
+    lambda: check_segment_free_evolution(1.0, SegmentState.empty(40), WIDE, 20),
+], ids=["build_dual_matrix", "solve_u", "check_segment_free_evolution"])
+def test_chamber_above_cap_is_refused_before_enumerating(call, monkeypatch):
+    # C(40, 20) = 137,846,528,820 site vectors would exhaust memory
+    import asep_lab.segment_ode as segment_ode
+
+    calls = []
+    monkeypatch.setattr(segment_ode, "chamber_vectors", lambda *args: calls.append(args) or [])
+    with pytest.raises(ValidityError, match="cap of 100000"):
+        call()
+    assert calls == []
+
+
+def test_solve_above_work_cap_is_refused_before_solving(monkeypatch):
+    # t = 1e6 at C(12, 6) = 924 needs about 2.1 million sub-steps, hours of work
+    import time
+    import asep_lab.segment_ode as segment_ode
+
+    calls = []
+    monkeypatch.setattr(segment_ode, "expm", lambda *args: calls.append(args))
+    sp = SegmentParams.from_densities(1, F(1, 2), F(1, 2), F(1, 2), 12)
+    start = time.monotonic()
+    with pytest.raises(ValidityError, match="sub-steps"):
+        solve_u(1e6, SegmentState.empty(12), sp, 6)
+    assert time.monotonic() - start < 1.0
+    assert calls == []
+
+
 def test_stationary_distribution_is_probability():
     pi = stationary_distribution(SEG)
     vals = np.array(list(pi.values()))

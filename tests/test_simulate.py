@@ -172,6 +172,11 @@ def test_config_validation():
         SimConfig(PARAMS, 1.0, 0, seed=0)
     with pytest.raises(TypeError):
         simulate_segment(SimConfig(PARAMS, 1.0, 1, seed=0))
+    # an observable is a chamber vector, up to ell on the segment, or ()
+    for params, obs in ((PARAMS, (3, 1)), (PARAMS, (0,)), (SEG, (5,))):
+        with pytest.raises(ChamberError):
+            SimConfig(params, 1.0, 1, seed=0, observables=(obs,))
+    assert SimConfig(SEG, 1.0, 1, seed=0, observables=((), (4,))).observables == ((), (4,))
 
 
 def test_halfline_simulation_refuses_segment_params():
