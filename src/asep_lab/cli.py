@@ -144,7 +144,8 @@ def cmd_moments(args) -> int:
     columns = ["n", "t"] + [f"x{i + 1}" for i in range(len(x))] + ["value", "quad_err"]
     manifest = _manifest("moments", args, {"nodes_by_dim": list(res.nodes_by_dim)})
     breakdown = {"+".join(map(str, lam)): v for lam, v in res.per_partition.items()}
-    _emit(args, manifest, columns, [row], {"per_partition": breakdown})
+    _emit(args, manifest, columns, [row],
+          {"per_partition": breakdown, "imag_residual": res.imag_residual})
     return EXIT_OK
 
 

@@ -138,6 +138,13 @@ def _she_value(kpz: KpzParams, form: str, grids: Sequence[Tuple[np.ndarray, np.n
                terms: Iterable[Tuple[int, ReducedIntegrand]]) -> float:
     """_prefactor(kpz) times the sum of sign times each reduced integrand on grids.
 
+    Every term is built and contracted in one workspace allocated once per
+    call: n(n-1)/2 N x N pair buffers that `PairProducts.matrices` writes
+    each term's pair matrices into, and the contraction spares.  At n = 3
+    the call holds four N x N arrays and no term allocates one; one block
+    for all of them lets the allocator hand the same pages to the next
+    call instead of returning them to the OS.
+
     Both SHE forms' one refusal tail: ValidityError for n > 4 before a term
     is reduced, and 0.0 at a Dirichlet wall, where Z(t, 0) = 0.  Z(t, x) > 0
     elsewhere, so a value that is not finite or not positive has lost its
@@ -148,12 +155,22 @@ def _she_value(kpz: KpzParams, form: str, grids: Sequence[Tuple[np.ndarray, np.n
         raise ValidityError(f"{form} evaluation supported for n <= 4")
     if kpz.boundary == DIRICHLET and kpz.x[0] == 0.0:
         return 0.0
+    # a 3-D contraction reads its (0, 2) matrix once, so that matrix is its
+    # first spare; only a 4-D sweep needs a buffer of its own for it
+    n_pairs = kpz.n * (kpz.n - 1) // 2
+    n_nodes = len(grids[0][0])
+    workspace = list(np.empty((n_pairs + min(max(kpz.n - 2, 0), 2), n_nodes, n_nodes), complex))
+    pair_buffers, spares = workspace[:n_pairs], workspace[n_pairs:]
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
         for sign, reduced in terms:
-            vectors, matrices = _line_operands(reduced, kpz, grids)
-            total += contract_factored(len(reduced.free_vars), vectors, matrices,
-                                       complex(sign)).real
+            n_dims = len(reduced.free_vars)
+            vectors, matrices = _line_operands(reduced, kpz, grids, pair_buffers)
+            term_spares = None
+            if n_dims >= 3:
+                term_spares = (matrices[(0, 2)] if n_dims == 3 else spares[0], spares[-1])
+            total += contract_factored(n_dims, vectors, matrices, complex(sign),
+                                       term_spares).real
     value = float(_prefactor(kpz) * total)
     if not (math.isfinite(value) and value > 0):
         raise ArithmeticError(f"the {form} form gives {value:.3e} at t={kpz.t:g} for a "
@@ -200,14 +217,16 @@ def _reduce_additive(diagram: Diagram, phi: Sequence[Factor]) -> ReducedIntegran
 
 
 def _line_operands(reduced: ReducedIntegrand, kpz: KpzParams,
-                   grids: Sequence[Tuple[np.ndarray, np.ndarray]]):
+                   grids: Sequence[Tuple[np.ndarray, np.ndarray]],
+                   pair_buffers: List[np.ndarray]):
     """Per-dimension vectors and pair matrices of a lattice integrand read additively.
 
     The k-th free variable is integrated on the line nodes and weights
     grids[k].  F-factors become the SHE kernel at kpz.x[site], and a pair
     factor whose slots share one variable scales that variable's vector;
-    the others are evaluated on the 2N - 1 entries of `PairProducts`.  The
-    SCALAR factor and the prefactor monomials have no additive reading.
+    the others are evaluated on the 2N - 1 entries of `PairProducts`, whose
+    N x N matrices are written into pair_buffers.  The SCALAR factor and
+    the prefactor monomials have no additive reading.
     """
     dims = {v: d for d, v in enumerate(reduced.free_vars)}
     vectors = {d: grids[d][1] for d in dims.values()}
@@ -235,7 +254,7 @@ def _line_operands(reduced: ReducedIntegrand, kpz: KpzParams,
         wa, wb = grids[d][0][ka], grids[db][0][kb]
         arg = sign_a * (wa + wb if hankel else wa - wb) + (shift_a + sign * shift_b + shift)
         pairs.multiply(d, db, hankel, arg, power)
-    return vectors, pairs.matrices()
+    return vectors, pairs.matrices(pair_buffers)
 
 
 def she_moment_residue_form(kpz: KpzParams, tail_tol: float = TAIL_TOL,

@@ -10,20 +10,26 @@ Quadrature is the tensor-product trapezoid rule, which converges
 geometrically here; the error estimate is the Richardson difference
 against the half-resolution grid.  Only the F-kernels depend on the
 sites, so a call prepares each diagram's other operands once per grid
-(PreparedMoment) and evaluates every site vector it needs on them:
+(PreparedMoment) and evaluates every site vector it needs on them in one
+pass per grid; q_moment is the one-point case:
 
 * each kernel F_x(M)/M is a site-free multiplier, folded into its
-  dimension's vector, times exp(E(M) + x log P(M)); a site vector costs
-  one exp of the summed exponents per dimension (`_factored_operands`);
+  dimension's vector, times exp(E(M) + x log P(M)); the site vectors of
+  a pass cost one exp per dimension of the stacked exponents
+  (`_factored_operands`, `_DiagramOperands.integrals`);
 * each pair factor is a per-node scale times a Toeplitz or Hankel matrix
-  built from 2N - 1 values (`_circle_pair`, `quadrature.PairProducts`).
+  built from 2N - 1 values (`_circle_pair`, `quadrature.PairProducts`);
+* each site vector is contracted on its own, with the 3-D temporaries in
+  one pair of buffers per pass, so a value is bit for bit the same
+  whichever site vectors share its pass.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -188,37 +194,50 @@ class _DiagramOperands:
     scalar: complex
     kernels: Dict[int, list]
 
-    def integral(self, ctx: EvalContext, x: Tuple[int, ...],
-                 time_derivative: bool = False) -> complex:
-        """Trapezoid integral at sites x, or of its analytic d/dt.
+    def integrals(self, ctx: EvalContext, slots: np.ndarray, time_derivative: bool,
+                  spares) -> List[complex]:
+        """Trapezoid integral at each site vector, then, with time_derivative,
+        its analytic d/dt at the first.
 
-        The d/dt multiplier is a sum of single-variable terms, so the
-        derivative is one contraction per dimension.
+        slots[j], shape (rows, 1), holds the j-th site of every site vector.
+        The F-kernels of all rows come from one exp per dimension of the
+        stacked exponents E + X log P, shape (rows, N); every free variable
+        keeps at least one F-kernel.  Each row is then contracted on its own
+        (one `contract_factored` call on 1-D vectors), so its value does not
+        depend on the other rows.  The d/dt multiplier is a sum of
+        single-variable terms, so the derivative is one contraction per
+        dimension, of the first row with that dimension's vector times its
+        rate.
         """
-        vectors = dict(self.vectors)
+        vectors = {}
         for d, (exponent, steps) in self.kernels.items():
             for slot, log_step in steps:
-                exponent = exponent + x[slot] * log_step
-            vectors[d] = vectors[d] * np.exp(exponent)
+                exponent = exponent + slots[slot] * log_step
+            vectors[d] = self.vectors[d] * np.exp(exponent)
         n_dims = len(vectors)
-        if not time_derivative:
-            return contract_factored(n_dims, vectors, self.matrices, self.scalar)
-        total = 0.0 + 0.0j
-        for var, mults in time_derivative_terms(self.reduced, ctx).items():
-            d = self.reduced.free_vars.index(var)
-            rate = sum(mult(self.nodes[d]) for mult in mults)
-            total += contract_factored(n_dims, {**vectors, d: vectors[d] * rate},
-                                       self.matrices, self.scalar)
-        return total
+        values = [contract_factored(n_dims, {d: v[s] for d, v in vectors.items()},
+                                    self.matrices, self.scalar, spares)
+                  for s in range(slots.shape[1])]
+        if time_derivative:
+            row = {d: v[0] for d, v in vectors.items()}
+            total = 0.0 + 0.0j
+            for var, mults in time_derivative_terms(self.reduced, ctx).items():
+                d = self.reduced.free_vars.index(var)
+                rate = sum(mult(self.nodes[d]) for mult in mults)
+                total += contract_factored(n_dims, {**row, d: row[d] * rate},
+                                           self.matrices, self.scalar, spares)
+            values.append(total)
+        return values
 
 
 class PreparedMoment:
-    """The n-point moment's diagram operands on one grid, for any site vector.
+    """The n-point moment's diagram operands on one grid, for any site vectors.
 
     Reduction, grids and every site-independent factor (weights, prefactor
-    monomials, pair-factor matrices, scalars) are built once; evaluating at
-    a site vector multiplies in the F-kernels and contracts.  An object
-    lives for one call: nothing is kept between calls.
+    monomials, pair-factor matrices, scalars) are built once; `evaluate`
+    takes every site vector a call needs, multiplies in their F-kernels and
+    contracts each in one pass over the diagrams.  An object lives for one
+    call: nothing is kept between calls.
     """
 
     def __init__(self, reduced: Sequence[Tuple[Partition, int, Diagram, ReducedIntegrand]],
@@ -253,9 +272,11 @@ class PreparedMoment:
                                     "coarser grid for the error estimate; give more nodes")
         return cls(reduced, ctx, quad), cls(reduced, ctx, coarse)
 
-    def evaluate(self, x: Tuple[int, ...], time_derivative: bool = False):
-        """(real part, imaginary part, per-partition sums) at sites x."""
-        return _sum_terms(self.terms, self.ctx, self.quad, x, time_derivative)
+    def evaluate(self, points: Sequence[Tuple[int, ...]], time_derivative: bool = False):
+        """(real part, imaginary part, per-partition sums) at each site vector
+        of points, in one pass over the diagrams; with time_derivative, one
+        more entry holds the same for d/dt at points[0]."""
+        return _sum_terms(self.terms, self.ctx, self.quad, points, time_derivative)
 
 
 def _eval_context(params: ModelParams, t: float, kernel: str = "plain") -> EvalContext:
@@ -264,31 +285,46 @@ def _eval_context(params: ModelParams, t: float, kernel: str = "plain") -> EvalC
 
 
 def _sum_terms(terms: Sequence[_DiagramOperands], ctx: EvalContext, quad: QuadratureSpec,
-               x: Tuple[int, ...], time_derivative: bool = False):
-    per_partition: Dict[Partition, complex] = {}
+               points: Sequence[Tuple[int, ...]], time_derivative: bool = False):
+    if not points:  # free_evolution_residuals at x = (0, 0, ...) checks no relation
+        return []
+    slots = np.array(points, dtype=complex).T[:, :, None]  # exact; no cast per product
+    # the 3-D contractions' temporaries, one pair of buffers per node count
+    spares: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    sums: List[Dict[Partition, complex]] = [{} for _ in range(len(points) + time_derivative)]
     for term in terms:
-        val = term.integral(ctx, x, time_derivative)
-        if not np.isfinite(val):
-            raise ArithmeticError(f"non-finite contribution from diagram {term.rows} "
-                                  f"on the {quad.nodes_by_dim} grid")
+        term_spares = None
+        if len(term.nodes) >= 3:
+            n_nodes = len(term.nodes[0])
+            if n_nodes not in spares:
+                spares[n_nodes] = tuple(np.empty((2, n_nodes, n_nodes), complex))
+            term_spares = spares[n_nodes]
+        values = term.integrals(ctx, slots, time_derivative, term_spares)
         lam = term.partition
-        per_partition[lam] = per_partition.get(lam, 0.0) + term.sign * val
-    re = math.fsum(v.real for v in per_partition.values())
-    im = math.fsum(v.imag for v in per_partition.values())
-    return re, im, per_partition
+        for per_partition, val in zip(sums, values):
+            if not cmath.isfinite(val):
+                raise ArithmeticError(f"non-finite contribution from diagram {term.rows} "
+                                      f"on the {quad.nodes_by_dim} grid")
+            per_partition[lam] = per_partition.get(lam, 0.0) + term.sign * val
+    return [(math.fsum(v.real for v in per_partition.values()),
+             math.fsum(v.imag for v in per_partition.values()), per_partition)
+            for per_partition in sums]
 
 
-def _moment_result(fine: PreparedMoment, coarse: PreparedMoment,
-                   x: Tuple[int, ...]) -> MomentResult:
-    value, imag, per_part = fine.evaluate(x)
-    coarse_value, _, _ = coarse.evaluate(x)
-    return MomentResult(
-        value=value,
-        per_partition={lam: v.real for lam, v in per_part.items()},
-        nodes_by_dim=fine.quad.nodes_by_dim,
-        quad_error=abs(value - coarse_value),
-        imag_residual=abs(imag),
-    )
+def _moment_results(fine: PreparedMoment, coarse: PreparedMoment,
+                    points: Sequence[Tuple[int, ...]], time_derivative: bool = False):
+    """MomentResult at each site vector of points, from one fine and one
+    coarse pass, and the fine grid's d/dt at points[0] (None without
+    time_derivative)."""
+    fine_sums = fine.evaluate(points, time_derivative)
+    coarse_sums = coarse.evaluate(points)
+    results = [MomentResult(value=value,
+                            per_partition={lam: v.real for lam, v in per_part.items()},
+                            nodes_by_dim=fine.quad.nodes_by_dim,
+                            quad_error=abs(value - coarse_value),
+                            imag_residual=abs(imag))
+               for (value, imag, per_part), (coarse_value, _, _) in zip(fine_sums, coarse_sums)]
+    return results, (fine_sums[-1][0] if time_derivative else None)
 
 
 def _validate(params: ModelParams, t: float, x: Sequence[int]):
@@ -318,7 +354,8 @@ def q_moment(t: float, x: Sequence[int], params: ModelParams,
     x = tuple(int(v) for v in x)
     ctx = _eval_context(params, t, kernel)
     fine, coarse = PreparedMoment.fine_and_coarse(len(x), ctx, quad or QuadratureSpec())
-    return _moment_result(fine, coarse, x)
+    results, _ = _moment_results(fine, coarse, [x])
+    return results[0]
 
 
 def first_moment(t: float, x: int, params: ModelParams) -> float:
@@ -400,8 +437,11 @@ def free_evolution_residuals(t: float, x: Sequence[int], params: ModelParams,
         whenever x_{i+1} = x_i + 1;
     (3) v(0, x_2, ...) = (rho q + 1 - rho) v(1, x_2, ...).
 
-    Every point is evaluated exactly as q_moment evaluates it, on one pair
-    of prepared fine and half-resolution operands shared by all points.
+    The points are listed first (x, its 2n neighbours, the collision pairs
+    and the boundary pair, without repeats) and evaluated in one fine and
+    one half-resolution pass over operands prepared once, the d/dt of (1)
+    in the fine pass.  Each value is bit for bit the one q_moment gives at
+    that point: a point is contracted on its own, whatever shares its pass.
     """
     _validate(params, t, x)
     x = tuple(int(v) for v in x)
@@ -409,36 +449,43 @@ def free_evolution_residuals(t: float, x: Sequence[int], params: ModelParams,
     p = float(params.p_rate)
     qr = float(params.q_rate)
     n = len(x)
+    time_derivative = all(v_ >= 1 for v_ in x)
+    collisions = [i for i in range(n - 1) if x[i + 1] == x[i] + 1]
+    boundary = n == 1 or x[1] >= 2
+
+    def shifted(i, site):
+        return x[:i] + (site,) + x[i + 1:]
+
+    points = []
+    if time_derivative:
+        points.append(x)
+        for i in range(n):
+            points += [shifted(i, x[i] - 1), shifted(i, x[i] + 1)]
+    for i in collisions:
+        points += [shifted(i + 1, x[i]), shifted(i, x[i] + 1), x]
+    if boundary:
+        points += [(0,) + x[1:], (1,) + x[1:]]
+    points = list(dict.fromkeys(points))
     fine, coarse = PreparedMoment.fine_and_coarse(n, _eval_context(params, t),
                                                   quad or QuadratureSpec())
+    results, dvdt = _moment_results(fine, coarse, points, time_derivative)
+    for xs, res in zip(points, results):
+        report.values[xs] = res.value
+        report.quad_error = max(report.quad_error, res.quad_error)
+    v = report.values.__getitem__
 
-    def v(xs) -> float:
-        if xs not in report.values:
-            res = _moment_result(fine, coarse, xs)
-            report.values[xs] = res.value
-            report.quad_error = max(report.quad_error, res.quad_error)
-        return report.values[xs]
-
-    if all(v_ >= 1 for v_ in x):
-        dvdt, _, _ = fine.evaluate(x, time_derivative=True)
+    if time_derivative:
         lattice = -n * (p + qr) * v(x)
         for i in range(n):
-            down = x[:i] + (x[i] - 1,) + x[i + 1:]
-            up = x[:i] + (x[i] + 1,) + x[i + 1:]
-            lattice += p * v(down) + qr * v(up)
+            lattice += p * v(shifted(i, x[i] - 1)) + qr * v(shifted(i, x[i] + 1))
         report.time_derivative = abs(dvdt - lattice)
 
-    for i in range(n - 1):
-        if x[i + 1] == x[i] + 1:
-            collide_down = x[:i + 1] + (x[i],) + x[i + 2:]
-            collide_up = x[:i] + (x[i] + 1,) + x[i + 1:]
-            res = abs(p * v(collide_down) + qr * v(collide_up) - (p + qr) * v(x))
-            report.adjacent[i] = res
+    for i in collisions:
+        report.adjacent[i] = abs(p * v(shifted(i + 1, x[i])) + qr * v(shifted(i, x[i] + 1))
+                                 - (p + qr) * v(x))
 
-    if n == 1 or (n >= 2 and x[1] >= 2):
+    if boundary:
         c_left = float(params.rho) * float(params.q) + 1.0 - float(params.rho)
-        tail = x[1:]
-        res = abs(v((0,) + tail) - c_left * v((1,) + tail))
-        report.boundary = res
+        report.boundary = abs(v((0,) + x[1:]) - c_left * v((1,) + x[1:]))
 
     return report

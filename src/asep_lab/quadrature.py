@@ -32,7 +32,7 @@ instead of being materialised on the full tensor grid.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -103,8 +103,13 @@ class PairProducts:
         prev = self._products.get(key, 1.0)
         self._products[key] = prev * values if power == 1 else prev / values
 
-    def matrices(self) -> Dict[Tuple[int, int], np.ndarray]:
-        """The N x N matrix of every pair that received a factor."""
+    def matrices(self, buffers: Optional[List[np.ndarray]] = None
+                 ) -> Dict[Tuple[int, int], np.ndarray]:
+        """The N x N matrix of every pair that received a factor.
+
+        With buffers, N x N complex arrays, the matrix of the i-th pair to
+        receive a factor is written into buffers[i] instead of a new array.
+        """
         n = self.n_nodes
         views: Dict[Tuple[int, int], list] = {}
         for (hankel, pair), values in self._products.items():
@@ -112,14 +117,20 @@ class PairProducts:
             view = (sliding_window_view(values, n) if hankel
                     else sliding_window_view(values[::-1], n)[::-1])
             views.setdefault(pair, []).append(view)
-        return {pair: v[0] * v[1] if len(v) == 2 else v[0].copy()
-                for pair, v in views.items()}
+        matrices = {}
+        for i, (pair, v) in enumerate(views.items()):
+            out = None if buffers is None else buffers[i]
+            # np.positive copies the single view exactly
+            matrices[pair] = (np.multiply(v[0], v[1], out=out) if len(v) == 2
+                              else np.positive(v[0], out=out))
+        return matrices
 
 
 def contract_factored(n_dims: int,
                       vectors: Dict[int, np.ndarray],
                       matrices: Dict[Tuple[int, int], np.ndarray],
-                      scalar: complex = 1.0) -> complex:
+                      scalar: complex = 1.0,
+                      spares: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> complex:
     """Sum over the full tensor grid of per-dim vectors times all pair matrices.
 
     vectors[d] has the d-th grid length; matrices[(d, e)] with d < e couples
@@ -130,16 +141,28 @@ def contract_factored(n_dims: int,
     vector product, d = 3 one matrix product, and d >= 4 a sweep over the
     nodes of dimension 0, each a (d-1)-dimensional contraction with that
     node's matrix rows folded into the vectors.
+
+    spares, two N x N complex buffers on grids of one length N, take the
+    3-D step's temporaries with out= (the product M02 * v2 and then the
+    M01 product in the first, the matrix product in the second), so a
+    caller that contracts many integrands allocates them once; they are
+    passed down the d >= 4 sweep.  Without them the step allocates its
+    own.  matrices are never written, except that in a 3-D contraction the
+    first spare may be matrices[(0, 2)] itself when the caller is done with
+    it: that matrix is read once, into the first spare.  The arithmetic is
+    the same with or without spares, to the bit.
     """
     missing = [(d, e) for d in range(n_dims) for e in range(d + 1, n_dims)
                if (d, e) not in matrices]
     if missing:
         raise ValueError(f"pair graph is not complete: no matrix for dimensions {missing[0]}")
-    return scalar * complex(_contract_complete([vectors[d] for d in range(n_dims)], matrices))
+    return scalar * complex(_contract_complete([vectors[d] for d in range(n_dims)], matrices,
+                                               spares))
 
 
 def _contract_complete(vectors: List[np.ndarray],
-                       matrices: Dict[Tuple[int, int], np.ndarray]) -> complex:
+                       matrices: Dict[Tuple[int, int], np.ndarray],
+                       spares: Optional[Tuple[np.ndarray, np.ndarray]]) -> complex:
     n_dims = len(vectors)
     if n_dims == 1:
         return vectors[0].sum()
@@ -147,11 +170,16 @@ def _contract_complete(vectors: List[np.ndarray],
         return vectors[0] @ matrices[(0, 1)] @ vectors[1]
     if n_dims == 3:
         # sum_a u_a sum_b (M01 v1)_ab sum_c (M02 v2)_ac M12_bc
-        inner = (matrices[(0, 2)] * vectors[2]) @ matrices[(1, 2)].T
-        return ((matrices[(0, 1)] * vectors[1]) * inner).sum(axis=1) @ vectors[0]
+        first, inner = spares or (None, None)
+        first = np.multiply(matrices[(0, 2)], vectors[2], out=first)
+        inner = np.matmul(first, matrices[(1, 2)].T, out=inner)
+        m01 = matrices[(0, 1)]
+        first = np.multiply(m01, vectors[1], out=first if first.shape == m01.shape else None)
+        first *= inner
+        return first.sum(axis=1) @ vectors[0]
     rest = {(d - 1, e - 1): m for (d, e), m in matrices.items() if d > 0}
     total = 0.0
     for a, weight in enumerate(vectors[0]):
         folded = [vectors[e] * matrices[(0, e)][a] for e in range(1, n_dims)]
-        total += weight * _contract_complete(folded, rest)
+        total += weight * _contract_complete(folded, rest, spares)
     return total

@@ -39,6 +39,7 @@ def test_moments_json_has_breakdown(tmp_path):
                  "--format", "json", "--output", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert "per_partition" in doc and "2" in doc["per_partition"]
+    assert 0.0 <= doc["imag_residual"] < 1e-12  # exactly real; n <= 3 reads ~1e-16
     assert doc["manifest"]["parameters"]["rho"] == "0.9"
 
 

@@ -397,6 +397,26 @@ def test_she_values_pinned(boundary, x, t, A, spacing, nested, residue):
 THREE_POINTS = (0.1, 0.4, 0.9)
 
 
+@pytest.mark.parametrize("form, offsets, reach", [
+    (she_moment_nested, ContourSpec.default(3).offsets, 2.5),
+    (she_moment_residue_form, (0.0,) * 3, 2.0)])
+def test_she_call_holds_one_workspace(form, offsets, reach):
+    # n(n-1)/2 pair matrices and two spares at most: each term used to get
+    # new pair matrices and contraction temporaries (a peak of 8.9 MiB at this input)
+    import tracemalloc
+    from asep_lab.kpz import SPACING_FACTOR, TAIL_TOL, she_grids
+    kpz = KpzParams(t=0.5, x=THREE_POINTS, A=1.0)
+    n_nodes = len(she_grids(kpz.t, offsets, reach, TAIL_TOL, SPACING_FACTOR)[0][0])
+    assert n_nodes in (338, 340)
+    tracemalloc.start()
+    try:
+        form(kpz)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (3 + 2) * n_nodes ** 2 * 16
+
+
 @pytest.mark.parametrize("boundary", [{"A": 1.0}, {"boundary": DIRICHLET}])
 @pytest.mark.parametrize("t", [20.0, 200.0])
 def test_nested_form_refuses_a_value_that_cannot_be_a_moment(boundary, t):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from asep_lab.model import ModelParams, SegmentParams, ValidityError
-from asep_lab.moments import (QuadratureSpec, _factored_operands, first_moment,
-                              free_evolution_residuals, q_moment,
-                              second_moment_explicit)
+from asep_lab.moments import (PreparedMoment, QuadratureSpec, _eval_context,
+                              _factored_operands, first_moment, free_evolution_residuals,
+                              q_moment, second_moment_explicit)
 from asep_lab.partitions import canonical_diagrams, partitions_of
 from asep_lab.quadrature import circle_nodes
 from asep_lab.residues import (DIFF, F_OVER_Z, INV_PROD, INV_QDIFF, QPROD, EvalContext,
@@ -141,11 +141,38 @@ def test_free_evolution_reports_quad_error():
 
 @pytest.mark.parametrize("x", [(2,), (2, 3), (1, 2, 4)])
 def test_free_evolution_values_equal_q_moment(x):
+    # one pass evaluates every point, yet each value is q_moment's to the bit
     t = 0.7
     rep = free_evolution_residuals(t, x, PARAMS)
     assert x in rep.values and len(rep.values) >= 3
     for xs, value in rep.values.items():
-        assert value == pytest.approx(q_moment(t, xs, PARAMS).value, rel=1e-14, abs=0)
+        assert value.hex() == q_moment(t, xs, PARAMS).value.hex()
+
+
+def _pass_bits(sums):
+    return [(re.hex(), im.hex(), {lam: (v.real.hex(), v.imag.hex()) for lam, v in pp.items()})
+            for re, im, pp in sums]
+
+
+@pytest.mark.parametrize("x", [(3,), (1, 3), (1, 2, 4)])
+def test_a_value_does_not_depend_on_the_points_that_share_its_pass(x):
+    n = len(x)
+    ctx = _eval_context(PARAMS, 0.9)
+    points = [x] + [x[:i] + (x[i] + s,) + x[i + 1:] for i in range(n) for s in (-1, 1)]
+    for prepared in PreparedMoment.fine_and_coarse(n, ctx, QuadratureSpec()):
+        full = _pass_bits(prepared.evaluate(points, time_derivative=True))
+        alone = [_pass_bits(prepared.evaluate([xs]))[0] for xs in points]
+        assert full[:-1] == alone
+        assert _pass_bits(prepared.evaluate(points[::-1])) == alone[::-1]
+        assert _pass_bits(prepared.evaluate(points[2:4])) == alone[2:4]
+        # the d/dt entry is the same with or without the other points
+        assert _pass_bits(prepared.evaluate([x], time_derivative=True))[-1] == full[-1]
+
+
+def test_free_evolution_at_sites_where_no_relation_applies_is_empty():
+    # x = (0, 0): no d/dt (x_1 = 0), no collision, no boundary relation (x_2 < 2)
+    rep = free_evolution_residuals(0.5, (0, 0), PARAMS)
+    assert rep.values == {} and rep.max_residual() == 0.0 and rep.quad_error == 0.0
 
 
 @pytest.mark.parametrize("q, rho", [(F(1, 2), F(9, 10)), (F(2, 5), 1)])
