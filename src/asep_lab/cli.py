@@ -42,10 +42,13 @@ EXIT_VERIFICATION = 4
 
 
 def _versions() -> Dict[str, str]:
+    # the kpz values contract in BLAS, so their last bits depend on its build
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     return {
         "asep_lab": __version__,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
         "python": ".".join(map(str, sys.version_info[:3])),
     }
 

@@ -29,7 +29,7 @@ from scipy.special import erf
 from .model import ModelParams, ValidityError
 from .moments import QuadratureSpec, q_moment
 from .partitions import Diagram, canonical_diagrams, partitions_of, substitution_steps
-from .quadrature import PairProducts, contract_factored, line_nodes
+from .quadrature import GridValues, PairProducts, Spares, contract_factored, line_nodes
 from .residues import (DIFF, F_OVER_Z, INV_PROD, INV_QDIFF, QPROD, SCALAR, Factor, Monomial,
                        ReducedIntegrand, build_phi, reduce_steps)
 
@@ -143,7 +143,12 @@ def _she_value(kpz: KpzParams, form: str, grids: Sequence[Tuple[np.ndarray, np.n
     each term's pair matrices into, and the contraction spares.  At n = 3
     the call holds four N x N arrays and no term allocates one; one block
     for all of them lets the allocator hand the same pages to the next
-    call instead of returning them to the OS.
+    call instead of returning them to the OS.  A 3-D term lends its (0, 2)
+    matrix as the first spare, so its fold is never kept, and each term
+    gets fresh `Spares`: the pair buffers it would be held by are rewritten
+    by the next term.  The terms' F-kernels and factor values on the line
+    grids come from one memo for the call (`_line_operands`), since the
+    diagrams of the residue form share most of them.
 
     Both SHE forms' one refusal tail: ValidityError for n > 4 before a term
     is reduced, and 0.0 at a Dirichlet wall, where Z(t, 0) = 0.  Z(t, x) > 0
@@ -161,14 +166,16 @@ def _she_value(kpz: KpzParams, form: str, grids: Sequence[Tuple[np.ndarray, np.n
     n_nodes = len(grids[0][0])
     workspace = list(np.empty((n_pairs + min(max(kpz.n - 2, 0), 2), n_nodes, n_nodes), complex))
     pair_buffers, spares = workspace[:n_pairs], workspace[n_pairs:]
+    values = GridValues()
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
         for sign, reduced in terms:
             n_dims = len(reduced.free_vars)
-            vectors, matrices = _line_operands(reduced, kpz, grids, pair_buffers)
+            vectors, matrices = _line_operands(reduced, kpz, grids, pair_buffers, values)
             term_spares = None
             if n_dims >= 3:
-                term_spares = (matrices[(0, 2)] if n_dims == 3 else spares[0], spares[-1])
+                term_spares = Spares(matrices[(0, 2)] if n_dims == 3 else spares[0],
+                                     spares[-1])
             total += contract_factored(n_dims, vectors, matrices, complex(sign),
                                        term_spares).real
     value = float(_prefactor(kpz) * total)
@@ -218,7 +225,7 @@ def _reduce_additive(diagram: Diagram, phi: Sequence[Factor]) -> ReducedIntegran
 
 def _line_operands(reduced: ReducedIntegrand, kpz: KpzParams,
                    grids: Sequence[Tuple[np.ndarray, np.ndarray]],
-                   pair_buffers: List[np.ndarray]):
+                   pair_buffers: List[np.ndarray], values: GridValues):
     """Per-dimension vectors and pair matrices of a lattice integrand read additively.
 
     The k-th free variable is integrated on the line nodes and weights
@@ -226,7 +233,9 @@ def _line_operands(reduced: ReducedIntegrand, kpz: KpzParams,
     factor whose slots share one variable scales that variable's vector;
     the others are evaluated on the 2N - 1 entries of `PairProducts`, whose
     N x N matrices are written into pair_buffers.  The SCALAR factor and
-    the prefactor monomials have no additive reading.
+    the prefactor monomials have no additive reading.  Each kernel and
+    factor value is computed once per call: values keys it by its
+    dimensions and its slots' affine forms.
     """
     dims = {v: d for d, v in enumerate(reduced.free_vars)}
     vectors = {d: grids[d][1] for d in dims.values()}
@@ -237,22 +246,32 @@ def _line_operands(reduced: ReducedIntegrand, kpz: KpzParams,
         d = dims[f.a.var]
         sign_a, shift_a = _affine(f.a)
         if f.kind == F_OVER_Z:
-            w = sign_a * grids[d][0] + shift_a
-            vectors[d] = vectors[d] * _kernel(w, kpz.x[f.site], kpz.t, kpz.A, kpz.boundary)
+            kernel = values.get(
+                ("kernel", d, sign_a, shift_a, f.site),
+                lambda: _kernel(sign_a * grids[d][0] + shift_a, kpz.x[f.site], kpz.t, kpz.A,
+                                kpz.boundary))
+            vectors[d] = vectors[d] * kernel
             continue
         sign, shift, power = _PAIR_TERMS[f.kind]
         sign_b, shift_b = _affine(f.b)
         if f.b.var == f.a.var:
-            w = grids[d][0]
-            arg = sign_a * w + shift_a + sign * (sign_b * w + shift_b) + shift
-            vectors[d] = vectors[d] * (arg if power == 1 else 1.0 / arg)
+
+            def single():
+                w = grids[d][0]
+                arg = sign_a * w + shift_a + sign * (sign_b * w + shift_b) + shift
+                return arg if power == 1 else 1.0 / arg
+            vectors[d] = vectors[d] * values.get(
+                ("factor", d, f.kind, sign_a, shift_a, sign_b, shift_b), single)
             continue
         # s_a w_a + s_b w_b is s_a (w_a + w_b), Hankel, or s_a (w_a - w_b), Toeplitz
         db = dims[f.b.var]
         hankel = sign_a == sign * sign_b
-        ka, kb = pairs.entries(d, db, hankel)
-        wa, wb = grids[d][0][ka], grids[db][0][kb]
-        arg = sign_a * (wa + wb if hankel else wa - wb) + (shift_a + sign * shift_b + shift)
+
+        def pair_values():
+            ka, kb = pairs.entries(d, db, hankel)
+            wa, wb = grids[d][0][ka], grids[db][0][kb]
+            return sign_a * (wa + wb if hankel else wa - wb) + (shift_a + sign * shift_b + shift)
+        arg = values.get(("pair", d, db, f.kind, sign_a, shift_a, sign_b, shift_b), pair_values)
         pairs.multiply(d, db, hankel, arg, power)
     return vectors, pairs.matrices(pair_buffers)
 

@@ -148,8 +148,14 @@ class ModelParams:
         """rho in (1/(1+sqrt(q)), 1], i.e. rho/(1-rho) > 1/sqrt(q), exactly.
 
         rho > 1/(1+sqrt(q))  <=>  rho*sqrt(q) > 1-rho  <=>  q*rho^2 > (1-rho)^2
-        for rho < 1; rho = 1 always qualifies.
+        for rho < 1; rho = 1 always qualifies.  Decided once per instance: a
+        bridge call asks twice, on rates whose Fractions carry float-sized
+        denominators.
         """
+        return self._formula
+
+    @cached_property
+    def _formula(self) -> bool:
         r = self.rho
         if r > 1:
             return False

@@ -19,9 +19,14 @@ pass per grid; q_moment is the one-point case:
   (`_factored_operands`, `_DiagramOperands.integrals`);
 * each pair factor is a per-node scale times a Toeplitz or Hankel matrix
   built from 2N - 1 values (`_circle_pair`, `quadrature.PairProducts`);
+* the diagrams of a call share grids and factors, so each node grid,
+  monomial, kernel part and factor value is computed once per call and
+  grid (`_CircleValues`);
 * each site vector is contracted on its own, with the 3-D temporaries in
-  one pair of buffers per pass, so a value is bit for bit the same
-  whichever site vectors share its pass.
+  one workspace per pass (`quadrature.Spares`).  The 3-D step's matrix
+  product depends on the last dimension's vector alone, so site vectors
+  that agree in it run next to each other and share that product.  A
+  value is bit for bit the same whichever site vectors share its pass.
 """
 
 from __future__ import annotations
@@ -35,9 +40,9 @@ import numpy as np
 
 from .model import ModelParams, SegmentParams, ValidityError
 from .partitions import Diagram, Partition, canonical_diagrams, partitions_of
-from .quadrature import PairProducts, circle_nodes, contract_factored
+from .quadrature import GridValues, PairProducts, Spares, circle_nodes, contract_factored
 from .residues import (DIFF, EvalContext, F_OVER_Z, INV_PROD, INV_QDIFF, QPROD, Factor,
-                       ReducedIntegrand, build_phi, factor_value, reduce_by_diagram,
+                       Monomial, ReducedIntegrand, build_phi, factor_value, reduce_by_diagram,
                        time_derivative_terms)
 
 # each dimension's node count as a share of the 1D count
@@ -105,33 +110,74 @@ class MomentResult:
         return self.value
 
 
-def _factored_operands(reduced: ReducedIntegrand, ctx: EvalContext,
-                       nodes: Dict[int, np.ndarray], weights: Dict[int, np.ndarray]):
+class _CircleValues(GridValues):
+    """`GridValues` on the circle grids of one moment call: nodes and
+    weights, monomials and F-kernel parts, by (node count, dimension) and
+    monomial exponents.  Diagrams share most of them: the 22 diagram builds
+    of an n = 3 call (fine and half-resolution) have 66 F-factors at 17
+    distinct kernel arguments, and 38 dimensions on 7 node grids.
+    """
+
+    def __init__(self, ctx: EvalContext):
+        super().__init__()
+        self.ctx = ctx
+        self.radius = 1.0 / math.sqrt(ctx.q)
+
+    def grid(self, n_nodes: int, d: int) -> Tuple[np.ndarray, np.ndarray]:
+        key = ("grid", n_nodes, d)
+        return self._values.get(key) or self.store(key, circle_nodes(self.radius, n_nodes, d))
+
+    def monomial(self, m: Monomial, n_nodes: int, d: int) -> np.ndarray:
+        """m on the nodes of grid d, whatever variable m names."""
+        if m.qexp == 0 and m.vpow == 1:
+            return self.grid(n_nodes, d)[0]
+        return self.get(("monomial", n_nodes, d, m.qexp, m.vpow),
+                        lambda: m.value(self.ctx.q, {m.var: self.grid(n_nodes, d)[0]}))
+
+    def kernel_parts(self, m: Monomial, n_nodes: int, d: int):
+        key = ("kernel", n_nodes, d, m.qexp, m.vpow)
+        return (self._values.get(key)
+                or self.store(key, self.ctx.kernel_parts(self.monomial(m, n_nodes, d))))
+
+
+def _exponents(f: Factor) -> tuple:
+    """A factor's kind and monomial exponents: with its dimensions, its values' key."""
+    return (f.kind, f.a.qexp, f.a.vpow, f.b.qexp, f.b.vpow)
+
+
+def _factored_operands(reduced: ReducedIntegrand, values: _CircleValues, n_nodes: int):
     """Group the site-independent factors into per-dim vectors and per-pair matrices.
 
-    Each F-factor's site-free multiplier goes into its dimension's vector.
-    Its exponent is summed per dimension, and its log step kept with its
-    site slot, as kernels {dim: [summed exponent, [(slot, log step), ...]]}
-    to be exponentiated once per dimension when the sites are known.  Summing
+    Each dimension d integrates on values.grid(n_nodes, d), whose nodes are
+    returned first.  Each F-factor's site-free multiplier goes into its
+    dimension's vector.  Its exponent is summed per dimension, and its log
+    step kept with its site slot, as kernels {dim: [summed exponent,
+    [(slot, log step), ...]]} to be exponentiated once per dimension when
+    the sites are known.  Summing
     first matters: along a diagram row the exponents telescope to a sum
     with bounded real part on the contour, while a single E reaches about
     (1-q)pt/(1-sqrt q) and overflows under weak-asymmetry scaling.  Pair
-    factors are built from 2N - 1 values each (see `_circle_pair`).
+    factors are built from 2N - 1 values each (see `_circle_pair`).  Every
+    array of one grid that another factor or diagram could share comes from
+    values.
     """
-    dims = {v: d for d, v in enumerate(reduced.free_vars)}
-    vectors = {d: weights[d].astype(complex) for d in dims.values()}
-    pairs = PairProducts(len(nodes[0]))
+    ctx = values.ctx
+    dims, nodes, vectors = {}, {}, {}
+    for d, v in enumerate(reduced.free_vars):
+        dims[v] = d
+        nodes[d], weights = values.grid(n_nodes, d)
+        vectors[d] = weights.astype(complex)
+    pairs = PairProducts(n_nodes)
     kernels: Dict[int, list] = {}
     scalar = complex(reduced.sign)
     for m in reduced.prefactor_monos:
         d = dims[m.var]
-        vectors[d] *= m.value(ctx.q, {m.var: nodes[d]})
+        vectors[d] *= values.monomial(m, n_nodes, d)
     for f in reduced.factors:
         fvars = f.vars()
         if f.kind == F_OVER_Z:
             d = dims[fvars[0]]
-            multiplier, exponent, log_step = ctx.kernel_parts(
-                f.a.value(ctx.q, {fvars[0]: nodes[d]}))
+            multiplier, exponent, log_step = values.kernel_parts(f.a, n_nodes, d)
             vectors[d] *= multiplier
             if d in kernels:
                 kernels[d][0] = kernels[d][0] + exponent
@@ -142,13 +188,15 @@ def _factored_operands(reduced: ReducedIntegrand, ctx: EvalContext,
             scalar *= factor_value(f, ctx, {})
         elif len(fvars) == 1:
             d = dims[fvars[0]]
-            vectors[d] *= factor_value(f, ctx, {fvars[0]: nodes[d]})
+            vectors[d] *= values.get(
+                ("factor", n_nodes, d) + _exponents(f),
+                lambda: factor_value(f, ctx, {fvars[0]: values.grid(n_nodes, d)[0]}))
         else:
-            _circle_pair(f, ctx.q, dims, nodes, vectors, pairs)
-    return vectors, pairs.matrices(), scalar, kernels
+            _circle_pair(f, dims, values, n_nodes, vectors, pairs)
+    return nodes, vectors, pairs.matrices(), scalar, kernels
 
 
-def _circle_pair(f: Factor, q: float, dims: Dict[int, int], nodes: Dict[int, np.ndarray],
+def _circle_pair(f: Factor, dims: Dict[int, int], values: _CircleValues, n_nodes: int,
                  vectors: Dict[int, np.ndarray], pairs: PairProducts):
     """Split a two-variable factor into a per-node scale and 2N - 1 pair values.
 
@@ -157,27 +205,34 @@ def _circle_pair(f: Factor, q: float, dims: Dict[int, int], nodes: Dict[int, np.
     k_a + k_b alone otherwise, and A B the other way round.  So DIFF and
     INV_QDIFF are A^{+-1} g(B/A), QPROD and INV_PROD are g(A B); A^{+-1}
     scales vectors[a], and g is evaluated on the 2N - 1 entries of
-    `PairProducts`.
+    `PairProducts`, once per grid pair and exponents (values).
     """
+    q = values.ctx.q
     da, db = dims[f.a.var], dims[f.b.var]
     ratio = f.kind in (DIFF, INV_QDIFF)
     hankel = (f.a.vpow == f.b.vpow) != ratio
-    ka, kb = pairs.entries(da, db, hankel)
-    a_nodes = f.a.value(q, {f.a.var: nodes[da]})
-    a = a_nodes[ka]
-    b = f.b.value(q, {f.b.var: nodes[db][kb]})
+    a_nodes = values.monomial(f.a, n_nodes, da)
+
+    def pair_values():
+        ka, kb = pairs.entries(da, db, hankel)
+        a = a_nodes[ka]
+        b = f.b.value(q, {f.b.var: values.grid(n_nodes, db)[0][kb]})
+        if f.kind == DIFF:
+            return 1.0 - b / a
+        if f.kind == INV_QDIFF:
+            return q - b / a
+        if f.kind == QPROD:
+            return 1.0 - q * a * b
+        if f.kind == INV_PROD:
+            return 1.0 - a * b
+        raise ValueError(f"no pair form for factor kind {f.kind}")
+
+    g = values.get(("pair", n_nodes, da, db) + _exponents(f), pair_values)
     if f.kind == DIFF:
         vectors[da] *= a_nodes
-        pairs.multiply(da, db, hankel, 1.0 - b / a, 1)
     elif f.kind == INV_QDIFF:
         vectors[da] /= a_nodes
-        pairs.multiply(da, db, hankel, q - b / a, -1)
-    elif f.kind == QPROD:
-        pairs.multiply(da, db, hankel, 1.0 - q * a * b, 1)
-    elif f.kind == INV_PROD:
-        pairs.multiply(da, db, hankel, 1.0 - a * b, -1)
-    else:
-        raise ValueError(f"no pair form for factor kind {f.kind}")
+    pairs.multiply(da, db, hankel, g, -1 if f.kind in (INV_QDIFF, INV_PROD) else 1)
 
 
 @dataclass(frozen=True)
@@ -195,7 +250,7 @@ class _DiagramOperands:
     kernels: Dict[int, list]
 
     def integrals(self, ctx: EvalContext, slots: np.ndarray, time_derivative: bool,
-                  spares) -> List[complex]:
+                  spares: Optional[Spares]) -> List[complex]:
         """Trapezoid integral at each site vector, then, with time_derivative,
         its analytic d/dt at the first.
 
@@ -207,7 +262,14 @@ class _DiagramOperands:
         depend on the other rows.  The d/dt multiplier is a sum of
         single-variable terms, so the derivative is one contraction per
         dimension, of the first row with that dimension's vector times its
-        rate.
+        rate, summed in the order of `time_derivative_terms`.
+
+        In three dimensions the rows run grouped by their dimension-2
+        vector, which alone of the vectors enters the spares' fold (the N^3
+        step), so rows that share it share one fold: the site vectors of a
+        free_evolution_residuals call that agree in their last site, and
+        the first row's d/dt rows of dimensions 0 and 1.  The values are
+        returned in row order.
         """
         vectors = {}
         for d, (exponent, steps) in self.kernels.items():
@@ -215,18 +277,27 @@ class _DiagramOperands:
                 exponent = exponent + slots[slot] * log_step
             vectors[d] = self.vectors[d] * np.exp(exponent)
         n_dims = len(vectors)
-        values = [contract_factored(n_dims, {d: v[s] for d, v in vectors.items()},
-                                    self.matrices, self.scalar, spares)
-                  for s in range(slots.shape[1])]
+        rows = [{d: v[s] for d, v in vectors.items()} for s in range(slots.shape[1])]
+        n_points = len(rows)
         if time_derivative:
-            row = {d: v[0] for d, v in vectors.items()}
-            total = 0.0 + 0.0j
             for var, mults in time_derivative_terms(self.reduced, ctx).items():
                 d = self.reduced.free_vars.index(var)
                 rate = sum(mult(self.nodes[d]) for mult in mults)
-                total += contract_factored(n_dims, {**row, d: row[d] * rate},
-                                           self.matrices, self.scalar, spares)
-            values.append(total)
+                rows.append({**rows[0], d: rows[0][d] * rate})
+        order = range(len(rows))
+        if n_dims == 3 and len(rows) > 1:
+            groups: Dict[bytes, List[int]] = {}
+            for i, row in enumerate(rows):
+                groups.setdefault(row[2].tobytes(), []).append(i)
+            order = [i for group in groups.values() for i in group]
+        values = [0j] * len(rows)
+        for i in order:
+            values[i] = contract_factored(n_dims, rows[i], self.matrices, self.scalar, spares)
+        if time_derivative:
+            total = 0.0 + 0.0j
+            for value in values[n_points:]:
+                total += value
+            values[n_points:] = [total]
         return values
 
 
@@ -236,21 +307,22 @@ class PreparedMoment:
     Reduction, grids and every site-independent factor (weights, prefactor
     monomials, pair-factor matrices, scalars) are built once; `evaluate`
     takes every site vector a call needs, multiplies in their F-kernels and
-    contracts each in one pass over the diagrams.  An object lives for one
-    call: nothing is kept between calls.
+    contracts each in one pass over the diagrams.  The fine and the
+    half-resolution object of a call are built from one `_CircleValues`,
+    so each grid, monomial, kernel part and factor value that diagrams
+    share is computed once, and their pair matrices are read-only.  An
+    object lives for one call: nothing is kept between calls.
     """
 
     def __init__(self, reduced: Sequence[Tuple[Partition, int, Diagram, ReducedIntegrand]],
-                 ctx: EvalContext, quad: QuadratureSpec):
-        self.ctx, self.quad = ctx, quad
-        radius = 1.0 / math.sqrt(ctx.q)
+                 values: _CircleValues, quad: QuadratureSpec):
+        self.ctx, self.quad = values.ctx, quad
         self.terms = []
         for lam, sign, diagram, red in reduced:
-            n_nodes = quad.nodes(len(red.free_vars))
-            nodes, weights = {}, {}
-            for d in range(len(red.free_vars)):
-                nodes[d], weights[d] = circle_nodes(radius, n_nodes, d)
-            vectors, matrices, scalar, kernels = _factored_operands(red, ctx, nodes, weights)
+            nodes, vectors, matrices, scalar, kernels = _factored_operands(
+                red, values, quad.nodes(len(red.free_vars)))
+            for matrix in matrices.values():
+                matrix.setflags(write=False)  # spares hold folds by matrix identity
             self.terms.append(_DiagramOperands(lam, sign, diagram.rows, red, nodes, vectors,
                                                matrices, scalar, kernels))
 
@@ -270,7 +342,8 @@ class PreparedMoment:
             if coarse.nodes(dim) >= quad.nodes(dim):
                 raise ValidityError(f"{quad.nodes(dim)} nodes in dimension {dim} leave no "
                                     "coarser grid for the error estimate; give more nodes")
-        return cls(reduced, ctx, quad), cls(reduced, ctx, coarse)
+        values = _CircleValues(ctx)  # shared by both grids' diagrams, dropped after the build
+        return cls(reduced, values, quad), cls(reduced, values, coarse)
 
     def evaluate(self, points: Sequence[Tuple[int, ...]], time_derivative: bool = False):
         """(real part, imaginary part, per-partition sums) at each site vector
@@ -289,15 +362,15 @@ def _sum_terms(terms: Sequence[_DiagramOperands], ctx: EvalContext, quad: Quadra
     if not points:  # free_evolution_residuals at x = (0, 0, ...) checks no relation
         return []
     slots = np.array(points, dtype=complex).T[:, :, None]  # exact; no cast per product
-    # the 3-D contractions' temporaries, one pair of buffers per node count
-    spares: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    # the 3-D contractions' workspace, one per node count
+    spares: Dict[int, Spares] = {}
     sums: List[Dict[Partition, complex]] = [{} for _ in range(len(points) + time_derivative)]
     for term in terms:
         term_spares = None
         if len(term.nodes) >= 3:
             n_nodes = len(term.nodes[0])
             if n_nodes not in spares:
-                spares[n_nodes] = tuple(np.empty((2, n_nodes, n_nodes), complex))
+                spares[n_nodes] = Spares(*np.empty((2, n_nodes, n_nodes), complex))
             term_spares = spares[n_nodes]
         values = term.integrals(ctx, slots, time_derivative, term_spares)
         lam = term.partition

@@ -26,16 +26,20 @@ keys the pair, with rows belonging to the lower dimension.
 
 Integrals are contracted factor-wise: an integrand that is a product of
 per-dimension vectors and pair matrices is summed in BLAS matrix products
-instead of being materialised on the full tensor grid.
+instead of being materialised on the full tensor grid.  A caller that
+contracts many integrands gives them one `Spares`, which also keeps the
+three-dimensional step's matrix product for the next integrand that
+shares its operands, and computes each value its integrands share once,
+in one `GridValues` memo per call.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 _GOLDEN = 0.6180339887498949
 
@@ -113,9 +117,10 @@ class PairProducts:
         n = self.n_nodes
         views: Dict[Tuple[int, int], list] = {}
         for (hankel, pair), values in self._products.items():
-            # row a, column b of the Toeplitz view reads entry a - b + N - 1
-            view = (sliding_window_view(values, n) if hankel
-                    else sliding_window_view(values[::-1], n)[::-1])
+            # row a, column b reads entry a + b (Hankel) or a - b + N - 1 (Toeplitz)
+            step = values.strides[0]
+            view = (as_strided(values, (n, n), (step, step), writeable=False) if hankel
+                    else as_strided(values[n - 1:], (n, n), (step, -step), writeable=False))
             views.setdefault(pair, []).append(view)
         matrices = {}
         for i, (pair, v) in enumerate(views.items()):
@@ -126,11 +131,71 @@ class PairProducts:
         return matrices
 
 
+class GridValues:
+    """Arrays on one call's grids, each computed once.
+
+    A memo that lives for one call (one prepared moment's construction, one
+    SHE evaluation) and is never kept between calls: `get(key, compute)`
+    returns what is stored under key, calling compute() the first time.
+    Keys name the grid (node count, dimension) and the expression (factor
+    kind, monomial exponents).  Values are arrays or tuples of arrays, and
+    `store` keeps them read-only, so a reader that writes into one in place
+    raises instead of changing a later reader's value.  (A subclass on a
+    hot path looks its key up in `_values` and calls `store` on a miss,
+    without a closure.)
+    """
+
+    def __init__(self):
+        self._values: Dict[tuple, object] = {}
+
+    def get(self, key: tuple, compute: Callable[[], object]):
+        value = self._values.get(key)
+        return self.store(key, compute()) if value is None else value
+
+    def store(self, key: tuple, value):
+        """Keep value under key, read-only, and return it."""
+        for array in value if isinstance(value, tuple) else (value,):
+            array.setflags(write=False)
+        self._values[key] = value
+        return value
+
+
+class Spares:
+    """The 3-D step's two N x N buffers, and which fold the second holds.
+
+    A 3-D contraction's N^3 step is the fold (M02 * v2) M12^T, which depends
+    on matrices[(0, 2)], matrices[(1, 2)] and vectors[2] alone.  It is
+    computed into `fold` and remembered by those two matrices (by identity)
+    and v2 (by its bytes); a later contraction with the same three reads it
+    back instead of computing it again, to the same bits.  The matrices must
+    therefore not change while spares hold their fold: the moment code's are
+    read-only.  `first` takes the other temporaries.  A caller done with its
+    (0, 2) matrix may lend it as `first`: that fold is never reused, since
+    the contraction overwrites the matrix it came from.
+    """
+
+    __slots__ = ("first", "fold", "_held")
+
+    def __init__(self, first: np.ndarray, fold: np.ndarray):
+        self.first, self.fold = first, fold
+        self._held: Optional[tuple] = None  # (M02, M12, v2 bytes) of `fold`
+
+    def fold_of(self, m02: np.ndarray, m12: np.ndarray, v2: np.ndarray) -> np.ndarray:
+        """(m02 * v2) m12^T, in `fold`; may overwrite `first`."""
+        key = v2.tobytes()
+        held = self._held
+        if held is None or held[0] is not m02 or held[1] is not m12 or held[2] != key:
+            first = np.multiply(m02, v2, out=self.first)
+            np.matmul(first, m12.T, out=self.fold)
+            self._held = None if self.first is m02 else (m02, m12, key)
+        return self.fold
+
+
 def contract_factored(n_dims: int,
                       vectors: Dict[int, np.ndarray],
                       matrices: Dict[Tuple[int, int], np.ndarray],
                       scalar: complex = 1.0,
-                      spares: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> complex:
+                      spares: Optional[Spares] = None) -> complex:
     """Sum over the full tensor grid of per-dim vectors times all pair matrices.
 
     vectors[d] has the d-th grid length; matrices[(d, e)] with d < e couples
@@ -142,15 +207,15 @@ def contract_factored(n_dims: int,
     nodes of dimension 0, each a (d-1)-dimensional contraction with that
     node's matrix rows folded into the vectors.
 
-    spares, two N x N complex buffers on grids of one length N, take the
-    3-D step's temporaries with out= (the product M02 * v2 and then the
-    M01 product in the first, the matrix product in the second), so a
-    caller that contracts many integrands allocates them once; they are
-    passed down the d >= 4 sweep.  Without them the step allocates its
-    own.  matrices are never written, except that in a 3-D contraction the
-    first spare may be matrices[(0, 2)] itself when the caller is done with
-    it: that matrix is read once, into the first spare.  The arithmetic is
-    the same with or without spares, to the bit.
+    spares, on grids of one length N, are the 3-D step's workspace: its
+    temporaries go into their buffers with out=, so a caller that contracts
+    many integrands allocates them once, and they keep the step's matrix
+    product, the fold, for the next contraction that has the same (0, 2)
+    and (1, 2) matrices and dimension-2 vector (`Spares`).  They are passed
+    down the d >= 4 sweep.  Without them the step allocates its own.
+    matrices are never written, except a (0, 2) matrix lent as the first
+    spare.  The arithmetic is the same with or without spares, and with or
+    without a held fold, to the bit.
     """
     missing = [(d, e) for d in range(n_dims) for e in range(d + 1, n_dims)
                if (d, e) not in matrices]
@@ -162,7 +227,7 @@ def contract_factored(n_dims: int,
 
 def _contract_complete(vectors: List[np.ndarray],
                        matrices: Dict[Tuple[int, int], np.ndarray],
-                       spares: Optional[Tuple[np.ndarray, np.ndarray]]) -> complex:
+                       spares: Optional[Spares]) -> complex:
     n_dims = len(vectors)
     if n_dims == 1:
         return vectors[0].sum()
@@ -170,9 +235,12 @@ def _contract_complete(vectors: List[np.ndarray],
         return vectors[0] @ matrices[(0, 1)] @ vectors[1]
     if n_dims == 3:
         # sum_a u_a sum_b (M01 v1)_ab sum_c (M02 v2)_ac M12_bc
-        first, inner = spares or (None, None)
-        first = np.multiply(matrices[(0, 2)], vectors[2], out=first)
-        inner = np.matmul(first, matrices[(1, 2)].T, out=inner)
+        if spares is None:
+            first = np.multiply(matrices[(0, 2)], vectors[2])
+            inner = np.matmul(first, matrices[(1, 2)].T)
+        else:
+            first = spares.first
+            inner = spares.fold_of(matrices[(0, 2)], matrices[(1, 2)], vectors[2])
         m01 = matrices[(0, 1)]
         first = np.multiply(m01, vectors[1], out=first if first.shape == m01.shape else None)
         first *= inner

@@ -31,7 +31,6 @@ sign is the lattice sign times (-1)^(number of prefactor monomials).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -100,7 +99,7 @@ class Factor:
         new_b = self.b.subst(var, target) if self.b is not None else None
         if new_a is self.a and new_b is self.b:
             return self
-        return dataclasses.replace(self, a=new_a, b=new_b)
+        return Factor(self.kind, new_a, new_b, self.site, self.qexp)
 
     def vars(self) -> Tuple[int, ...]:
         vs = []

@@ -33,6 +33,15 @@ def test_moments_csv_roundtrip(tmp_path):
     assert row[0] == "2" and 0 < float(row[4]) <= 1
 
 
+def test_manifest_names_the_blas_build(tmp_path):
+    # kpz values contract in BLAS; a reader of their bytes needs its build
+    out = tmp_path / "m.json"
+    assert main(["moments", "--t", "0.5", "--x", "1", "--rho", "0.9",
+                 "--format", "json", "--output", str(out)]) == 0
+    blas = json.loads(out.read_text())["manifest"]["versions"]["blas"]
+    assert blas and blas != "None None"
+
+
 def test_moments_json_has_breakdown(tmp_path):
     out = tmp_path / "m.json"
     assert main(["moments", "--t", "0.5", "--x", "1,3", "--rho", "0.9",

@@ -5,12 +5,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from asep_lab import moments
 from asep_lab.model import ModelParams, SegmentParams, ValidityError
-from asep_lab.moments import (PreparedMoment, QuadratureSpec, _eval_context,
+from asep_lab.moments import (PreparedMoment, QuadratureSpec, _CircleValues, _eval_context,
                               _factored_operands, first_moment, free_evolution_residuals,
                               q_moment, second_moment_explicit)
 from asep_lab.partitions import canonical_diagrams, partitions_of
-from asep_lab.quadrature import circle_nodes
+from asep_lab.quadrature import Spares, circle_nodes
 from asep_lab.residues import (DIFF, F_OVER_Z, INV_PROD, INV_QDIFF, QPROD, EvalContext,
                                Factor, Monomial, ReducedIntegrand, build_phi,
                                reduce_by_diagram)
@@ -167,6 +168,58 @@ def test_a_value_does_not_depend_on_the_points_that_share_its_pass(x):
         assert _pass_bits(prepared.evaluate(points[2:4])) == alone[2:4]
         # the d/dt entry is the same with or without the other points
         assert _pass_bits(prepared.evaluate([x], time_derivative=True))[-1] == full[-1]
+        if n == 3:
+            # points that share x_3 share the 3-D step's fold, in any order; others do not
+            for group in ([x, (2, 3, 4), (0, 1, 4), (1, 3, 4)],
+                          [x, (1, 2, 3), (2, 3, 5), (0, 1, 6)],
+                          [(1, 2, 3), x, (2, 3, 3), (1, 3, 4), (0, 1, 3)]):
+                got = _pass_bits(prepared.evaluate(group, time_derivative=True))
+                assert got[:-1] == [_pass_bits(prepared.evaluate([xs]))[0] for xs in group]
+                d_dt = prepared.evaluate([group[0]], time_derivative=True)
+                assert got[-1] == _pass_bits(d_dt)[-1]
+
+
+def test_points_that_share_their_last_site_share_one_fold(monkeypatch):
+    # x = (1, 2, 4) needs 7 points and 3 d/dt rows; its last-dimension
+    # vectors are those of x_3 - 1, x_3, x_3 + 1 and the d/dt row of dimension 2
+    folds = []
+    fold_of = Spares.fold_of
+
+    def recorded(spares, m02, m12, v2):
+        key = (id(m02), id(m12), v2.tobytes())
+        if not folds or folds[-1][1] != key:
+            folds.append((len(m02), key))
+        return fold_of(spares, m02, m12, v2)
+
+    monkeypatch.setattr(Spares, "fold_of", recorded)
+    free_evolution_residuals(0.7, (1, 2, 4), PARAMS)
+    fine, coarse = QuadratureSpec().nodes(3), QuadratureSpec().halved().nodes(3)
+    assert sorted(n for n, _ in folds) == [coarse] * 3 + [fine] * 4
+
+
+def test_a_build_evaluates_each_kernel_argument_and_grid_once(monkeypatch):
+    # one n = 3 build used to make 66 kernel_parts calls for 17 distinct
+    # arguments, and 38 circle_nodes calls for 7 grids
+    kernel_args, grids = [], []
+    kernel_parts, circle_nodes_ = EvalContext.kernel_parts, moments.circle_nodes
+
+    def counted_kernel_parts(ctx, m):
+        kernel_args.append(m.tobytes())
+        return kernel_parts(ctx, m)
+
+    def counted_circle_nodes(*args):
+        grids.append(args)
+        return circle_nodes_(*args)
+
+    monkeypatch.setattr(EvalContext, "kernel_parts", counted_kernel_parts)
+    monkeypatch.setattr(moments, "circle_nodes", counted_circle_nodes)
+    fine, _ = PreparedMoment.fine_and_coarse(3, _eval_context(PARAMS, 0.9), QuadratureSpec())
+    assert len(kernel_args) == len(set(kernel_args)) == 17
+    assert len(grids) == len(set(grids)) == 7
+    # shared arrays, and the matrices spares hold folds by, cannot be written
+    three_dims = next(term for term in fine.terms if len(term.nodes) == 3)
+    assert not any(a.flags.writeable for a in (*three_dims.nodes.values(),
+                                               *three_dims.matrices.values()))
 
 
 def test_free_evolution_at_sites_where_no_relation_applies_is_empty():
@@ -253,12 +306,11 @@ def test_circle_pair_operands_match_dense_factors(kinds, vpows, vars_):
     factors = tuple(Factor(kind, Monomial(1 + i % 2, va, sa), Monomial(2 * (i % 2), vb, sb))
                     for i, kind in enumerate(kinds))
     reduced = ReducedIntegrand(factors, (1, 2))
-    nodes, weights = {}, {}
-    for d in range(2):
-        nodes[d], _ = circle_nodes(1 / math.sqrt(ctx.q), 24, d)
-        weights[d] = np.ones(24)
-    vectors, matrices, scalar, _ = _factored_operands(reduced, ctx, nodes, weights)
-    got = scalar * vectors[0][:, None] * matrices[(0, 1)] * vectors[1][None, :]
+    values = _CircleValues(ctx)
+    _, vectors, matrices, scalar, _ = _factored_operands(reduced, values, 24)
+    # the vectors carry the trapezoid weights; the dense factors do not
+    u, v = (vectors[d] / values.grid(24, d)[1] for d in range(2))
+    got = scalar * u[:, None] * matrices[(0, 1)] * v[None, :]
     assign, _ = _mesh(reduced, ctx.q, 24)
     want = 1.0
     for f in factors:

@@ -59,3 +59,27 @@ def test_simulate_probes_fire_and_restore():
     finally:
         installation.restore()
     assert {attr: getattr(simulate, attr) for attr in originals} == originals
+
+
+def test_moment_probes_see_every_three_dimensional_contraction():
+    # each 3-D row goes through contract_factored on 1-D grid vectors, so the
+    # traced quadrature.circle.d3 layer counts it with its N^3 grid points
+    from fractions import Fraction as F
+
+    import asep_lab
+    from asep_lab import moments
+    from asep_lab.model import ModelParams
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    installation = tracing.Installation(asep_lab, tracer, tracing.MOMENT_PROBES)
+    try:
+        moments.free_evolution_residuals(0.7, (1, 2, 4), ModelParams.from_density(1, F(1, 2),
+                                                                                 F(9, 10)))
+    finally:
+        installation.restore()
+    points = [s.attrs["points"] for s in tracer.kept
+              if s.name == "quadrature.contract_factored" and s.attrs["d"] == 3]
+    fine, coarse = moments.QuadratureSpec(), moments.QuadratureSpec().halved()
+    # 7 site vectors and 3 d/dt rows on the fine grid, the 7 site vectors on the coarse
+    assert sorted(points) == [coarse.nodes(3) ** 3] * 7 + [fine.nodes(3) ** 3] * 10

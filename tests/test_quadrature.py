@@ -3,7 +3,7 @@ import string
 import numpy as np
 import pytest
 
-from asep_lab.quadrature import PairProducts, contract_factored
+from asep_lab.quadrature import GridValues, PairProducts, Spares, contract_factored
 
 GRID_LENGTHS = (7, 5, 9, 6)
 
@@ -61,15 +61,65 @@ def test_spares_change_no_bit_and_no_matrix(n_dims):
     vectors, matrices = _square_graph(np.random.default_rng(200 + n_dims), n_dims, 6)
     before = {k: m.copy() for k, m in matrices.items()}
     plain = contract_factored(n_dims, vectors, matrices, 0.3 - 0.1j)
-    spares = tuple(np.full((2, 6, 6), np.nan, complex))  # stale contents must not leak
+    spares = Spares(*np.full((2, 6, 6), np.nan, complex))  # stale contents must not leak
     assert contract_factored(n_dims, vectors, matrices, 0.3 - 0.1j, spares) == plain
     assert all(np.array_equal(matrices[k], before[k]) for k in matrices)
     if n_dims == 3:
         # a caller done with its (0, 2) matrix may lend it as the first spare
         lent = dict(before)
         lent[(0, 2)] = before[(0, 2)].copy()
-        got = contract_factored(3, vectors, lent, 0.3 - 0.1j, (lent[(0, 2)], spares[1]))
+        got = contract_factored(3, vectors, lent, 0.3 - 0.1j, Spares(lent[(0, 2)], spares.fold))
         assert got == plain
+
+
+def _fold_case(seed):
+    """A 3-D graph, spares holding its fold, and a second graph that shares
+    its (0, 2) and (1, 2) matrices and an equal dimension-2 vector."""
+    rng = np.random.default_rng(seed)
+    vectors, matrices = _square_graph(rng, 3, 6)
+    spares = Spares(*np.empty((2, 6, 6), complex))
+    contract_factored(3, vectors, matrices, 1.0, spares)
+    other_vectors, other_matrices = _square_graph(rng, 3, 6)
+    other_vectors[2] = vectors[2].copy()
+    for pair in ((0, 2), (1, 2)):
+        other_matrices[pair] = matrices[pair]
+    return other_vectors, other_matrices, spares
+
+
+def _contract_on_poisoned_fold(vectors, matrices, spares):
+    # a held fold that is read back makes the value nan
+    spares.fold[...] = np.nan
+    return contract_factored(3, vectors, matrices, 0.3 - 0.1j, spares)
+
+
+def test_a_held_fold_gives_the_bits_of_a_fresh_contraction():
+    vectors, matrices, spares = _fold_case(300)
+    fresh = contract_factored(3, vectors, matrices, 0.3 - 0.1j)
+    assert contract_factored(3, vectors, matrices, 0.3 - 0.1j, spares) == fresh
+    assert np.isnan(_contract_on_poisoned_fold(vectors, matrices, spares))
+
+
+@pytest.mark.parametrize("change", ["v2 entry", "equal M02 copy", "equal M12 copy"])
+def test_a_fold_is_not_reused_for_other_operands(change):
+    vectors, matrices, spares = _fold_case(301)
+    if change == "v2 entry":
+        vectors[2][3] += 1e-12
+    else:
+        pair = (0, 2) if change == "equal M02 copy" else (1, 2)
+        matrices[pair] = matrices[pair].copy()
+    fresh = contract_factored(3, vectors, matrices, 0.3 - 0.1j)
+    assert _contract_on_poisoned_fold(vectors, matrices, spares) == fresh
+
+
+def test_the_fold_of_a_lent_matrix_is_not_reused():
+    vectors, matrices = _square_graph(np.random.default_rng(302), 3, 6)
+    original = matrices[(0, 2)].copy()
+    fresh = contract_factored(3, vectors, matrices, 0.3 - 0.1j)
+    spares = Spares(matrices[(0, 2)], np.empty((6, 6), complex))
+    assert contract_factored(3, vectors, matrices, 0.3 - 0.1j, spares) == fresh
+    # the contraction overwrote the lent matrix; a caller refills it for the next term
+    matrices[(0, 2)][...] = original
+    assert _contract_on_poisoned_fold(vectors, matrices, spares) == fresh
 
 
 def test_pair_matrices_written_into_buffers_equal_new_ones():
@@ -84,3 +134,16 @@ def test_pair_matrices_written_into_buffers_equal_new_ones():
     assert fresh.keys() == written.keys() == {(0, 1), (0, 2), (1, 2)}
     assert all(np.array_equal(fresh[k], written[k]) for k in fresh)
     assert sorted(map(id, written.values())) == sorted(map(id, buffers))
+
+
+def test_grid_values_are_computed_once_and_read_only():
+    values, calls = GridValues(), []
+
+    def compute():
+        calls.append(1)
+        return np.ones(3), np.zeros(3)
+
+    first = values.get(("grid", 3, 0), compute)
+    assert values.get(("grid", 3, 0), compute) is first and len(calls) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        first[1][0] = 1.0
