@@ -29,7 +29,7 @@ from scipy.special import erf
 from .model import ModelParams, ValidityError
 from .moments import QuadratureSpec, q_moment
 from .partitions import Diagram, canonical_diagrams, partitions_of, substitution_steps
-from .quadrature import GridValues, PairProducts, Spares, contract_factored, line_nodes
+from .quadrature import GridValues, PairProducts, Workspace, contract_factored, line_nodes
 from .residues import (DIFF, F_OVER_Z, INV_PROD, INV_QDIFF, QPROD, SCALAR, Factor, Monomial,
                        ReducedIntegrand, build_phi, reduce_steps)
 
@@ -138,17 +138,12 @@ def _she_value(kpz: KpzParams, form: str, grids: Sequence[Tuple[np.ndarray, np.n
                terms: Iterable[Tuple[int, ReducedIntegrand]]) -> float:
     """_prefactor(kpz) times the sum of sign times each reduced integrand on grids.
 
-    Every term is built and contracted in one workspace allocated once per
-    call: n(n-1)/2 N x N pair buffers that `PairProducts.matrices` writes
-    each term's pair matrices into, and the contraction spares.  At n = 3
-    the call holds four N x N arrays and no term allocates one; one block
-    for all of them lets the allocator hand the same pages to the next
-    call instead of returning them to the OS.  A 3-D term lends its (0, 2)
-    matrix as the first spare, so its fold is never kept, and each term
-    gets fresh `Spares`: the pair buffers it would be held by are rewritten
-    by the next term.  The terms' F-kernels and factor values on the line
-    grids come from one memo for the call (`_line_operands`), since the
-    diagrams of the residue form share most of them.
+    Every term is built, contracted and dropped in one `quadrature.Workspace`
+    for the call, sized for an n-dimensional term: at n = 3 the call holds
+    four N x N arrays and no term allocates one.  The terms' F-kernels and
+    factor values on the line grids come from one memo for the call
+    (`_line_operands`), since the diagrams of the residue form share most
+    of them.
 
     Both SHE forms' one refusal tail: ValidityError for n > 4 before a term
     is reduced, and 0.0 at a Dirichlet wall, where Z(t, 0) = 0.  Z(t, x) > 0
@@ -160,24 +155,15 @@ def _she_value(kpz: KpzParams, form: str, grids: Sequence[Tuple[np.ndarray, np.n
         raise ValidityError(f"{form} evaluation supported for n <= 4")
     if kpz.boundary == DIRICHLET and kpz.x[0] == 0.0:
         return 0.0
-    # a 3-D contraction reads its (0, 2) matrix once, so that matrix is its
-    # first spare; only a 4-D sweep needs a buffer of its own for it
-    n_pairs = kpz.n * (kpz.n - 1) // 2
-    n_nodes = len(grids[0][0])
-    workspace = list(np.empty((n_pairs + min(max(kpz.n - 2, 0), 2), n_nodes, n_nodes), complex))
-    pair_buffers, spares = workspace[:n_pairs], workspace[n_pairs:]
+    workspace = Workspace([(kpz.n, len(grids[0][0]))])
     values = GridValues()
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
         for sign, reduced in terms:
             n_dims = len(reduced.free_vars)
-            vectors, matrices = _line_operands(reduced, kpz, grids, pair_buffers, values)
-            term_spares = None
-            if n_dims >= 3:
-                term_spares = Spares(matrices[(0, 2)] if n_dims == 3 else spares[0],
-                                     spares[-1])
-            total += contract_factored(n_dims, vectors, matrices, complex(sign),
-                                       term_spares).real
+            vectors, pairs = _line_operands(reduced, kpz, grids, values)
+            matrices, spares = workspace.term(n_dims, pairs)
+            total += contract_factored(n_dims, vectors, matrices, complex(sign), spares).real
     value = float(_prefactor(kpz) * total)
     if not (math.isfinite(value) and value > 0):
         raise ArithmeticError(f"the {form} form gives {value:.3e} at t={kpz.t:g} for a "
@@ -224,15 +210,14 @@ def _reduce_additive(diagram: Diagram, phi: Sequence[Factor]) -> ReducedIntegran
 
 
 def _line_operands(reduced: ReducedIntegrand, kpz: KpzParams,
-                   grids: Sequence[Tuple[np.ndarray, np.ndarray]],
-                   pair_buffers: List[np.ndarray], values: GridValues):
-    """Per-dimension vectors and pair matrices of a lattice integrand read additively.
+                   grids: Sequence[Tuple[np.ndarray, np.ndarray]], values: GridValues):
+    """Per-dimension vectors and pair products of a lattice integrand read additively.
 
     The k-th free variable is integrated on the line nodes and weights
     grids[k].  F-factors become the SHE kernel at kpz.x[site], and a pair
     factor whose slots share one variable scales that variable's vector;
-    the others are evaluated on the 2N - 1 entries of `PairProducts`, whose
-    N x N matrices are written into pair_buffers.  The SCALAR factor and
+    the others are evaluated on the 2N - 1 entries of a `PairProducts`, for
+    the caller to write out as N x N matrices.  The SCALAR factor and
     the prefactor monomials have no additive reading.  Each kernel and
     factor value is computed once per call: values keys it by its
     dimensions and its slots' affine forms.
@@ -273,7 +258,7 @@ def _line_operands(reduced: ReducedIntegrand, kpz: KpzParams,
             return sign_a * (wa + wb if hankel else wa - wb) + (shift_a + sign * shift_b + shift)
         arg = values.get(("pair", d, db, f.kind, sign_a, shift_a, sign_b, shift_b), pair_values)
         pairs.multiply(d, db, hankel, arg, power)
-    return vectors, pairs.matrices(pair_buffers)
+    return vectors, pairs
 
 
 def she_moment_residue_form(kpz: KpzParams, tail_tol: float = TAIL_TOL,

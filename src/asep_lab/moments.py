@@ -8,22 +8,24 @@ the 1/(m_1! m_2! ...) multiplicities cancel.
 
 Quadrature is the tensor-product trapezoid rule, which converges
 geometrically here; the error estimate is the Richardson difference
-against the half-resolution grid.  Only the F-kernels depend on the
-sites, so a call prepares each diagram's other operands once per grid
-(PreparedMoment) and evaluates every site vector it needs on them in one
-pass per grid; q_moment is the one-point case:
+against the half-resolution grid.  A call reduces the diagrams once and
+makes one pass per grid (`_sum_terms`) that takes every site vector it
+needs; q_moment is the one-point case.  A pass builds each diagram's
+operands, contracts them at every site vector and drops them before the
+next diagram, in one `quadrature.Workspace`:
 
 * each kernel F_x(M)/M is a site-free multiplier, folded into its
-  dimension's vector, times exp(E(M) + x log P(M)); the site vectors of
-  a pass cost one exp per dimension of the stacked exponents
-  (`_factored_operands`, `_DiagramOperands.integrals`);
+  dimension's vector, times exp(E(M) + x log P(M)); only the F-kernels
+  depend on the sites, and the site vectors of a diagram cost one exp
+  per dimension of the stacked exponents (`_factored_operands`);
 * each pair factor is a per-node scale times a Toeplitz or Hankel matrix
-  built from 2N - 1 values (`_circle_pair`, `quadrature.PairProducts`);
+  built from 2N - 1 values (`_circle_pair`, `quadrature.PairProducts`),
+  written into the workspace's buffers;
 * the diagrams of a call share grids and factors, so each node grid,
   monomial, kernel part and factor value is computed once per call and
   grid (`_CircleValues`);
 * each site vector is contracted on its own, with the 3-D temporaries in
-  one workspace per pass (`quadrature.Spares`).  The 3-D step's matrix
+  the workspace's spares (`quadrature.Spares`).  The 3-D step's matrix
   product depends on the last dimension's vector alone, so site vectors
   that agree in it run next to each other and share that product.  A
   value is bit for bit the same whichever site vectors share its pass.
@@ -40,7 +42,7 @@ import numpy as np
 
 from .model import ModelParams, SegmentParams, ValidityError
 from .partitions import Diagram, Partition, canonical_diagrams, partitions_of
-from .quadrature import GridValues, PairProducts, Spares, circle_nodes, contract_factored
+from .quadrature import GridValues, PairProducts, Workspace, circle_nodes, contract_factored
 from .residues import (DIFF, EvalContext, F_OVER_Z, INV_PROD, INV_QDIFF, QPROD, Factor,
                        Monomial, ReducedIntegrand, build_phi, factor_value, reduce_by_diagram,
                        time_derivative_terms)
@@ -146,7 +148,7 @@ def _exponents(f: Factor) -> tuple:
 
 
 def _factored_operands(reduced: ReducedIntegrand, values: _CircleValues, n_nodes: int):
-    """Group the site-independent factors into per-dim vectors and per-pair matrices.
+    """Group the site-independent factors into per-dim vectors and pair products.
 
     Each dimension d integrates on values.grid(n_nodes, d), whose nodes are
     returned first.  Each F-factor's site-free multiplier goes into its
@@ -157,9 +159,9 @@ def _factored_operands(reduced: ReducedIntegrand, values: _CircleValues, n_nodes
     first matters: along a diagram row the exponents telescope to a sum
     with bounded real part on the contour, while a single E reaches about
     (1-q)pt/(1-sqrt q) and overflows under weak-asymmetry scaling.  Pair
-    factors are built from 2N - 1 values each (see `_circle_pair`).  Every
-    array of one grid that another factor or diagram could share comes from
-    values.
+    factors are built from 2N - 1 values each (see `_circle_pair`) into a
+    `PairProducts`, for the caller to write out as matrices.  Every array of
+    one grid that another factor or diagram could share comes from values.
     """
     ctx = values.ctx
     dims, nodes, vectors = {}, {}, {}
@@ -193,7 +195,7 @@ def _factored_operands(reduced: ReducedIntegrand, values: _CircleValues, n_nodes
                 lambda: factor_value(f, ctx, {fvars[0]: values.grid(n_nodes, d)[0]}))
         else:
             _circle_pair(f, dims, values, n_nodes, vectors, pairs)
-    return nodes, vectors, pairs.matrices(), scalar, kernels
+    return nodes, vectors, pairs, scalar, kernels
 
 
 def _circle_pair(f: Factor, dims: Dict[int, int], values: _CircleValues, n_nodes: int,
@@ -235,54 +237,62 @@ def _circle_pair(f: Factor, dims: Dict[int, int], values: _CircleValues, n_nodes
     pairs.multiply(da, db, hankel, g, -1 if f.kind in (INV_QDIFF, INV_PROD) else 1)
 
 
-@dataclass(frozen=True)
-class _DiagramOperands:
-    """One canonical diagram's reduced integrand on its grids, sites left open."""
+def _eval_context(params: ModelParams, t: float, kernel: str = "plain") -> EvalContext:
+    return EvalContext(q=float(params.q), p=float(params.p_rate),
+                       rho=float(params.rho), t=float(t), kernel=kernel)
 
-    partition: Partition
-    sign: int
-    rows: tuple
-    reduced: ReducedIntegrand
-    nodes: Dict[int, np.ndarray]
-    vectors: Dict[int, np.ndarray]
-    matrices: Dict[Tuple[int, int], np.ndarray]
-    scalar: complex
-    kernels: Dict[int, list]
 
-    def integrals(self, ctx: EvalContext, slots: np.ndarray, time_derivative: bool,
-                  spares: Optional[Spares]) -> List[complex]:
-        """Trapezoid integral at each site vector, then, with time_derivative,
-        its analytic d/dt at the first.
+def _diagram_terms(n: int) -> List[Tuple[Partition, int, Diagram, ReducedIntegrand]]:
+    """(partition, sign, diagram, reduced integrand) of every canonical diagram of n."""
+    phi = build_phi(range(n))  # F-factor sites are the slots 0..n-1 of x
+    return [(lam, (-1) ** (n - len(lam)), d, reduce_by_diagram(phi, d))
+            for lam in partitions_of(n) for d in canonical_diagrams(lam)]
 
-        slots[j], shape (rows, 1), holds the j-th site of every site vector.
-        The F-kernels of all rows come from one exp per dimension of the
-        stacked exponents E + X log P, shape (rows, N); every free variable
-        keeps at least one F-kernel.  Each row is then contracted on its own
-        (one `contract_factored` call on 1-D vectors), so its value does not
-        depend on the other rows.  The d/dt multiplier is a sum of
-        single-variable terms, so the derivative is one contraction per
-        dimension, of the first row with that dimension's vector times its
-        rate, summed in the order of `time_derivative_terms`.
 
-        In three dimensions the rows run grouped by their dimension-2
-        vector, which alone of the vectors enters the spares' fold (the N^3
-        step), so rows that share it share one fold: the site vectors of a
-        free_evolution_residuals call that agree in their last site, and
-        the first row's d/dt rows of dimensions 0 and 1.  The values are
-        returned in row order.
-        """
-        vectors = {}
-        for d, (exponent, steps) in self.kernels.items():
+def _sum_terms(reduced: Sequence[Tuple[Partition, int, Diagram, ReducedIntegrand]],
+               values: _CircleValues, quad: QuadratureSpec, points: Sequence[Tuple[int, ...]],
+               time_derivative: bool = False):
+    """(real part, imaginary part, per-partition sums) at each site vector of
+    points, in one pass over the diagrams on quad's grids; with
+    time_derivative, one more entry holds the same for d/dt at points[0].
+
+    Each diagram's operands are built, contracted at every site vector and
+    dropped before the next diagram's, in one `Workspace` for the pass.
+    slots[j], shape (rows, 1), holds the j-th site of every site vector.
+    The F-kernels of all rows come from one exp per dimension of the
+    stacked exponents E + X log P, shape (rows, N); every free variable
+    keeps at least one F-kernel.  Each row is then contracted on its own
+    (one `contract_factored` call on 1-D vectors), so its value does not
+    depend on the other rows.  The d/dt multiplier is a sum of
+    single-variable terms, so the derivative is one contraction per
+    dimension, of the first row with that dimension's vector times its
+    rate, summed in the order of `time_derivative_terms`.
+
+    In three dimensions the rows run grouped by their dimension-2 vector,
+    which alone of the vectors enters the spares' fold (the N^3 step), so
+    rows that share it share one fold: the site vectors of a
+    free_evolution_residuals call that agree in their last site, and the
+    first row's d/dt rows of dimensions 0 and 1.
+    """
+    if not points:  # free_evolution_residuals at x = (0, 0, ...) checks no relation
+        return []
+    slots = np.array(points, dtype=complex).T[:, :, None]  # exact; no cast per product
+    dims = {len(red.free_vars) for *_, red in reduced}
+    sums: List[Dict[Partition, complex]] = [{} for _ in range(len(points) + time_derivative)]
+    workspace = Workspace([(d, quad.nodes(d)) for d in dims], len(sums))
+    for lam, sign, diagram, red in reduced:
+        n_dims = len(red.free_vars)
+        nodes, vectors, pairs, scalar, kernels = _factored_operands(red, values,
+                                                                     quad.nodes(n_dims))
+        for d, (exponent, steps) in kernels.items():
             for slot, log_step in steps:
                 exponent = exponent + slots[slot] * log_step
-            vectors[d] = self.vectors[d] * np.exp(exponent)
-        n_dims = len(vectors)
-        rows = [{d: v[s] for d, v in vectors.items()} for s in range(slots.shape[1])]
-        n_points = len(rows)
+            vectors[d] = vectors[d] * np.exp(exponent)
+        rows = [{d: v[s] for d, v in vectors.items()} for s in range(len(points))]
         if time_derivative:
-            for var, mults in time_derivative_terms(self.reduced, ctx).items():
-                d = self.reduced.free_vars.index(var)
-                rate = sum(mult(self.nodes[d]) for mult in mults)
+            for var, mults in time_derivative_terms(red, values.ctx).items():
+                d = red.free_vars.index(var)
+                rate = sum(mult(nodes[d]) for mult in mults)
                 rows.append({**rows[0], d: rows[0][d] * rate})
         order = range(len(rows))
         if n_dims == 3 and len(rows) > 1:
@@ -290,110 +300,49 @@ class _DiagramOperands:
             for i, row in enumerate(rows):
                 groups.setdefault(row[2].tobytes(), []).append(i)
             order = [i for group in groups.values() for i in group]
-        values = [0j] * len(rows)
+        matrices, spares = workspace.term(n_dims, pairs)
+        row_values = [0j] * len(rows)
         for i in order:
-            values[i] = contract_factored(n_dims, rows[i], self.matrices, self.scalar, spares)
+            row_values[i] = contract_factored(n_dims, rows[i], matrices, scalar, spares)
         if time_derivative:
             total = 0.0 + 0.0j
-            for value in values[n_points:]:
+            for value in row_values[len(points):]:
                 total += value
-            values[n_points:] = [total]
-        return values
-
-
-class PreparedMoment:
-    """The n-point moment's diagram operands on one grid, for any site vectors.
-
-    Reduction, grids and every site-independent factor (weights, prefactor
-    monomials, pair-factor matrices, scalars) are built once; `evaluate`
-    takes every site vector a call needs, multiplies in their F-kernels and
-    contracts each in one pass over the diagrams.  The fine and the
-    half-resolution object of a call are built from one `_CircleValues`,
-    so each grid, monomial, kernel part and factor value that diagrams
-    share is computed once, and their pair matrices are read-only.  An
-    object lives for one call: nothing is kept between calls.
-    """
-
-    def __init__(self, reduced: Sequence[Tuple[Partition, int, Diagram, ReducedIntegrand]],
-                 values: _CircleValues, quad: QuadratureSpec):
-        self.ctx, self.quad = values.ctx, quad
-        self.terms = []
-        for lam, sign, diagram, red in reduced:
-            nodes, vectors, matrices, scalar, kernels = _factored_operands(
-                red, values, quad.nodes(len(red.free_vars)))
-            for matrix in matrices.values():
-                matrix.setflags(write=False)  # spares hold folds by matrix identity
-            self.terms.append(_DiagramOperands(lam, sign, diagram.rows, red, nodes, vectors,
-                                               matrices, scalar, kernels))
-
-    @classmethod
-    def fine_and_coarse(cls, n: int, ctx: EvalContext,
-                        quad: QuadratureSpec) -> Tuple["PreparedMoment", "PreparedMoment"]:
-        """Objects on quad and on its half-resolution grid, sharing one reduction.
-
-        A dimension whose halved grid is quad's own (16 nodes stay 16) would
-        make quad_error read 0 whatever the error, so it raises ValidityError.
-        """
-        phi = build_phi(range(n))  # F-factor sites are the slots 0..n-1 of x
-        reduced = [(lam, (-1) ** (n - len(lam)), d, reduce_by_diagram(phi, d))
-                   for lam in partitions_of(n) for d in canonical_diagrams(lam)]
-        coarse = quad.halved()
-        for dim in sorted({len(red.free_vars) for *_, red in reduced}):
-            if coarse.nodes(dim) >= quad.nodes(dim):
-                raise ValidityError(f"{quad.nodes(dim)} nodes in dimension {dim} leave no "
-                                    "coarser grid for the error estimate; give more nodes")
-        values = _CircleValues(ctx)  # shared by both grids' diagrams, dropped after the build
-        return cls(reduced, values, quad), cls(reduced, values, coarse)
-
-    def evaluate(self, points: Sequence[Tuple[int, ...]], time_derivative: bool = False):
-        """(real part, imaginary part, per-partition sums) at each site vector
-        of points, in one pass over the diagrams; with time_derivative, one
-        more entry holds the same for d/dt at points[0]."""
-        return _sum_terms(self.terms, self.ctx, self.quad, points, time_derivative)
-
-
-def _eval_context(params: ModelParams, t: float, kernel: str = "plain") -> EvalContext:
-    return EvalContext(q=float(params.q), p=float(params.p_rate),
-                       rho=float(params.rho), t=float(t), kernel=kernel)
-
-
-def _sum_terms(terms: Sequence[_DiagramOperands], ctx: EvalContext, quad: QuadratureSpec,
-               points: Sequence[Tuple[int, ...]], time_derivative: bool = False):
-    if not points:  # free_evolution_residuals at x = (0, 0, ...) checks no relation
-        return []
-    slots = np.array(points, dtype=complex).T[:, :, None]  # exact; no cast per product
-    # the 3-D contractions' workspace, one per node count
-    spares: Dict[int, Spares] = {}
-    sums: List[Dict[Partition, complex]] = [{} for _ in range(len(points) + time_derivative)]
-    for term in terms:
-        term_spares = None
-        if len(term.nodes) >= 3:
-            n_nodes = len(term.nodes[0])
-            if n_nodes not in spares:
-                spares[n_nodes] = Spares(*np.empty((2, n_nodes, n_nodes), complex))
-            term_spares = spares[n_nodes]
-        values = term.integrals(ctx, slots, time_derivative, term_spares)
-        lam = term.partition
-        for per_partition, val in zip(sums, values):
+            row_values[len(points):] = [total]
+        for per_partition, val in zip(sums, row_values):
             if not cmath.isfinite(val):
-                raise ArithmeticError(f"non-finite contribution from diagram {term.rows} "
+                raise ArithmeticError(f"non-finite contribution from diagram {diagram.rows} "
                                       f"on the {quad.nodes_by_dim} grid")
-            per_partition[lam] = per_partition.get(lam, 0.0) + term.sign * val
+            per_partition[lam] = per_partition.get(lam, 0.0) + sign * val
     return [(math.fsum(v.real for v in per_partition.values()),
              math.fsum(v.imag for v in per_partition.values()), per_partition)
             for per_partition in sums]
 
 
-def _moment_results(fine: PreparedMoment, coarse: PreparedMoment,
+def _moment_results(n: int, ctx: EvalContext, quad: QuadratureSpec,
                     points: Sequence[Tuple[int, ...]], time_derivative: bool = False):
-    """MomentResult at each site vector of points, from one fine and one
-    coarse pass, and the fine grid's d/dt at points[0] (None without
-    time_derivative)."""
-    fine_sums = fine.evaluate(points, time_derivative)
-    coarse_sums = coarse.evaluate(points)
+    """MomentResult at each site vector of points, from one pass on quad and
+    one on its half-resolution grid, and the fine grid's d/dt at points[0]
+    (None without time_derivative).
+
+    Both passes share one reduction and one `_CircleValues`, so each grid,
+    monomial, kernel part and factor value that diagrams share is computed
+    once; nothing is kept between calls.  A dimension whose halved grid is
+    quad's own (16 nodes stay 16) would make quad_error read 0 whatever the
+    error, so it raises ValidityError.
+    """
+    reduced = _diagram_terms(n)
+    coarse = quad.halved()
+    for dim in sorted({len(red.free_vars) for *_, red in reduced}):
+        if coarse.nodes(dim) >= quad.nodes(dim):
+            raise ValidityError(f"{quad.nodes(dim)} nodes in dimension {dim} leave no "
+                                "coarser grid for the error estimate; give more nodes")
+    values = _CircleValues(ctx)
+    fine_sums = _sum_terms(reduced, values, quad, points, time_derivative)
+    coarse_sums = _sum_terms(reduced, values, coarse, points)
     results = [MomentResult(value=value,
                             per_partition={lam: v.real for lam, v in per_part.items()},
-                            nodes_by_dim=fine.quad.nodes_by_dim,
+                            nodes_by_dim=quad.nodes_by_dim,
                             quad_error=abs(value - coarse_value),
                             imag_residual=abs(imag))
                for (value, imag, per_part), (coarse_value, _, _) in zip(fine_sums, coarse_sums)]
@@ -426,8 +375,7 @@ def q_moment(t: float, x: Sequence[int], params: ModelParams,
     _validate(params, t, x)
     x = tuple(int(v) for v in x)
     ctx = _eval_context(params, t, kernel)
-    fine, coarse = PreparedMoment.fine_and_coarse(len(x), ctx, quad or QuadratureSpec())
-    results, _ = _moment_results(fine, coarse, [x])
+    results, _ = _moment_results(len(x), ctx, quad or QuadratureSpec(), [x])
     return results[0]
 
 
@@ -512,8 +460,7 @@ def free_evolution_residuals(t: float, x: Sequence[int], params: ModelParams,
 
     The points are listed first (x, its 2n neighbours, the collision pairs
     and the boundary pair, without repeats) and evaluated in one fine and
-    one half-resolution pass over operands prepared once, the d/dt of (1)
-    in the fine pass.  Each value is bit for bit the one q_moment gives at
+    one half-resolution pass, the d/dt of (1) in the fine pass.  Each value is bit for bit the one q_moment gives at
     that point: a point is contracted on its own, whatever shares its pass.
     """
     _validate(params, t, x)
@@ -539,9 +486,8 @@ def free_evolution_residuals(t: float, x: Sequence[int], params: ModelParams,
     if boundary:
         points += [(0,) + x[1:], (1,) + x[1:]]
     points = list(dict.fromkeys(points))
-    fine, coarse = PreparedMoment.fine_and_coarse(n, _eval_context(params, t),
-                                                  quad or QuadratureSpec())
-    results, dvdt = _moment_results(fine, coarse, points, time_derivative)
+    results, dvdt = _moment_results(n, _eval_context(params, t), quad or QuadratureSpec(),
+                                    points, time_derivative)
     for xs, res in zip(points, results):
         report.values[xs] = res.value
         report.quad_error = max(report.quad_error, res.quad_error)

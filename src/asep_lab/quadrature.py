@@ -26,17 +26,19 @@ keys the pair, with rows belonging to the lower dimension.
 
 Integrals are contracted factor-wise: an integrand that is a product of
 per-dimension vectors and pair matrices is summed in BLAS matrix products
-instead of being materialised on the full tensor grid.  A caller that
-contracts many integrands gives them one `Spares`, which also keeps the
-three-dimensional step's matrix product for the next integrand that
-shares its operands, and computes each value its integrands share once,
+instead of being materialised on the full tensor grid.  A call that sums
+many integrands (terms) builds, contracts and drops them one at a time in
+one `Workspace`: each term's pair matrices are written into its buffers,
+and its contraction gets fresh `Spares` there, which keep the
+three-dimensional step's matrix product for the next site vector of the
+same term that shares it.  Each value the terms share is computed once,
 in one `GridValues` memo per call.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -134,8 +136,8 @@ class PairProducts:
 class GridValues:
     """Arrays on one call's grids, each computed once.
 
-    A memo that lives for one call (one prepared moment's construction, one
-    SHE evaluation) and is never kept between calls: `get(key, compute)`
+    A memo that lives for one call (one moment's two passes, one SHE
+    evaluation) and is never kept between calls: `get(key, compute)`
     returns what is stored under key, calling compute() the first time.
     Keys name the grid (node count, dimension) and the expression (factor
     kind, monomial exponents).  Values are arrays or tuples of arrays, and
@@ -168,10 +170,11 @@ class Spares:
     computed into `fold` and remembered by those two matrices (by identity)
     and v2 (by its bytes); a later contraction with the same three reads it
     back instead of computing it again, to the same bits.  The matrices must
-    therefore not change while spares hold their fold: the moment code's are
-    read-only.  `first` takes the other temporaries.  A caller done with its
-    (0, 2) matrix may lend it as `first`: that fold is never reused, since
-    the contraction overwrites the matrix it came from.
+    therefore not change while spares hold their fold, so each term of a
+    `Workspace` gets fresh spares: the next term's matrices are written into
+    the same buffers.  `first` takes the other temporaries.  A caller done
+    with its (0, 2) matrix may lend it as `first`: that fold is never
+    reused, since the contraction overwrites the matrix it came from.
     """
 
     __slots__ = ("first", "fold", "_held")
@@ -189,6 +192,43 @@ class Spares:
             np.matmul(first, m12.T, out=self.fold)
             self._held = None if self.first is m02 else (m02, m12, key)
         return self.fold
+
+
+class Workspace:
+    """The N x N complex buffers of one call whose terms are contracted one at a time.
+
+    Each term writes its pair matrices into the buffers and gets fresh
+    `Spares` in them (`term`); nothing of a term outlives the next one.  The
+    buffers are views of one block, sized for the largest of shapes, the
+    (dimensions, node count) of the call's terms, so the call allocates
+    once and no term allocates an N x N array.  A 3-D term contracted at one
+    site vector (rows == 1) reads its (0, 2) matrix once, so that matrix is
+    its first spare; at more rows, and in the d >= 4 sweep, which reads its
+    matrices once per node, the first spare is a buffer of its own.
+    """
+
+    def __init__(self, shapes: Iterable[Tuple[int, int]], rows: int = 1):
+        self.rows = rows
+        self._block = np.empty(max((self._count(d) * n * n for d, n in shapes), default=0),
+                               complex)
+
+    def _count(self, n_dims: int) -> int:
+        """Buffers of an n_dims term: its pair matrices, then its spares."""
+        spares = 0 if n_dims < 3 else 1 if n_dims == 3 and self.rows == 1 else 2
+        return n_dims * (n_dims - 1) // 2 + spares
+
+    def term(self, n_dims: int, pairs: PairProducts
+             ) -> Tuple[Dict[Tuple[int, int], np.ndarray], Optional[Spares]]:
+        """A term's pair matrices, written into the buffers, and its spares
+        (None below three dimensions)."""
+        n, count = pairs.n_nodes, self._count(n_dims)
+        buffers = list(self._block[:count * n * n].reshape(count, n, n))
+        n_pairs = n_dims * (n_dims - 1) // 2
+        matrices = pairs.matrices(buffers[:n_pairs])
+        if n_dims < 3:
+            return matrices, None
+        first = buffers[n_pairs] if count - n_pairs == 2 else matrices[(0, 2)]
+        return matrices, Spares(first, buffers[-1])
 
 
 def contract_factored(n_dims: int,

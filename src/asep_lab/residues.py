@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .model import ValidityError
 from .partitions import Diagram, substitution_steps
 
 
@@ -225,7 +226,8 @@ class EvalContext:
 
     kernel 'plain' is the ASEP kernel F; 'scaled' multiplies the site-j
     kernel by q^{lattice_x/2} e^{(p+q-1)t} with the F-site shifted by one,
-    matching the weak-asymmetry observable.
+    matching the weak-asymmetry observable.  Any other name raises
+    ValidityError.
     """
 
     q: float
@@ -233,6 +235,10 @@ class EvalContext:
     rho: float
     t: float
     kernel: str = "plain"
+
+    def __post_init__(self):
+        if self.kernel not in ("plain", "scaled"):
+            raise ValidityError(f"unknown kernel {self.kernel!r}; use 'plain' or 'scaled'")
 
     def kernel_parts(self, m):
         """F_site(m)/m = multiplier * exp(exponent + site * log_step), parts free of the site.

@@ -8,8 +8,8 @@ from asep_lab.kpz import (DIRICHLET, ROBIN, ContourSpec, KpzParams,
                           robin_pde_first_moment, scaled_asep_moment,
                           she_moment_nested, she_moment_residue_form,
                           _robin_heat_profile)
-from asep_lab.model import ValidityError
-from asep_lab.moments import QuadratureSpec
+from asep_lab.model import ModelParams, ValidityError
+from asep_lab.moments import QuadratureSpec, free_evolution_residuals, q_moment
 
 
 def test_params_validation():
@@ -415,6 +415,28 @@ def test_she_call_holds_one_workspace(form, offsets, reach):
     finally:
         tracemalloc.stop()
     assert peak < (3 + 2) * n_nodes ** 2 * 16
+
+
+@pytest.mark.parametrize("moment, arrays", [
+    (lambda params: q_moment(0.5, (1, 3, 5, 6), params), 16),
+    (lambda params: free_evolution_residuals(0.7, (1, 2, 4), params), 10)])
+def test_moment_call_holds_one_workspace(moment, arrays):
+    # a pass builds, contracts and drops one diagram at a time in one
+    # workspace: eight 112^2 arrays at n = 4, five 128^2 arrays for the 3-D
+    # diagram of a many-point n = 3 pass.  All diagrams of a grid used to be
+    # held at once (peaks of 96 arrays of 128^2 at n = 4 and 15 at n = 3)
+    import tracemalloc
+    from fractions import Fraction
+    params = ModelParams.from_density(1, Fraction(1, 2), Fraction(9, 10))
+    n_nodes = QuadratureSpec().nodes(3)
+    assert n_nodes == 128
+    tracemalloc.start()
+    try:
+        moment(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < arrays * n_nodes ** 2 * 16
 
 
 @pytest.mark.parametrize("boundary", [{"A": 1.0}, {"boundary": DIRICHLET}])

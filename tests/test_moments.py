@@ -7,7 +7,7 @@ import pytest
 
 from asep_lab import moments
 from asep_lab.model import ModelParams, SegmentParams, ValidityError
-from asep_lab.moments import (PreparedMoment, QuadratureSpec, _CircleValues, _eval_context,
+from asep_lab.moments import (QuadratureSpec, _CircleValues, _diagram_terms, _eval_context,
                               _factored_operands, first_moment, free_evolution_residuals,
                               q_moment, second_moment_explicit)
 from asep_lab.partitions import canonical_diagrams, partitions_of
@@ -160,23 +160,27 @@ def test_a_value_does_not_depend_on_the_points_that_share_its_pass(x):
     n = len(x)
     ctx = _eval_context(PARAMS, 0.9)
     points = [x] + [x[:i] + (x[i] + s,) + x[i + 1:] for i in range(n) for s in (-1, 1)]
-    for prepared in PreparedMoment.fine_and_coarse(n, ctx, QuadratureSpec()):
-        full = _pass_bits(prepared.evaluate(points, time_derivative=True))
-        alone = [_pass_bits(prepared.evaluate([xs]))[0] for xs in points]
+    reduced, values = _diagram_terms(n), _CircleValues(ctx)
+    for quad in (QuadratureSpec(), QuadratureSpec().halved()):
+
+        def evaluate(points, time_derivative=False):
+            return moments._sum_terms(reduced, values, quad, points, time_derivative)
+
+        full = _pass_bits(evaluate(points, time_derivative=True))
+        alone = [_pass_bits(evaluate([xs]))[0] for xs in points]
         assert full[:-1] == alone
-        assert _pass_bits(prepared.evaluate(points[::-1])) == alone[::-1]
-        assert _pass_bits(prepared.evaluate(points[2:4])) == alone[2:4]
+        assert _pass_bits(evaluate(points[::-1])) == alone[::-1]
+        assert _pass_bits(evaluate(points[2:4])) == alone[2:4]
         # the d/dt entry is the same with or without the other points
-        assert _pass_bits(prepared.evaluate([x], time_derivative=True))[-1] == full[-1]
+        assert _pass_bits(evaluate([x], time_derivative=True))[-1] == full[-1]
         if n == 3:
             # points that share x_3 share the 3-D step's fold, in any order; others do not
             for group in ([x, (2, 3, 4), (0, 1, 4), (1, 3, 4)],
                           [x, (1, 2, 3), (2, 3, 5), (0, 1, 6)],
                           [(1, 2, 3), x, (2, 3, 3), (1, 3, 4), (0, 1, 3)]):
-                got = _pass_bits(prepared.evaluate(group, time_derivative=True))
-                assert got[:-1] == [_pass_bits(prepared.evaluate([xs]))[0] for xs in group]
-                d_dt = prepared.evaluate([group[0]], time_derivative=True)
-                assert got[-1] == _pass_bits(d_dt)[-1]
+                got = _pass_bits(evaluate(group, time_derivative=True))
+                assert got[:-1] == [_pass_bits(evaluate([xs]))[0] for xs in group]
+                assert got[-1] == _pass_bits(evaluate([group[0]], time_derivative=True))[-1]
 
 
 def test_points_that_share_their_last_site_share_one_fold(monkeypatch):
@@ -198,9 +202,9 @@ def test_points_that_share_their_last_site_share_one_fold(monkeypatch):
 
 
 def test_a_build_evaluates_each_kernel_argument_and_grid_once(monkeypatch):
-    # one n = 3 build used to make 66 kernel_parts calls for 17 distinct
-    # arguments, and 38 circle_nodes calls for 7 grids
-    kernel_args, grids = [], []
+    # one n = 3 call (both grids) used to make 66 kernel_parts calls for 17
+    # distinct arguments, and 38 circle_nodes calls for 7 grids
+    kernel_args, grids, node_grids = [], [], []
     kernel_parts, circle_nodes_ = EvalContext.kernel_parts, moments.circle_nodes
 
     def counted_kernel_parts(ctx, m):
@@ -209,17 +213,22 @@ def test_a_build_evaluates_each_kernel_argument_and_grid_once(monkeypatch):
 
     def counted_circle_nodes(*args):
         grids.append(args)
-        return circle_nodes_(*args)
+        node_grids.append(circle_nodes_(*args))
+        return node_grids[-1]
 
     monkeypatch.setattr(EvalContext, "kernel_parts", counted_kernel_parts)
     monkeypatch.setattr(moments, "circle_nodes", counted_circle_nodes)
-    fine, _ = PreparedMoment.fine_and_coarse(3, _eval_context(PARAMS, 0.9), QuadratureSpec())
+    q_moment(0.9, (1, 2, 4), PARAMS)
     assert len(kernel_args) == len(set(kernel_args)) == 17
     assert len(grids) == len(set(grids)) == 7
-    # shared arrays, and the matrices spares hold folds by, cannot be written
-    three_dims = next(term for term in fine.terms if len(term.nodes) == 3)
-    assert not any(a.flags.writeable for a in (*three_dims.nodes.values(),
-                                               *three_dims.matrices.values()))
+    # the diagrams share these arrays, so none can write into them
+    assert not any(a.flags.writeable for grid in node_grids for a in grid)
+
+
+def test_q_moment_refuses_an_unknown_kernel():
+    # "Scaled" used to give the plain moment, 0.81513; "scaled" gives 0.39615
+    with pytest.raises(ValidityError, match="Scaled"):
+        q_moment(0.5, (1, 3), PARAMS, kernel="Scaled")
 
 
 def test_free_evolution_at_sites_where_no_relation_applies_is_empty():
@@ -307,7 +316,8 @@ def test_circle_pair_operands_match_dense_factors(kinds, vpows, vars_):
                     for i, kind in enumerate(kinds))
     reduced = ReducedIntegrand(factors, (1, 2))
     values = _CircleValues(ctx)
-    _, vectors, matrices, scalar, _ = _factored_operands(reduced, values, 24)
+    _, vectors, pairs, scalar, _ = _factored_operands(reduced, values, 24)
+    matrices = pairs.matrices()
     # the vectors carry the trapezoid weights; the dense factors do not
     u, v = (vectors[d] / values.grid(24, d)[1] for d in range(2))
     got = scalar * u[:, None] * matrices[(0, 1)] * v[None, :]

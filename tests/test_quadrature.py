@@ -3,7 +3,7 @@ import string
 import numpy as np
 import pytest
 
-from asep_lab.quadrature import GridValues, PairProducts, Spares, contract_factored
+from asep_lab.quadrature import GridValues, PairProducts, Spares, Workspace, contract_factored
 
 GRID_LENGTHS = (7, 5, 9, 6)
 
@@ -120,6 +120,30 @@ def test_the_fold_of_a_lent_matrix_is_not_reused():
     # the contraction overwrote the lent matrix; a caller refills it for the next term
     matrices[(0, 2)][...] = original
     assert _contract_on_poisoned_fold(vectors, matrices, spares) == fresh
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_a_held_fold_never_outlives_its_term(rows):
+    # two 3-D terms with equal dimension-2 vectors write their matrices in
+    # turn into the same buffers; spares shared between them would read the
+    # first term's fold back for the second
+    rng = np.random.default_rng(303)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    workspace, v2, held = Workspace([(3, 6)], rows), cplx(6), []
+    for _ in range(2):
+        pairs = PairProducts(6)
+        for a, b, hankel in ((0, 1, False), (0, 2, True), (1, 2, False)):
+            pairs.multiply(a, b, hankel, cplx(11), 1)
+        vectors = {0: cplx(6), 1: cplx(6), 2: v2}
+        fresh = contract_factored(3, vectors, pairs.matrices(), 0.3 - 0.1j)
+        matrices, spares = workspace.term(3, pairs)
+        held.append(matrices[(1, 2)])
+        for _ in range(rows):  # a second row reads its own term's fold back
+            assert contract_factored(3, vectors, matrices, 0.3 - 0.1j, spares) == fresh
+    assert np.shares_memory(*held)
 
 
 def test_pair_matrices_written_into_buffers_equal_new_ones():
