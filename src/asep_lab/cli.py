@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .duality import (DualityReport, chamber_vectors, exhaustive_states,
@@ -42,6 +41,7 @@ EXIT_VERIFICATION = 4
 
 
 def _versions() -> Dict[str, str]:
+    import scipy
     # the kpz values contract in BLAS, so their last bits depend on its build
     blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     return {

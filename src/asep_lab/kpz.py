@@ -22,9 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
-from scipy.special import erf
 
 from .model import ModelParams, ValidityError
 from .moments import QuadratureSpec, q_moment
@@ -304,8 +301,8 @@ def scaled_asep_moment(eps: float, kpz: KpzParams,
     x = 0.5 the default grid meets that down to eps ~ 1e-4, and below it
     the returned value would be wrong without a sign of it.
     """
-    if eps <= 0:
-        raise ValidityError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValidityError("eps must be finite and positive")
     n = kpz.n
     sq = math.sqrt(eps)
     if kpz.boundary == ROBIN:
@@ -350,6 +347,10 @@ def _robin_heat_profile(A: float, t: float, length: float, dx: float, dt: float,
     Initial data is the half-normal density of width sigma placed at the
     wall, discretized by exact cell averages.
     """
+    # scipy loads at the first oracle call, not with asep_lab (tests/test_imports.py)
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+    from scipy.special import erf
     J = int(round(length / dx))
     x = np.arange(J) * dx
     edges = np.concatenate([[0.0], x[:-1] + dx / 2.0, [x[-1] + dx / 2.0]])

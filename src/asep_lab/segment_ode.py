@@ -21,15 +21,25 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_array
-# the exponential's action on a vector; solve_u applies exp(tM) only through this name
-from scipy.sparse.linalg import expm_multiply as expm
 
 from .duality import chamber_vectors, dual_moves, dual_segment_diagonal, segment_moves
 from .model import SegmentParams, SegmentState, ValidityError, h_product_segment
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
+
+
+# the exponential's action on a vector; solve_u applies exp(tM) only through
+# this name.  scipy's sparse modules (about 0.25 s to import) load at its first
+# call or the first build_dual_matrix, not with asep_lab
+def expm(A, v):
+    """exp(A) v by scipy's expm_multiply, its result unchanged."""
+    from scipy.sparse.linalg import expm_multiply
+    return expm_multiply(A, v)
+
 
 # expm_multiply covers a step exp(A) v with 1-norm ||A - mu I||_1 <= 9.9,
 # mu = trace(A) / dim, by one Taylor polynomial of degree at most 55 whose
@@ -84,6 +94,7 @@ def build_dual_matrix(params: SegmentParams, n: int) -> DualMatrix:
     `params.integer_rates` and divided by D once; int / int division is
     correctly rounded, so it is the float nearest the exact rational entry.
     """
+    from scipy.sparse import csr_array
     vectors = chamber(params.ell, n)
     index = {v: i for i, v in enumerate(vectors)}
     rates = params.integer_rates

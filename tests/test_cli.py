@@ -342,6 +342,12 @@ def test_kpz_rejects_non_finite_input(flags, capsys):
     assert len(err.strip().splitlines()) == 1 and "finite" in err
 
 
+def test_kpz_refuses_a_nan_eps_in_one_line(capsys):
+    assert main(["kpz", "--A", "1", "--t", "1", "--x", "0.5", "--eps", "nan"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "eps must be finite and positive" in err
+
+
 @pytest.mark.parametrize("flags", [["--x", "abc", "--A", "1"],
                                    ["--x", "1", "--A", "1", "--eps", "0.1,x"]])
 def test_kpz_rejects_malformed_numbers(flags, capsys):

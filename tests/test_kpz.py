@@ -133,13 +133,19 @@ def test_scaled_moment_is_the_lattice_identity():
 
 def test_scaled_moment_validates():
     with pytest.raises(ValidityError):
-        scaled_asep_moment(-0.1, KpzParams(t=1.0, x=(0.5,), A=1.0))
-    with pytest.raises(ValidityError):
         # sites collide after rounding
         scaled_asep_moment(0.2, KpzParams(t=1.0, x=(0.41, 0.48), A=1.0))
     with pytest.raises(ValidityError, match="above 1"):
         # boundary density 1/2 + sqrt(0.2) (1/4 + 3/2) = 1.28
         scaled_asep_moment(0.2, KpzParams(t=1.0, x=(0.5,), A=3.0))
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_scaled_moment_refuses_a_non_finite_or_non_positive_eps(eps):
+    # nan used to pass the sign test and be refused as "not an exact rational",
+    # inf as pushing the boundary density above 1
+    with pytest.raises(ValidityError, match="^eps must be finite and positive$"):
+        scaled_asep_moment(eps, KpzParams(t=1.0, x=(0.5,), A=1.0))
 
 
 @pytest.mark.parametrize("kpz", [KpzParams(t=1.0, x=(0.5,), A=1.0),
