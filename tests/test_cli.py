@@ -78,12 +78,15 @@ def test_simulate_deterministic_bytes(tmp_path):
 
 
 # sha256 of the report lines (manifest line excluded) of `simulate` on the
-# half line and on the ell = 4 segment, recorded when trajectories moved to
-# block-filled rows with per-trajectory overflow streams (version 0.3.0);
-# at t = 3 a few half-line trajectories outrun their row
+# half line and on the ell = 4 segment.  The segment's was recorded when
+# trajectories moved to block-filled rows with per-trajectory overflow
+# streams (version 0.3.0); the half line's when it moved to the lockstep
+# layout, site 1's boundary move then the bonds in ascending order, in
+# place of the set-order move list (version 0.4.0).  At t = 3 a few
+# half-line trajectories outrun their row.
 SIMULATE_DIGESTS = {
     "halfline": (["--t", "3.0", "--rho", "0.9", "--observable", "2", "--observable", "1,4"],
-                 "aad65788459afe4dd3f25706e3a8906f2c37b3a6a0e0d8032b7e66144b68fddc"),
+                 "2dd8ccf01e778ffc4aa35356e81fe4e271baa617dcbbd084b583d45d8a80bab4"),
     "segment": (["--t", "1.0", "--ell", "4", "--rho0", "3/4", "--rho-ell", "1/3",
                  "--observable", "1,3", "--observable", "2"],
                 "c8a124da2c6d2374818a4a3551853e9c642c457f82585fba6ba5e9925fdc0674"),

@@ -191,78 +191,81 @@ def _reference_events(bits, count):
     return [(-math.log1p(-c), pick) for c, pick in zip(u[0::2], u[1::2])]
 
 
-def _events(draws, count):
-    return [(draws.exponential(), draws.uniform()) for _ in range(count)]
+def _block_draws(streams, first):
+    return simulate._Draws(streams, first, simulate._rng_for(streams, first))
+
+
+def _events(draws, row, count):
+    """Row `row`'s first `count` events of a block's draws, with every trajectory running."""
+    return [(draws.exponential()[row].item(), draws.uniform()[row].item())
+            for _ in range(count)]
 
 
 def test_rows_are_fixed_positions_of_the_seed_stream():
     # trajectory i's first K events are draws [2K i, 2K (i+1)) of the seed's stream
-    k = simulate._K
+    k, block = simulate._K, simulate._BLOCK
     streams = simulate._Streams(2024, 100_000)
-    for i in (0, 1, 7, simulate._BLOCK - 1, simulate._BLOCK, 99_999):
+    for i in (0, 1, 7, block - 1, block, 99_999):
         bits = np.random.PCG64DXSM(np.random.SeedSequence(2024))
         bits.advance(2 * k * i)
-        draws = simulate._Draws(simulate._rng_for(streams, i), streams, i)
+        draws = _block_draws(streams, i - i % block)
         # clocks are the C library's -log1p(-U), bit for bit
-        assert _events(draws, k) == _reference_events(bits, k)
+        assert _events(draws, i % block, k) == _reference_events(bits, k)
 
 
 def test_overflowing_trajectory_continues_on_its_jumped_stream():
     k, i = simulate._K, 7
     streams = simulate._Streams(2024, 20)
-    draws = simulate._Draws(simulate._rng_for(streams, i), streams, i)
-    events = _events(draws, 3 * k)
+    events = _events(_block_draws(streams, 0), i, 3 * k)
     jumped = np.random.PCG64DXSM(np.random.SeedSequence(2024)).jumped(i + 1)
     assert events[k:] == _reference_events(jumped, 2 * k)
 
 
-class _EventCountingDraws(simulate._Draws):
-    events = []
+@pytest.fixture
+def overflowed(monkeypatch):
+    """The trajectories that turn to their overflow streams, in the order they do."""
+    indices = []
+    overflow = simulate._Streams.overflow
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.events.append(0)
+    def recording_overflow(streams, index):
+        indices.append(index)
+        return overflow(streams, index)
 
-    def exponential(self):
-        self.events[-1] += 1
-        return super().exponential()
+    monkeypatch.setattr(simulate._Streams, "overflow", recording_overflow)
+    return indices
 
 
 def _halfline_finals(params, t_end, seed, start, stop):
-    return list(simulate._finals(*simulate._loop(params, False), t_end, seed, start, stop))
+    """Final occupied sites of trajectories start, ..., stop - 1, run in lockstep blocks."""
+    return [frozenset((np.flatnonzero(row) + 1).tolist())
+            for eta, _ in simulate._blocks(*simulate._loop(params), t_end, seed, start, stop)
+            for row in eta]
 
 
 @pytest.mark.parametrize("finals, params, t", [
     (_halfline_finals, PARAMS, 8.0),
 ])
-def test_trajectory_does_not_depend_on_earlier_ones(monkeypatch, finals, params, t):
-    monkeypatch.setattr(simulate, "_Draws", _EventCountingDraws)
-    _EventCountingDraws.events = []
+def test_trajectory_does_not_depend_on_earlier_ones(overflowed, finals, params, t):
     block = simulate._BLOCK
     full = finals(params, t, 31, 0, block + 12)
     assert finals(params, t, 31, 5, 12) == full[5:12]
     # a chunk that starts mid-block and crosses the full run's first block boundary
-    _EventCountingDraws.events = []
+    overflowed.clear()
     assert finals(params, t, 31, block - 5, block + 12) == full[block - 5:]
-    assert max(_EventCountingDraws.events) > simulate._K  # some row in it overflowed
+    assert overflowed  # some row in it overflowed
+    # a shorter run is one smaller block, not a prefix of the same one
+    cfg = SimConfig(params, t, 1001, seed=31)
+    assert [s.occupied for s in simulate_halfline(cfg)] == full[:1001]
 
 
 def _segment_blocks(params, t_end, seed, start, stop):
     """Final (eta, n_ell) of trajectories start, ..., stop - 1, run in lockstep blocks."""
     return [(tuple(eta), n_ell)
-            for block in simulate._blocks(*simulate._loop(params, True), t_end, seed, start, stop)
+            for block in simulate._blocks(*simulate._loop(params), t_end, seed, start, stop)
             for eta, n_ell in zip(*(a.tolist() for a in block))]
 
 
-def test_segment_trajectory_does_not_depend_on_chunking(monkeypatch):
-    overflowed = []
-    overflow = simulate._Streams.overflow
-
-    def recording_overflow(streams, index):
-        overflowed.append(index)
-        return overflow(streams, index)
-
-    monkeypatch.setattr(simulate._Streams, "overflow", recording_overflow)
+def test_segment_trajectory_does_not_depend_on_chunking(overflowed):
     block = simulate._BLOCK
     full = _segment_blocks(SEG, 8.0, 31, 0, block + 12)
     assert _segment_blocks(SEG, 8.0, 31, 5, 12) == full[5:12]
@@ -281,9 +284,93 @@ def test_segment_estimate_does_not_depend_on_chunk_bounds():
     assert estimate(cfg, threads=1) == estimate(cfg, threads=2)
 
 
+def test_halfline_estimate_does_not_depend_on_chunk_bounds():
+    cfg = SimConfig(PARAMS, 1.0, simulate._BLOCK + 13, seed=5, observables=((1, 2), (3,)))
+    assert estimate(cfg, threads=1) == estimate(cfg, threads=2)
+
+
+class _RowDraws:
+    """One trajectory's draws, one event at a time: its row, then rows of its overflow stream.
+
+    exponential() starts the next event and returns its clock -log1p(-U);
+    uniform() returns the pick of that same event.
+    """
+
+    def __init__(self, row, streams, index):
+        self._row = row
+        self._j = 0
+        self._streams = streams
+        self._index = index
+        self._spill = None
+        self.events = 0
+
+    def exponential(self):
+        j = self._j
+        if j == 2 * simulate._K:
+            if self._spill is None:
+                self._spill = self._streams.overflow(self._index)
+            self._row = simulate._rows(self._spill, 1)[0].tolist()
+            j = 0
+        self._j = j + 2
+        self.events += 1
+        return -math.log1p(-self._row[j])
+
+    def uniform(self):
+        return self._row[self._j - 1]
+
+
+def _reference_finals(run, rates, t_end, seed, stop, events):
+    """run(*rates, t_end, draws) for trajectories 0, ..., stop - 1, one at a time.
+
+    Appends each trajectory's event count to `events`.
+    """
+    streams = simulate._Streams(seed, stop)
+    finals = []
+    for first in range(0, stop, simulate._BLOCK):
+        for i, row in enumerate(simulate._rng_for(streams, first).tolist(), first):
+            draws = _RowDraws(row, streams, i)
+            finals.append(run(*rates, t_end, draws))
+            events.append(draws.events)
+    return finals
+
+
 # The per-trajectory event loops that the lockstep runners replaced, kept as
 # their reference.  They add rates in list order, as sum() did on Python 3.11
 # (from 3.12 on, sum() compensates float rounding).
+
+def _reference_halfline(p, q, alpha, gamma, t_end, draws):
+    # site 1's boundary move, then bond (s, s+1) for s = 1, ..., the furthest
+    # particle; each move flips the sites it lists
+    occ = set()
+    t = 0.0
+    while True:
+        moves = []
+        if 1 in occ:
+            if gamma > 0:
+                moves.append((gamma, {1}))
+        elif alpha > 0:
+            moves.append((alpha, {1}))
+        for s in range(1, max(occ, default=0) + 1):
+            if s in occ and s + 1 not in occ:
+                moves.append((p, {s, s + 1}))
+            elif s not in occ and s + 1 in occ:
+                moves.append((q, {s, s + 1}))
+        total = 0.0
+        for r, _ in moves:
+            total += r
+        if total <= 0.0:
+            return frozenset(occ)
+        t += draws.exponential() / total
+        if t > t_end:
+            return frozenset(occ)
+        u = draws.uniform() * total
+        acc = 0.0
+        for r, flips in moves:
+            acc += r
+            if u <= acc:
+                occ ^= flips
+                break
+
 
 def _reference_segment(ell, p, q, alpha, gamma, beta, delta, t_end, draws):
     eta = [0] * (ell - 1)
@@ -371,10 +458,32 @@ def _reference_dual(ell, p, q, rho0, rho_ell, x0, t_end, draws):
     return tuple(x), math.exp(-(p - q) * rho0 * time_left + (p - q) * rho_ell * time_right)
 
 
+@pytest.mark.parametrize("t_end", [0.0, 1.0, 3.0, 12.0])
+def test_lockstep_halfline_equals_per_trajectory_reference(t_end):
+    events, widths = [], []
+    count = 1000
+    # the second set has gamma = 0, the third boundary rates off the Liggett line
+    for seed, params in enumerate([PARAMS, ModelParams.from_density(1, F(3, 5), 1),
+                                   ModelParams(2, F(1, 3), F(3, 2), F(1, 5))]):
+        rates = simulate._loop(params)[1]
+        reference = _reference_finals(_reference_halfline, rates, t_end, seed, count, events)
+        lockstep = []
+        for eta, n_ell in simulate._blocks(*simulate._loop(params), t_end, seed, 0, count):
+            assert not n_ell.any() and not eta[:, -1].any()  # nothing reaches the last site
+            widths.append(eta.shape[1])
+            lockstep += [frozenset((np.flatnonzero(row) + 1).tolist()) for row in eta]
+        assert lockstep == reference
+    if t_end >= 3.0:
+        assert max(events) > simulate._K  # some row overflowed
+        assert max(widths) > 8  # some window grew
+    if t_end == 12.0:
+        # past 2 _K events a trajectory moves on to its overflow stream's next row
+        assert max(events) > 3 * simulate._K
+
+
 @pytest.mark.parametrize("t_end, ell", [(t_end, ell) for t_end in (0.0, 1.0, 3.0)
                                          for ell in (2, 4, 6)] + [(12.0, 6)])
-def test_lockstep_runs_equal_per_trajectory_reference(monkeypatch, ell, t_end):
-    monkeypatch.setattr(simulate, "_Draws", _EventCountingDraws)
+def test_lockstep_runs_equal_per_trajectory_reference(ell, t_end):
     segment_events, dual_events = [], []
     count = 1000
     full = tuple(range(1, ell + 1))  # a jammed dual walk: no move, no clock drawn
@@ -383,15 +492,15 @@ def test_lockstep_runs_equal_per_trajectory_reference(monkeypatch, ell, t_end):
     for seed, (q, rho0, rho_ell) in enumerate([(F(1, 2), F(3, 4), F(1, 3)),
                                                (F(3, 5), 1, 0), (F(2, 5), 0, 1)]):
         params = SegmentParams.from_densities(1, q, rho0, rho_ell, ell)
-        rates = simulate._loop(params, True)[1]
-        _EventCountingDraws.events = segment_events
-        reference = list(simulate._finals(_reference_segment, rates, t_end, seed, 0, count))
+        rates = simulate._loop(params)[1]
+        reference = _reference_finals(_reference_segment, rates, t_end, seed, count,
+                                      segment_events)
         assert _segment_blocks(params, t_end, seed, 0, count) == reference
-        _EventCountingDraws.events = dual_events
         for x0 in starts:
             rates = (ell, float(params.p_rate), float(params.q_rate), float(params.rho0),
                      float(params.rho_ell), x0)
-            reference = list(simulate._finals(_reference_dual, rates, t_end, seed, 0, count))
+            reference = _reference_finals(_reference_dual, rates, t_end, seed, count,
+                                          dual_events)
             lockstep = [(tuple(x), weight)
                         for block in simulate._blocks(simulate._run_dual, rates, t_end, seed,
                                                       0, count)
