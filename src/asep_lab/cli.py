@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--output", default=None, help="write to a file instead of stdout")
     v.add_argument("--mode", required=True,
                    choices=["fullspace", "halfline", "segment", "no-liggett", "fictitious"])
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_int_at_least(0), default=0)
     v.add_argument("--points", type=_int_at_least(1), default=3,
                    help="random rational parameter points")
     v.add_argument("--max-site", dest="max_site", type=_int_at_least(0), default=None,

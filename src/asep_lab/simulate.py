@@ -1,10 +1,9 @@
-"""Exact continuous-time simulation of half-line and segment open ASEP.
+"""Exact continuous-time simulation of open ASEP (half line, segment) and the segment's dual.
 
 Rejection-free event scheduling (Gillespie's direct method): one
 exponential clock at the total active rate, then a categorical pick among
 the active transitions.  The half line is simulated exactly with no
-truncation: its trajectories run on a window of sites that doubles before
-any particle can reach past it.
+truncation (see the window below).
 
 Each event takes two draws, its clock and its pick.  Trajectory i reads
 its first _K events from its row, draws [2*_K*i, 2*_K*(i+1)) of
@@ -20,12 +19,17 @@ in one fixed order and gives a move the one-trajectory-at-a-time scheme
 would not list the rate 0.0; adding 0.0 is exact, so the running sums
 along the layout, and the total, are that scheme's bit for bit, and the
 pick is the first listed move whose running sum reaches it.  The half
-line and the segment share one layout: site 1's boundary move, the right
-end's, then the bonds from left to right.  The half line has no right
-end, so that move has rate 0.0, and its window starts at 8 sites and
-doubles whenever a running trajectory has a particle on its last site;
-the bonds past the furthest particle add 0.0, so a path does not depend
-on the window, the block or the worker split.
+line, the segment and the Feynman-Kac dual share one runner and one
+layout: site 1's boundary move, the right end's, then the bonds from left
+to right.  The half line has no right end, so that move has rate 0.0, and
+its window starts at 8 sites and doubles whenever a running trajectory
+has a particle on its last site; the bonds past the furthest particle add
+0.0, so a path does not depend on the window, the block or the worker
+split.  The dual is the segment walk on sites 1, ..., ell with no
+boundary move and p and q swapped, started from its particles' sites; in
+site order its moves are each particle's left step, then its right step.
+It also clocks the time its first and its last site are occupied, which
+make its weights.  Every walk stops at its first clock past t_end.
 
 Each clock is -math.log1p(-U) and each dual weight a math.exp, one
 C-library call per value: numpy's vectorized log1p and exp take SIMD paths
@@ -63,6 +67,8 @@ class SimConfig:
                                  for obs in self.observables))
         if self.trajectories < 1:
             raise ValidityError("need at least one trajectory")
+        if self.seed < 0:
+            raise ValidityError(f"seed must be >= 0, got {self.seed}")
         # a NaN or infinite end time would never stop the event loops
         if not 0 <= self.t_end < math.inf:
             raise ValidityError("t_end must be finite and nonnegative")
@@ -122,8 +128,8 @@ class _Draws:
 
     Each reads event k's clock and pick at columns 2k and 2k + 1 of its
     row; from event _K on, rows of its overflow stream, one per _K events.
-    keep() drops the trajectories that finished, in the order the runner
-    keeps its own arrays.
+    keep() keeps the running trajectories at the given positions, in the
+    order the runner keeps its own arrays.
     """
 
     def __init__(self, streams: _Streams, first: int, rows: np.ndarray):
@@ -135,8 +141,8 @@ class _Draws:
         self.size = len(rows)
         self.k = 0
 
-    def keep(self, running: np.ndarray):
-        self._at = self._at[running]
+    def keep(self, kept: np.ndarray):
+        self._at = self._at[kept]
 
     def exponential(self) -> np.ndarray:
         """Event k's clocks -log1p(-U), one C-library call each (negating is exact)."""
@@ -192,21 +198,30 @@ def _flips(width: int) -> np.ndarray:
 
 
 def _run_open(width: int, grow: bool, p: float, q: float, alpha: float, gamma: float,
-              beta: float, delta: float, t_end: float,
-              draws: _Draws) -> Tuple[np.ndarray, np.ndarray]:
+              beta: float, delta: float, t_end: float, draws: _Draws,
+              start: Optional[np.ndarray] = None
+              ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Final occupations (trajectories x sites) and through-counts of one block, in lockstep.
 
     Moves: site 1's boundary move, site `width`'s, then bond (x, x+1) for
     x = 1, ..., width-1.  A boundary move is listed when its rate is
     positive; a bond move whenever exactly one of its sites is occupied.
-    With `grow`, the window doubles whenever a running trajectory has a
-    particle on its last site, so no particle reaches past it.
+    An end whose two boundary rates are 0 gets rate 0.0 without a look at
+    its site.  With `grow`, the window doubles whenever a running
+    trajectory has a particle on its last site, so no particle reaches past
+    it.  The walks start empty, or from the occupations `start`; given
+    `start`, the third result is each trajectory's time up to t_end with
+    site 1 and with site `width` occupied (2 x trajectories), else None.
     """
-    eta_out = np.zeros((width, draws.size), dtype=np.int8)
+    eta_out = (np.zeros((width, draws.size), dtype=np.int8) if start is None
+               else np.repeat(start[:, None], draws.size, axis=1))
+    ends_out = None if start is None else np.zeros((2, draws.size))
     n_out = np.zeros(draws.size, dtype=np.int64)
     eta, n_ell, t = eta_out.copy(), n_out.copy(), np.zeros(draws.size)
+    ends = None if start is None else ends_out.copy()
     live = np.arange(draws.size)
     flips = _flips(width)
+    left, right = alpha > 0.0 or gamma > 0.0, beta > 0.0 or delta > 0.0
     while live.size:
         if grow and eta[-1].any():
             eta = np.pad(eta, ((0, width), (0, 0)))
@@ -214,28 +229,38 @@ def _run_open(width: int, grow: bool, p: float, q: float, alpha: float, gamma: f
             width *= 2
             flips = _flips(width)
         rates = np.empty((width + 1, live.size))
-        rates[0] = np.where(eta[0] == 0, alpha, gamma)
-        rates[1] = np.where(eta[-1] == 0, delta, beta)
+        rates[0] = np.where(eta[0] == 0, alpha, gamma) if left else 0.0
+        rates[1] = np.where(eta[-1] == 0, delta, beta) if right else 0.0
         hop = eta[:-1] - eta[1:]  # 1: the particle at x can hop right, -1: left
         np.multiply(hop > 0, p, out=rates[2:])
         rates[2:] += (hop < 0) * q
         listed = rates > 0.0  # p and q are positive: a bond is listed where hop != 0
         acc = _running_sums(rates)
         total = acc[-1]
-        t += _clock_steps(draws, total)
+        dt = _clock_steps(draws, total)
+        if ends is not None:
+            # adding the gap times 0 or 1 is exact
+            ends += eta[[0, -1]] * (np.minimum(t + dt, t_end) - t)
+        t += dt
+        # picked before the finished trajectories leave, so only `move` is filtered
+        move = _pick(listed, acc, draws.uniform() * total)
         done = t > t_end
         if done.any():
-            eta_out[:, live[done]] = eta[:, done]
-            n_out[live[done]] = n_ell[done]
-            running = ~done
-            live, eta, n_ell, t = live[running], eta[:, running], n_ell[running], t[running]
-            listed, acc, total = listed[:, running], acc[:, running], total[running]
-            draws.keep(running)
-        move = _pick(listed, acc, draws.uniform() * total)
-        # site `width`'s move: beta empties it (n_ell + 1), delta fills it (n_ell - 1)
-        n_ell += np.where(move == 1, 2 * eta[-1] - 1, 0)
+            # take() selects columns several times faster than a boolean mask does
+            gone, kept = np.flatnonzero(done), np.flatnonzero(~done)
+            eta_out[:, live[gone]] = eta.take(gone, axis=1)
+            n_out[live[gone]] = n_ell[gone]
+            if ends is not None:
+                ends_out[:, live[gone]] = ends.take(gone, axis=1)
+                ends = ends.take(kept, axis=1)
+            live, n_ell, t, move = live[kept], n_ell[kept], t[kept], move[kept]
+            eta = eta.take(kept, axis=1)
+            draws.keep(kept)
+        if right:
+            # site `width`'s move: beta empties it (n_ell + 1), delta fills it (n_ell - 1)
+            n_ell += np.where(move == 1, 2 * eta[-1] - 1, 0)
         eta ^= flips[:, move]
-    return eta_out.T, n_out
+    return eta_out.T, n_out, ends_out
 
 
 def _run_halfline(p: float, q: float, alpha: float, gamma: float, t_end: float,
@@ -247,59 +272,29 @@ def _run_halfline(p: float, q: float, alpha: float, gamma: float, t_end: float,
     furthest particle adds rate 0.0 and is not listed, so each path does
     not depend on the window width.
     """
-    return _run_open(8, True, p, q, alpha, gamma, 0.0, 0.0, t_end, draws)
+    return _run_open(8, True, p, q, alpha, gamma, 0.0, 0.0, t_end, draws)[:2]
 
 
 def _run_segment(ell: int, p: float, q: float, alpha: float, gamma: float, beta: float,
                  delta: float, t_end: float, draws: _Draws) -> Tuple[np.ndarray, np.ndarray]:
     """Final occupations (trajectories x ell-1) and through-counts of one block, in lockstep."""
-    return _run_open(ell - 1, False, p, q, alpha, gamma, beta, delta, t_end, draws)
+    return _run_open(ell - 1, False, p, q, alpha, gamma, beta, delta, t_end, draws)[:2]
 
 
 def _run_dual(ell: int, p: float, q: float, rho0: float, rho_ell: float, x0: tuple,
               t_end: float, draws: _Draws) -> Tuple[np.ndarray, np.ndarray]:
-    """Closed n-particle exclusion walks on [1, ell] of one block, in lockstep.
+    """Closed n-particle exclusion walks on [1, ell] from x0 of one block, in lockstep.
 
-    Returns the final sites (trajectories x n) and Feynman-Kac weights.
-    Moves: per particle, left (rate p) then right (rate q), each listed
-    when the neighbouring particle or the wall leaves room.
+    Returns the final occupations (trajectories x ell) and Feynman-Kac
+    weights.  The walk is _run_open's with no boundary move and p and q
+    swapped: a particle steps left at rate p and right at rate q.
     """
-    n = len(x0)
-    x_out = np.tile(np.array(x0, dtype=np.int64)[:, None], (1, draws.size))
-    left_out, right_out = np.zeros(draws.size), np.zeros(draws.size)
-    x, t = x_out.copy(), np.zeros(draws.size)
-    time_left, time_right = np.zeros(draws.size), np.zeros(draws.size)
-    live = np.arange(draws.size)
-    shifts = np.zeros((n, 2 * n), dtype=np.int64)  # each move's displacement
-    shifts[:, 0::2] = -np.eye(n, dtype=np.int64)
-    shifts[:, 1::2] = np.eye(n, dtype=np.int64)
-    move_rates = np.tile([p, q], n)[:, None]
-    while live.size:
-        listed = np.empty((2 * n, live.size), dtype=bool)
-        listed[0] = x[0] > 1
-        listed[2::2] = x[1:] > x[:-1] + 1
-        listed[1:-1:2] = listed[2::2]
-        listed[-1] = x[-1] < ell
-        acc = _running_sums(np.where(listed, move_rates, 0.0))
-        total = acc[-1]
-        step_end = np.minimum(t + _clock_steps(draws, total), t_end)
-        gap = step_end - t
-        time_left = np.where(x[0] == 1, time_left + gap, time_left)
-        time_right = np.where(x[-1] == ell, time_right + gap, time_right)
-        t = step_end
-        done = t >= t_end
-        if done.any():
-            x_out[:, live[done]] = x[:, done]
-            left_out[live[done]] = time_left[done]
-            right_out[live[done]] = time_right[done]
-            running = ~done
-            live, x, t = live[running], x[:, running], t[running]
-            time_left, time_right = time_left[running], time_right[running]
-            listed, acc, total = listed[:, running], acc[:, running], total[running]
-            draws.keep(running)
-        x += shifts[:, _pick(listed, acc, draws.uniform() * total)]
-    exponents = -(p - q) * rho0 * left_out + (p - q) * rho_ell * right_out
-    return x_out.T, np.array([math.exp(v) for v in exponents.tolist()])
+    start = np.zeros(ell, dtype=np.int8)
+    start[np.array(x0) - 1] = 1
+    eta, _, (left, right) = _run_open(ell, False, q, p, 0.0, 0.0, 0.0, 0.0, t_end, draws,
+                                      start)
+    exponents = -(p - q) * rho0 * left + (p - q) * rho_ell * right
+    return eta, np.array([math.exp(v) for v in exponents.tolist()])
 
 
 def _blocks(run, rates: tuple, t_end: float, seed: int, start: int, stop: int) -> Iterator:
@@ -410,14 +405,15 @@ def dual_reweighted_estimate(params: SegmentParams, x0: Sequence[int], t_end: fl
     """Feynman-Kac cross-check for the dual process.
 
     Simulates the closed-boundary n-particle exclusion walk (left rate p,
-    right rate q) and weights each path by
+    right rate q) on the segment's lockstep runner (_run_dual) and weights
+    each path by
     exp(-(p-q) rho0 * time at site 1 + (p-q) rho_ell * time at site ell);
     the weighted mean of H(initial; x(t)) estimates the same expectation as
     the dual-generator ODE solution at x0.
     """
     if not params.liggett2_ok():
         raise ValidityError("reweighting uses the boundary densities; Liggett required")
-    SimConfig(params, t_end, trajectories, seed)  # the trajectory count and t_end checks
+    SimConfig(params, t_end, trajectories, seed)  # the trajectory count, t_end and seed checks
     x0 = check_chamber(x0, 1, params.ell)
     rates = (params.ell, float(params.p_rate), float(params.q_rate), float(params.rho0),
              float(params.rho_ell), x0)
@@ -426,9 +422,10 @@ def dual_reweighted_estimate(params: SegmentParams, x0: Sequence[int], t_end: fl
     elif initial.ell != params.ell:
         raise ValidityError(f"initial state is on a segment with ell = {initial.ell}, "
                             f"params have ell = {params.ell}")
-    # N_s of the initial state at each site s = 0, ..., ell (s = 0 is not a dual site)
+    # N_s of the initial state at each dual site s = 1, ..., ell; H's exponent at a final
+    # state is their sum over its occupied sites
     counts = np.array([h_exponent_segment(initial.eta, initial.n_ell, (s,))
-                       for s in range(params.ell + 1)])
-    values = [weights * _powers(float(params.q), counts[x].sum(axis=1))
-              for x, weights in _blocks(_run_dual, rates, t_end, seed, 0, trajectories)]
+                       for s in range(1, params.ell + 1)])
+    values = [weights * _powers(float(params.q), eta @ counts)
+              for eta, weights in _blocks(_run_dual, rates, t_end, seed, 0, trajectories)]
     return McEstimate(x0, *_mean_se(np.concatenate(values)), trajectories)

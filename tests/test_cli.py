@@ -217,6 +217,17 @@ def _assert_one_line_exit_2(proc):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--t", "1", "--rho", "9/10", "--seed", "-1", "--trajectories", "10"],
+    ["verify", "--mode", "halfline", "--seed", "-1", "--points", "1"],
+])
+def test_negative_seed_exits_2(argv):
+    # numpy's SeedSequence used to refuse it with a traceback and exit 1
+    proc = run_cli(argv)
+    _assert_one_line_exit_2(proc)
+    assert "seed" in proc.stderr
+
+
 def test_config_without_path_exits_2():
     _assert_one_line_exit_2(run_cli(["moments", "--config"]))
 

@@ -170,6 +170,11 @@ def test_config_validation():
         SimConfig(PARAMS, -1.0, 10, seed=0)
     with pytest.raises(ValueError):
         SimConfig(PARAMS, 1.0, 0, seed=0)
+    # a negative seed used to reach numpy's SeedSequence and fail there
+    with pytest.raises(ValidityError):
+        SimConfig(PARAMS, 1.0, 10, seed=-1)
+    with pytest.raises(ValidityError):
+        dual_reweighted_estimate(SEG, (1, 3), 1.0, 10, seed=-1)
     with pytest.raises(TypeError):
         simulate_segment(SimConfig(PARAMS, 1.0, 1, seed=0))
     # an observable is a chamber vector, up to ell on the segment, or ()
@@ -242,8 +247,23 @@ def _halfline_finals(params, t_end, seed, start, stop):
             for row in eta]
 
 
+def _dual_rates(params, x0):
+    """_run_dual's arguments before t_end: the walk from x0 on params' segment."""
+    return (params.ell, float(params.p_rate), float(params.q_rate), float(params.rho0),
+            float(params.rho_ell), x0)
+
+
+def _dual_finals(params, t_end, seed, start, stop, x0=(1, 3)):
+    """Final sites and weight of dual trajectories start, ..., stop - 1 from x0, in lockstep."""
+    return [(tuple((np.flatnonzero(eta) + 1).tolist()), weight)
+            for block in simulate._blocks(simulate._run_dual, _dual_rates(params, x0), t_end,
+                                          seed, start, stop)
+            for eta, weight in zip(block[0], block[1].tolist())]
+
+
 @pytest.mark.parametrize("finals, params, t", [
     (_halfline_finals, PARAMS, 8.0),
+    (_dual_finals, SEG, 8.0),
 ])
 def test_trajectory_does_not_depend_on_earlier_ones(overflowed, finals, params, t):
     block = simulate._BLOCK
@@ -254,8 +274,7 @@ def test_trajectory_does_not_depend_on_earlier_ones(overflowed, finals, params, 
     assert finals(params, t, 31, block - 5, block + 12) == full[block - 5:]
     assert overflowed  # some row in it overflowed
     # a shorter run is one smaller block, not a prefix of the same one
-    cfg = SimConfig(params, t, 1001, seed=31)
-    assert [s.occupied for s in simulate_halfline(cfg)] == full[:1001]
+    assert finals(params, t, 31, 0, 1001) == full[:1001]
 
 
 def _segment_blocks(params, t_end, seed, start, stop):
@@ -467,6 +486,8 @@ def test_lockstep_halfline_equals_per_trajectory_reference(t_end):
                                    ModelParams(2, F(1, 3), F(3, 2), F(1, 5))]):
         rates = simulate._loop(params)[1]
         reference = _reference_finals(_reference_halfline, rates, t_end, seed, count, events)
+        cfg = SimConfig(params, t_end, count, seed=seed)
+        assert [s.occupied for s in simulate_halfline(cfg)] == reference
         lockstep = []
         for eta, n_ell in simulate._blocks(*simulate._loop(params), t_end, seed, 0, count):
             assert not n_ell.any() and not eta[:, -1].any()  # nothing reaches the last site
@@ -488,24 +509,21 @@ def test_lockstep_runs_equal_per_trajectory_reference(ell, t_end):
     count = 1000
     full = tuple(range(1, ell + 1))  # a jammed dual walk: no move, no clock drawn
     starts = [(1,), (ell,), full] + [x0 for x0 in ((1, 3), (2, 4, 5)) if x0[-1] <= ell]
-    # the last two sets have a zero boundary rate on each side (gamma, delta; alpha, beta)
-    for seed, (q, rho0, rho_ell) in enumerate([(F(1, 2), F(3, 4), F(1, 3)),
-                                               (F(3, 5), 1, 0), (F(2, 5), 0, 1)]):
-        params = SegmentParams.from_densities(1, q, rho0, rho_ell, ell)
+    # the second and third sets have a zero boundary rate on each side (gamma,
+    # delta; alpha, beta), the fourth a closed right end (beta = delta = 0)
+    for seed, params in enumerate([
+            SegmentParams.from_densities(1, F(1, 2), F(3, 4), F(1, 3), ell),
+            SegmentParams.from_densities(1, F(3, 5), 1, 0, ell),
+            SegmentParams.from_densities(1, F(2, 5), 0, 1, ell),
+            SegmentParams(1, F(1, 2), F(3, 4), F(1, 8), ell=ell, beta=0, delta=0)]):
         rates = simulate._loop(params)[1]
         reference = _reference_finals(_reference_segment, rates, t_end, seed, count,
                                       segment_events)
         assert _segment_blocks(params, t_end, seed, 0, count) == reference
         for x0 in starts:
-            rates = (ell, float(params.p_rate), float(params.q_rate), float(params.rho0),
-                     float(params.rho_ell), x0)
-            reference = _reference_finals(_reference_dual, rates, t_end, seed, count,
-                                          dual_events)
-            lockstep = [(tuple(x), weight)
-                        for block in simulate._blocks(simulate._run_dual, rates, t_end, seed,
-                                                      0, count)
-                        for x, weight in zip(*(a.tolist() for a in block))]
-            assert lockstep == reference
+            reference = _reference_finals(_reference_dual, _dual_rates(params, x0), t_end,
+                                          seed, count, dual_events)
+            assert _dual_finals(params, t_end, seed, 0, count, x0) == reference
             if x0 == full:
                 assert all(weight == reference[0][1] for _, weight in reference)
     if (ell, t_end) == (6, 3.0):
