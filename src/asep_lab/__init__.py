@@ -1,6 +1,6 @@
 """Exact q-moments, Markov dualities and KPZ-limit moments for open ASEP."""
 
-__version__ = "0.4.0"
+__version__ = "0.4.1"
 
 from .model import (AsepState, ChamberError, ModelParams, SegmentParams,
                     SegmentState, ValidityError, current, current_segment,

@@ -27,8 +27,8 @@ from .model import ModelParams, ValidityError
 from .moments import QuadratureSpec, q_moment
 from .partitions import Diagram, canonical_diagrams, partitions_of, substitution_steps
 from .quadrature import GridValues, PairProducts, Workspace, contract_factored, line_nodes
-from .residues import (DIFF, F_OVER_Z, INV_PROD, INV_QDIFF, QPROD, SCALAR, Factor, Monomial,
-                       ReducedIntegrand, build_phi, reduce_steps)
+from .residues import (DIFF, F_OVER_Z, Factor, Monomial, ReducedIntegrand, build_phi,
+                       reduce_steps)
 
 ROBIN = "robin"
 DIRICHLET = "dirichlet"
@@ -190,12 +190,6 @@ def she_moment_nested(kpz: KpzParams, contours: Optional[ContourSpec] = None) ->
 # ---------------------------------------------------------------------------
 # residue expansion: the lattice reduction read additively
 
-# pair kind -> (sign of the second form, shift, power): the factor read
-# additively is (L + sign L' + shift)^power for the forms L, L' of its slots
-_PAIR_TERMS = {DIFF: (-1, 0, 1), INV_QDIFF: (-1, 1, -1),
-               QPROD: (1, 0, 1), INV_PROD: (1, -1, -1)}
-
-
 def _affine(m: Monomial) -> Tuple[int, int]:
     """(sign, shift) of q^e z^s read as s w + e + [s < 0]."""
     return m.vpow, m.qexp + (m.vpow < 0)
@@ -214,17 +208,16 @@ def _line_operands(reduced: ReducedIntegrand, kpz: KpzParams,
     grids[k].  F-factors become the SHE kernel at kpz.x[site], and a pair
     factor whose slots share one variable scales that variable's vector;
     the others are evaluated on the 2N - 1 entries of a `PairProducts`, for
-    the caller to write out as N x N matrices.  The SCALAR factor and
-    the prefactor monomials have no additive reading.  Each kernel and
-    factor value is computed once per call: values keys it by its
-    dimensions and its slots' affine forms.
+    the caller to write out as N x N matrices.  A pair factor reads
+    (L_A - L_B)^power (DIFF) or (L_A + L_B - 1)^power (PROD) for the affine
+    forms L of its slots; the prefactor monomials have no additive reading.
+    Each kernel and factor value is computed once per call: values keys it
+    by its dimensions and its slots' affine forms.
     """
     dims = {v: d for d, v in enumerate(reduced.free_vars)}
     vectors = {d: grids[d][1] for d in dims.values()}
     pairs = PairProducts(len(grids[0][0]))
     for f in reduced.factors:
-        if f.kind == SCALAR:
-            continue
         d = dims[f.a.var]
         sign_a, shift_a = _affine(f.a)
         if f.kind == F_OVER_Z:
@@ -234,27 +227,27 @@ def _line_operands(reduced: ReducedIntegrand, kpz: KpzParams,
                                 kpz.boundary))
             vectors[d] = vectors[d] * kernel
             continue
-        sign, shift, power = _PAIR_TERMS[f.kind]
+        sign, shift = (-1, 0) if f.kind == DIFF else (1, -1)
         sign_b, shift_b = _affine(f.b)
         if f.b.var == f.a.var:
 
             def single():
                 w = grids[d][0]
                 arg = sign_a * w + shift_a + sign * (sign_b * w + shift_b) + shift
-                return arg if power == 1 else 1.0 / arg
+                return arg if f.power == 1 else 1.0 / arg
             vectors[d] = vectors[d] * values.get(
-                ("factor", d, f.kind, sign_a, shift_a, sign_b, shift_b), single)
+                ("factor", d, f.kind, f.power, sign_a, shift_a, sign_b, shift_b), single)
             continue
-        # s_a w_a + s_b w_b is s_a (w_a + w_b), Hankel, or s_a (w_a - w_b), Toeplitz
+        # s_a w_a + sign s_b w_b is s_a (w_a + w_b), Hankel, or s_a (w_a - w_b), Toeplitz
         db = dims[f.b.var]
-        hankel = sign_a == sign * sign_b
+        hankel = f.hankel
 
         def pair_values():
             ka, kb = pairs.entries(d, db, hankel)
             wa, wb = grids[d][0][ka], grids[db][0][kb]
             return sign_a * (wa + wb if hankel else wa - wb) + (shift_a + sign * shift_b + shift)
         arg = values.get(("pair", d, db, f.kind, sign_a, shift_a, sign_b, shift_b), pair_values)
-        pairs.multiply(d, db, hankel, arg, power)
+        pairs.multiply(d, db, hankel, arg, f.power)
     return vectors, pairs
 
 

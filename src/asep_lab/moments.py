@@ -43,9 +43,8 @@ import numpy as np
 from .model import ModelParams, SegmentParams, ValidityError
 from .partitions import Diagram, Partition, canonical_diagrams, partitions_of
 from .quadrature import GridValues, PairProducts, Workspace, circle_nodes, contract_factored
-from .residues import (DIFF, EvalContext, F_OVER_Z, INV_PROD, INV_QDIFF, QPROD, Factor,
-                       Monomial, ReducedIntegrand, build_phi, factor_value, reduce_by_diagram,
-                       time_derivative_terms)
+from .residues import (DIFF, EvalContext, F_OVER_Z, Factor, Monomial, ReducedIntegrand,
+                       build_phi, factor_value, reduce_by_diagram, time_derivative_terms)
 
 # each dimension's node count as a share of the 1D count
 _NODE_SCALE = (1.0, 0.5, 0.5, 0.4375)
@@ -143,7 +142,8 @@ class _CircleValues(GridValues):
 
 
 def _exponents(f: Factor) -> tuple:
-    """A factor's kind and monomial exponents: with its dimensions, its values' key."""
+    """A factor's kind and monomial exponents: with its dimensions (and the power of a
+    single-variable factor), its values' key."""
     return (f.kind, f.a.qexp, f.a.vpow, f.b.qexp, f.b.vpow)
 
 
@@ -171,7 +171,6 @@ def _factored_operands(reduced: ReducedIntegrand, values: _CircleValues, n_nodes
         vectors[d] = weights.astype(complex)
     pairs = PairProducts(n_nodes)
     kernels: Dict[int, list] = {}
-    scalar = complex(reduced.sign)
     for m in reduced.prefactor_monos:
         d = dims[m.var]
         vectors[d] *= values.monomial(m, n_nodes, d)
@@ -186,16 +185,14 @@ def _factored_operands(reduced: ReducedIntegrand, values: _CircleValues, n_nodes
                 kernels[d][1].append((f.site, log_step))
             else:
                 kernels[d] = [exponent, [(f.site, log_step)]]
-        elif not fvars:
-            scalar *= factor_value(f, ctx, {})
         elif len(fvars) == 1:
             d = dims[fvars[0]]
             vectors[d] *= values.get(
-                ("factor", n_nodes, d) + _exponents(f),
+                ("factor", n_nodes, d, f.power) + _exponents(f),
                 lambda: factor_value(f, ctx, {fvars[0]: values.grid(n_nodes, d)[0]}))
         else:
             _circle_pair(f, dims, values, n_nodes, vectors, pairs)
-    return nodes, vectors, pairs, scalar, kernels
+    return nodes, vectors, pairs, complex(reduced.sign), kernels
 
 
 def _circle_pair(f: Factor, dims: Dict[int, int], values: _CircleValues, n_nodes: int,
@@ -203,38 +200,28 @@ def _circle_pair(f: Factor, dims: Dict[int, int], values: _CircleValues, n_nodes
     """Split a two-variable factor into a per-node scale and 2N - 1 pair values.
 
     With A = q^e z_a^{s_a}, B = q^e' z_b^{s_b} on nodes z_d[k] = r e^{2 pi i
-    (k + o_d)/N}, B/A depends on k_a - k_b alone when s_a = s_b and on
-    k_a + k_b alone otherwise, and A B the other way round.  So DIFF and
-    INV_QDIFF are A^{+-1} g(B/A), QPROD and INV_PROD are g(A B); A^{+-1}
-    scales vectors[a], and g is evaluated on the 2N - 1 entries of
-    `PairProducts`, once per grid pair and exponents (values).
+    (k + o_d)/N}, B/A and A B each depend on k_a - k_b alone or on k_a + k_b
+    alone (`Factor.hankel`).  (A - B)^p is A^p (1 - B/A)^p, and A^p scales
+    vectors[a].  1 - B/A, or 1 - A B for (1 - A B)^p, is evaluated on the
+    2N - 1 entries of `PairProducts`, once per grid pair and exponents
+    (values), and multiplied in to the power p.
     """
-    q = values.ctx.q
     da, db = dims[f.a.var], dims[f.b.var]
-    ratio = f.kind in (DIFF, INV_QDIFF)
-    hankel = (f.a.vpow == f.b.vpow) != ratio
+    hankel = f.hankel
     a_nodes = values.monomial(f.a, n_nodes, da)
 
     def pair_values():
         ka, kb = pairs.entries(da, db, hankel)
-        a = a_nodes[ka]
-        b = f.b.value(q, {f.b.var: values.grid(n_nodes, db)[0][kb]})
-        if f.kind == DIFF:
-            return 1.0 - b / a
-        if f.kind == INV_QDIFF:
-            return q - b / a
-        if f.kind == QPROD:
-            return 1.0 - q * a * b
-        if f.kind == INV_PROD:
-            return 1.0 - a * b
-        raise ValueError(f"no pair form for factor kind {f.kind}")
+        b = f.b.value(values.ctx.q, {f.b.var: values.grid(n_nodes, db)[0][kb]})
+        return 1.0 - b / a_nodes[ka] if f.kind == DIFF else 1.0 - a_nodes[ka] * b
 
     g = values.get(("pair", n_nodes, da, db) + _exponents(f), pair_values)
     if f.kind == DIFF:
-        vectors[da] *= a_nodes
-    elif f.kind == INV_QDIFF:
-        vectors[da] /= a_nodes
-    pairs.multiply(da, db, hankel, g, -1 if f.kind in (INV_QDIFF, INV_PROD) else 1)
+        if f.power == 1:
+            vectors[da] *= a_nodes
+        else:
+            vectors[da] /= a_nodes
+    pairs.multiply(da, db, hankel, g, f.power)
 
 
 def _eval_context(params: ModelParams, t: float, kernel: str = "plain") -> EvalContext:

@@ -43,7 +43,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .model import ValidityError
+
 _GOLDEN = 0.6180339887498949
+
+# the largest `Workspace` block: n = 2 q_moment on with_1d_nodes(16384) fills
+# it (N = 8,192), in about 1 s and 1.1 GB of max RSS on 2 cores, one BLAS thread
+MAX_WORKSPACE_BYTES = 2 ** 30
 
 
 def circle_nodes(radius: float, n_nodes: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -204,13 +210,19 @@ class Workspace:
     once and no term allocates an N x N array.  A 3-D term contracted at one
     site vector (rows == 1) reads its (0, 2) matrix once, so that matrix is
     its first spare; at more rows, and in the d >= 4 sweep, which reads its
-    matrices once per node, the first spare is a buffer of its own.
+    matrices once per node, the first spare is a buffer of its own.  A block
+    above MAX_WORKSPACE_BYTES raises ValidityError instead.
     """
 
     def __init__(self, shapes: Iterable[Tuple[int, int]], rows: int = 1):
         self.rows = rows
-        self._block = np.empty(max((self._count(d) * n * n for d, n in shapes), default=0),
-                               complex)
+        n_dims, n = max(shapes, key=lambda s: self._count(s[0]) * s[1] ** 2, default=(1, 0))
+        size = self._count(n_dims) * n * n
+        if 16 * size > MAX_WORKSPACE_BYTES:  # 16 bytes a complex value
+            raise ValidityError(f"{n_dims}-D terms on {n} nodes need {16 * size / 2 ** 30:.1f} "
+                                "GiB of N x N buffers, above the cap of "
+                                f"{MAX_WORKSPACE_BYTES / 2 ** 30:g} GiB")
+        self._block = np.empty(size, complex)
 
     def _count(self, n_dims: int) -> int:
         """Buffers of an n_dims term: its pair matrices, then its spares."""

@@ -5,6 +5,9 @@ The integrand for the n-point q-moment is a product of atomic factors:
     q^{n(n-1)/2} * prod_{i<j} (z_i-z_j)/(q z_i-z_j) * (1-q z_i z_j)/(1-z_i z_j)
                  * prod_j F_{x_j}(z_j)/z_j
 
+with each q inside a monomial (`build_phi`), so that a pair factor is
+(A - B)^{+-1} or (1 - A B)^{+-1}.
+
 Residues are never taken by numerical micro-contours.  A diagram's
 substitutions are applied sequentially; at each step exactly one factor
 becomes identically singular and the pair (z_a - pole) * factor is
@@ -15,18 +18,16 @@ arbitrary complex nodes.
 
 The same reduction, read additively, gives the residue expansion of the
 half-line SHE moments (`kpz`).  A monomial q^e z^s (s = +-1) reads as the
-affine form s w + e + [s < 0], so q z becomes w + 1 and 1/z becomes
-1 - w; the reading commutes with substitution.  The factor kinds read
+affine form L = s w + e + [s < 0], so q z becomes w + 1 and 1/z becomes
+1 - w; the reading commutes with substitution.  A pair factor reads
 
-    DIFF       M - M'          ->  w - w'
-    INV_QDIFF  1/(q M - M')    ->  1/(w - w' + 1)
-    QPROD      1 - q M M'      ->  w + w'
-    INV_PROD   1/(1 - M M')    ->  1/(w + w' - 1)
-    F_OVER_Z   F_x(M)/M        ->  the SHE kernel at the point of the factor's site
+    DIFF  (A - B)^power      ->  (L_A - L_B)^power
+    PROD  (1 - A B)^power    ->  (L_A + L_B - 1)^power
 
-and the SCALAR factor and the prefactor monomials drop out.  A consumed
-1/(w + w' - 1) has limit +1 where 1/(1 - M M') has -1/M, so the additive
-sign is the lattice sign times (-1)^(number of prefactor monomials).
+and F_OVER_Z, F_x(A)/A, is the SHE kernel at the point of the factor's
+site; the prefactor monomials drop out.  A consumed 1/(L_A + L_B - 1) has
+limit +1 where 1/(1 - A z) has -1/A, so the additive sign is the lattice
+sign times (-1)^(number of prefactor monomials).
 """
 
 from __future__ import annotations
@@ -77,47 +78,41 @@ def zvar(i: int) -> Monomial:
 # ---------------------------------------------------------------------------
 # atomic factors
 
-DIFF = "diff"            # M - M'
-INV_QDIFF = "inv_qdiff"  # 1 / (q M - M')
-QPROD = "qprod"          # 1 - q M M'
-INV_PROD = "inv_prod"    # 1 / (1 - M M')
-F_OVER_Z = "f_over_z"    # F_x(M) / M
-SCALAR = "scalar"        # q^qexp
+DIFF = "diff"            # (A - B)^power
+PROD = "prod"            # (1 - A B)^power
+F_OVER_Z = "f_over_z"    # F_site(A) / A
 
 
 @dataclass(frozen=True)
 class Factor:
+    """(A - B)^power (DIFF) or (1 - A B)^power (PROD), power +-1, or F_site(A)/A."""
+
     kind: str
-    a: Optional[Monomial] = None
+    a: Monomial
     b: Optional[Monomial] = None
+    power: int = 1
     site: Optional[int] = None
-    qexp: int = 0
 
     def subst(self, var: int, target: Monomial) -> "Factor":
-        if self.kind == SCALAR:
-            return self
-        new_a = self.a.subst(var, target) if self.a is not None else None
+        new_a = self.a.subst(var, target)
         new_b = self.b.subst(var, target) if self.b is not None else None
         if new_a is self.a and new_b is self.b:
             return self
-        return Factor(self.kind, new_a, new_b, self.site, self.qexp)
+        return Factor(self.kind, new_a, new_b, self.power, self.site)
 
     def vars(self) -> Tuple[int, ...]:
-        vs = []
-        for m in (self.a, self.b):
-            if m is not None and m.var not in vs:
-                vs.append(m.var)
-        return tuple(vs)
+        if self.b is None or self.b.var == self.a.var:
+            return (self.a.var,)
+        return (self.a.var, self.b.var)
+
+    @property
+    def hankel(self) -> bool:
+        """Whether the pair's grid values depend on k_a + k_b, not on k_a - k_b."""
+        return (self.a.vpow == self.b.vpow) != (self.kind == DIFF)
 
     def identically_singular(self) -> bool:
-        """Denominator vanishes as a function, not just at a point."""
-        if self.kind == INV_QDIFF:
-            return (self.a.var == self.b.var and self.a.vpow == self.b.vpow
-                    and self.a.qexp + 1 == self.b.qexp)
-        if self.kind == INV_PROD:
-            return (self.a.var == self.b.var and self.a.vpow + self.b.vpow == 0
-                    and self.a.qexp + self.b.qexp == 0)
-        return False
+        """Denominator vanishes as a function (A = B or A B = 1), not just at a point."""
+        return self.power == -1 and self.a == (self.b if self.kind == DIFF else self.b.inverse())
 
 
 def consume_limit(factor: Factor, var: int) -> Tuple[int, Optional[Monomial]]:
@@ -130,13 +125,13 @@ def consume_limit(factor: Factor, var: int) -> Tuple[int, Optional[Monomial]]:
     holder, other = (factor.a, factor.b) if (factor.a.var == var) else (factor.b, factor.a)
     if holder.var != var or holder.qexp != 0 or holder.vpow != 1:
         raise ReductionError(f"consumed variable z_{var} not pristine in {factor}")
-    if factor.kind == INV_QDIFF:
-        # D = q M - z_var (the consumed variable sits in the second slot)
+    if factor.kind == DIFF:
+        # D = A - z_var (the consumed variable sits in the second slot)
         if factor.b.var != var:
             raise ReductionError(f"unexpected singular arrangement in {factor}")
         return -1, None
-    if factor.kind == INV_PROD:
-        # D = 1 - M z_var, dD/dz_var = -M
+    if factor.kind == PROD:
+        # D = 1 - A z_var, dD/dz_var = -A
         return -1, other.inverse()
     raise ReductionError(f"factor kind {factor.kind} cannot be consumed")
 
@@ -162,13 +157,14 @@ def build_phi(x: Sequence[int]) -> List[Factor]:
     if any(v < 0 for v in x):
         raise ValueError("sites must be >= 0")
     n = len(x)
-    factors: List[Factor] = [Factor(SCALAR, qexp=n * (n - 1) // 2)]
+    factors: List[Factor] = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            factors.append(Factor(DIFF, zvar(i), zvar(j)))
-            factors.append(Factor(INV_QDIFF, zvar(i), zvar(j)))
-            factors.append(Factor(QPROD, zvar(i), zvar(j)))
-            factors.append(Factor(INV_PROD, zvar(i), zvar(j)))
+            qz_i = Monomial(1, i, 1)
+            factors += [Factor(DIFF, qz_i, Monomial(1, j, 1)),  # q z_i - q z_j
+                        Factor(DIFF, qz_i, zvar(j), -1),        # 1/(q z_i - z_j)
+                        Factor(PROD, qz_i, zvar(j)),            # 1 - (q z_i) z_j
+                        Factor(PROD, zvar(i), zvar(j), -1)]     # 1/(1 - z_i z_j)
     for j in range(1, n + 1):
         factors.append(Factor(F_OVER_Z, a=zvar(j), site=x[j - 1]))
     return factors
@@ -283,23 +279,12 @@ class EvalContext:
 
 
 def factor_value(f: Factor, ctx: EvalContext, assign: Dict[int, object]):
-    q = ctx.q
-    if f.kind == SCALAR:
-        return q ** f.qexp
+    a = f.a.value(ctx.q, assign)
     if f.kind == F_OVER_Z:
-        m = f.a.value(q, assign)
-        return ctx.f_kernel(m, f.site) / m
-    a = f.a.value(q, assign)
-    b = f.b.value(q, assign)
-    if f.kind == DIFF:
-        return a - b
-    if f.kind == INV_QDIFF:
-        return 1.0 / (q * a - b)
-    if f.kind == QPROD:
-        return 1.0 - q * a * b
-    if f.kind == INV_PROD:
-        return 1.0 / (1.0 - a * b)
-    raise ValueError(f"unknown factor kind {f.kind}")
+        return ctx.f_kernel(a, f.site) / a
+    b = f.b.value(ctx.q, assign)
+    base = a - b if f.kind == DIFF else 1.0 - a * b
+    return base if f.power == 1 else 1.0 / base
 
 
 def evaluate(reduced: ReducedIntegrand, ctx: EvalContext, assign: Dict[int, object]):

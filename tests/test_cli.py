@@ -530,6 +530,20 @@ def test_flag_the_run_would_ignore_exits_2(argv, monkeypatch, capsys):
     assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["moments", "--x", "1,3", "--t", "1", "--rho", "9/10", "--nodes", "100000"],
+    ["kpz", "--x", "0.1,0.4", "--t", "1e6", "--A", "1"],
+    ["verify", "--mode", "halfline", "--max-site", "24"],
+])
+def test_run_too_large_for_memory_exits_2(argv, capsys):
+    # the first two ended in numpy's MemoryError for a 37.3 GiB workspace, the
+    # third listed 2^24 states before its first identity
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+    assert "above the cap" in captured.err
+
+
 @pytest.mark.parametrize("mode, used, default, unused", [("halfline", "max_site", 5, "ell"),
                                                          ("segment", "ell", 4, "max_site")])
 def test_verify_manifest_records_the_window_it_used(mode, used, default, unused, tmp_path,

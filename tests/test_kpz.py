@@ -211,26 +211,24 @@ def _additive(m, w):
 
 def _dense_factor(f, kpz, assign):
     from asep_lab.kpz import _kernel
-    from asep_lab.residues import DIFF, F_OVER_Z, INV_PROD, INV_QDIFF, QPROD
+    from asep_lab.residues import DIFF, F_OVER_Z, PROD
     a = _additive(f.a, assign[f.a.var])
     if f.kind == F_OVER_Z:
         return _kernel(a, kpz.x[f.site], kpz.t, kpz.A, kpz.boundary)
     b = _additive(f.b, assign[f.b.var])
-    if f.kind == DIFF:              # M - M'
-        return a - b
-    if f.kind == INV_QDIFF:         # 1/(q M - M')
-        return 1.0 / (a - b + 1.0)
-    if f.kind == QPROD:             # 1 - q M M'
-        return a + b
-    assert f.kind == INV_PROD       # 1/(1 - M M')
-    return 1.0 / (a + b - 1.0)
+    if f.kind == DIFF:              # (A - B)^power
+        base = a - b
+    else:                           # (1 - A B)^power
+        assert f.kind == PROD
+        base = a + b - 1.0
+    return base if f.power == 1 else 1.0 / base
 
 
 def _dense_residue(kpz):
     from asep_lab.kpz import _reduce_additive
     from asep_lab.partitions import canonical_diagrams, partitions_of
     from asep_lab.quadrature import contract_factored
-    from asep_lab.residues import SCALAR, build_phi
+    from asep_lab.residues import build_phi
     n = kpz.n
     grids = _dense_grids(kpz, (0.0,) * n, 1e-12, 0.05, n - 1.0)
     phi = build_phi(range(n))
@@ -238,15 +236,13 @@ def _dense_residue(kpz):
     for lam in partitions_of(n):
         for diagram in canonical_diagrams(lam):
             reduced = _reduce_additive(diagram, phi)
-            # each consumed 1/(1 - M M') left a prefactor monomial -1/M; its
-            # additive limit is +1, and the q-power SCALAR has no reading
+            # each consumed 1/(1 - A B) left a prefactor monomial -1/A; its
+            # additive limit is +1
             sign = reduced.sign * (-1) ** len(reduced.prefactor_monos)
             dims = {v: d for d, v in enumerate(reduced.free_vars)}
             vectors = {d: grids[d][1].astype(complex) for d in dims.values()}
             matrices = {}
             for f in reduced.factors:
-                if f.kind == SCALAR:
-                    continue
                 fvars = f.vars()
                 if len(fvars) == 1:
                     d = dims[fvars[0]]

@@ -12,9 +12,8 @@ from asep_lab.moments import (QuadratureSpec, _CircleValues, _diagram_terms, _ev
                               q_moment, second_moment_explicit)
 from asep_lab.partitions import canonical_diagrams, partitions_of
 from asep_lab.quadrature import Spares, circle_nodes
-from asep_lab.residues import (DIFF, F_OVER_Z, INV_PROD, INV_QDIFF, QPROD, EvalContext,
-                               Factor, Monomial, ReducedIntegrand, build_phi,
-                               reduce_by_diagram)
+from asep_lab.residues import (DIFF, F_OVER_Z, PROD, EvalContext, Factor, Monomial,
+                               ReducedIntegrand, build_phi, reduce_by_diagram)
 
 PARAMS = ModelParams.from_density(1, F(1, 2), F(9, 10))
 
@@ -248,10 +247,14 @@ def test_imag_residual_is_negligible_up_to_three_points(q, rho):
 # ---------------------------------------------------------------------------
 # operands and moments against dense references on the full tensor grid
 
-PAIR_FORMS = {DIFF: lambda q, a, b: a - b,
-              INV_QDIFF: lambda q, a, b: 1.0 / (q * a - b),
-              QPROD: lambda q, a, b: 1.0 - q * a * b,
-              INV_PROD: lambda q, a, b: 1.0 / (1.0 - a * b)}
+# (kind, power) of the four pair factors of build_phi
+PAIR_FORMS = [(DIFF, 1), (DIFF, -1), (PROD, 1), (PROD, -1)]
+
+
+def _dense_pair(f, a, b):
+    """(A - B)^power or (1 - A B)^power, written out directly."""
+    base = a - b if f.kind == DIFF else 1.0 - a * b
+    return base if f.power == 1 else 1.0 / base
 
 
 def _mesh(reduced, q, n_nodes):
@@ -286,11 +289,8 @@ def _dense_integral(reduced, ctx, n_nodes, x):
         if f.kind == F_OVER_Z:
             m = f.a.value(ctx.q, assign)
             val = val * _dense_kernel(ctx, m, x[f.site]) / m
-        elif f.a is None:
-            val = val * ctx.q ** f.qexp
         else:
-            val = val * PAIR_FORMS[f.kind](ctx.q, f.a.value(ctx.q, assign),
-                                           f.b.value(ctx.q, assign))
+            val = val * _dense_pair(f, f.a.value(ctx.q, assign), f.b.value(ctx.q, assign))
     return complex(np.sum(val * weight))
 
 
@@ -312,8 +312,9 @@ def _dense_moment(ctx, quad, x):
 def test_circle_pair_operands_match_dense_factors(kinds, vpows, vars_):
     ctx = EvalContext(q=0.5, p=1.0, rho=0.9, t=0.7)
     (va, vb), (sa, sb) = vars_, vpows
-    factors = tuple(Factor(kind, Monomial(1 + i % 2, va, sa), Monomial(2 * (i % 2), vb, sb))
-                    for i, kind in enumerate(kinds))
+    factors = tuple(Factor(kind, Monomial(1 + i % 2, va, sa), Monomial(2 * (i % 2), vb, sb),
+                           power)
+                    for i, (kind, power) in enumerate(kinds))
     reduced = ReducedIntegrand(factors, (1, 2))
     values = _CircleValues(ctx)
     _, vectors, pairs, scalar, _ = _factored_operands(reduced, values, 24)
@@ -324,8 +325,7 @@ def test_circle_pair_operands_match_dense_factors(kinds, vpows, vars_):
     assign, _ = _mesh(reduced, ctx.q, 24)
     want = 1.0
     for f in factors:
-        want = want * PAIR_FORMS[f.kind](ctx.q, f.a.value(ctx.q, assign),
-                                         f.b.value(ctx.q, assign))
+        want = want * _dense_pair(f, f.a.value(ctx.q, assign), f.b.value(ctx.q, assign))
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 

@@ -171,3 +171,14 @@ def test_grid_values_are_computed_once_and_read_only():
     assert values.get(("grid", 3, 0), compute) is first and len(calls) == 1
     with pytest.raises(ValueError, match="read-only"):
         first[1][0] = 1.0
+
+
+def test_workspace_refuses_a_block_above_its_cap_before_allocating():
+    from asep_lab.model import ValidityError
+    # --nodes 100000 at n = 2 used to end in numpy's MemoryError for 37.3 GiB
+    with pytest.raises(ValidityError, match="50000 nodes need 37.3 GiB"):
+        Workspace([(1, 100000), (2, 50000)], rows=2)
+    # the largest grids of the tests, the benchmark and the defaults, and
+    # N = 1024 at n = 3, fit
+    for shapes in ([(2, 256), (3, 256), (4, 160)], [(4, 366)], [(3, 1024)]):
+        Workspace(shapes, rows=2)

@@ -58,6 +58,22 @@ def test_no_arrow_diagram_is_identity():
     assert abs(got / want - 1) < 1e-13
 
 
+def test_no_arrow_diagram_is_the_full_three_point_integrand():
+    # q^{n(n-1)/2} = q^3: each pair carries one q, inside its first factor
+    x = (1, 2, 4)
+    reduced = reduce_by_diagram(build_phi(x), Diagram(((1,), (2,), (3,))))
+    assert reduced.sign == 1 and not reduced.prefactor_monos
+    z = dict(zip((1, 2, 3), random_nodes(3, np.random.default_rng(3))))
+    got = evaluate(reduced, ctx(), z)
+    want = Q ** 3
+    for i in range(1, 4):
+        want *= F(z[i], x[i - 1]) / z[i]
+        for j in range(i + 1, 4):
+            want *= ((z[i] - z[j]) / (Q * z[i] - z[j])
+                     * (1 - Q * z[i] * z[j]) / (1 - z[i] * z[j]))
+    assert abs(got / want - 1) < 1e-13
+
+
 def test_sequential_substitution_never_ambiguous_up_to_n5():
     for n in range(1, 6):
         phi = build_phi(tuple(range(1, n + 1)))
