@@ -271,7 +271,7 @@ def cmd_kpz(args) -> int:
     boundary = DIRICHLET if args.boundary == "dirichlet" else ROBIN
     kpz = KpzParams(t=args.t, x=x, A=args.A, boundary=boundary)
     rows = []
-    if args.eps:
+    if args.eps is not None:
         if args.form == "residue":
             raise ValidityError("--eps compares against the nested form; drop --form residue")
         limit = she_moment_nested(kpz)
@@ -417,15 +417,21 @@ def _apply_config(argv: List[str]) -> List[str]:
     path = argv[idx + 1]
     rest = argv[:idx] + argv[idx + 2:]
     inject: List[str] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            flag = "--" + key.strip().replace("_", "-")
-            if flag not in rest:
-                inject.extend([flag, val.strip()])
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValidityError(f"--config {path} is not UTF-8 text: byte {exc.start} reads "
+                            f"{data[exc.start]:#04x}")
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, val = line.partition("=")
+        flag = "--" + key.strip().replace("_", "-")
+        if flag not in rest:
+            inject.extend([flag, val.strip()])
     if not rest:
         return rest
     return rest[:1] + inject + rest[1:]

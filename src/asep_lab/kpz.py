@@ -26,7 +26,7 @@ import numpy as np
 from .model import ModelParams, ValidityError
 from .moments import QuadratureSpec, q_moment
 from .partitions import Diagram, canonical_diagrams, partitions_of, substitution_steps
-from .quadrature import GridValues, PairProducts, Workspace, contract_factored, line_nodes
+from .quadrature import PairProducts, Workspace, contract_factored, line_nodes
 from .residues import (DIFF, F_OVER_Z, Factor, Monomial, ReducedIntegrand, build_phi,
                        reduce_steps)
 
@@ -138,7 +138,7 @@ def _she_value(kpz: KpzParams, form: str, grids: Sequence[Tuple[np.ndarray, np.n
     Every term is built, contracted and dropped in one `quadrature.Workspace`
     for the call, sized for an n-dimensional term: at n = 3 the call holds
     four N x N arrays and no term allocates one.  The terms' F-kernels and
-    factor values on the line grids come from one memo for the call
+    factor values on the line grids come from the same workspace's memo
     (`_line_operands`), since the diagrams of the residue form share most
     of them.
 
@@ -153,14 +153,13 @@ def _she_value(kpz: KpzParams, form: str, grids: Sequence[Tuple[np.ndarray, np.n
     if kpz.boundary == DIRICHLET and kpz.x[0] == 0.0:
         return 0.0
     workspace = Workspace([(kpz.n, len(grids[0][0]))])
-    values = GridValues()
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
         for sign, reduced in terms:
             n_dims = len(reduced.free_vars)
-            vectors, pairs = _line_operands(reduced, kpz, grids, values)
-            matrices, spares = workspace.term(n_dims, pairs)
-            total += contract_factored(n_dims, vectors, matrices, complex(sign), spares).real
+            vectors, pairs = _line_operands(reduced, kpz, grids, workspace)
+            matrices = workspace.term(n_dims, pairs)
+            total += contract_factored(n_dims, vectors, matrices, complex(sign), workspace).real
     value = float(_prefactor(kpz) * total)
     if not (math.isfinite(value) and value > 0):
         raise ArithmeticError(f"the {form} form gives {value:.3e} at t={kpz.t:g} for a "
@@ -201,7 +200,7 @@ def _reduce_additive(diagram: Diagram, phi: Sequence[Factor]) -> ReducedIntegran
 
 
 def _line_operands(reduced: ReducedIntegrand, kpz: KpzParams,
-                   grids: Sequence[Tuple[np.ndarray, np.ndarray]], values: GridValues):
+                   grids: Sequence[Tuple[np.ndarray, np.ndarray]], workspace: Workspace):
     """Per-dimension vectors and pair products of a lattice integrand read additively.
 
     The k-th free variable is integrated on the line nodes and weights
@@ -211,8 +210,8 @@ def _line_operands(reduced: ReducedIntegrand, kpz: KpzParams,
     the caller to write out as N x N matrices.  A pair factor reads
     (L_A - L_B)^power (DIFF) or (L_A + L_B - 1)^power (PROD) for the affine
     forms L of its slots; the prefactor monomials have no additive reading.
-    Each kernel and factor value is computed once per call: values keys it
-    by its dimensions and its slots' affine forms.
+    Each kernel and factor value is computed once per call: the call's
+    workspace memo keys it by its dimensions and its slots' affine forms.
     """
     dims = {v: d for d, v in enumerate(reduced.free_vars)}
     vectors = {d: grids[d][1] for d in dims.values()}
@@ -221,7 +220,7 @@ def _line_operands(reduced: ReducedIntegrand, kpz: KpzParams,
         d = dims[f.a.var]
         sign_a, shift_a = _affine(f.a)
         if f.kind == F_OVER_Z:
-            kernel = values.get(
+            kernel = workspace.get(
                 ("kernel", d, sign_a, shift_a, f.site),
                 lambda: _kernel(sign_a * grids[d][0] + shift_a, kpz.x[f.site], kpz.t, kpz.A,
                                 kpz.boundary))
@@ -235,7 +234,7 @@ def _line_operands(reduced: ReducedIntegrand, kpz: KpzParams,
                 w = grids[d][0]
                 arg = sign_a * w + shift_a + sign * (sign_b * w + shift_b) + shift
                 return arg if f.power == 1 else 1.0 / arg
-            vectors[d] = vectors[d] * values.get(
+            vectors[d] = vectors[d] * workspace.get(
                 ("factor", d, f.kind, f.power, sign_a, shift_a, sign_b, shift_b), single)
             continue
         # s_a w_a + sign s_b w_b is s_a (w_a + w_b), Hankel, or s_a (w_a - w_b), Toeplitz
@@ -246,7 +245,7 @@ def _line_operands(reduced: ReducedIntegrand, kpz: KpzParams,
             ka, kb = pairs.entries(d, db, hankel)
             wa, wb = grids[d][0][ka], grids[db][0][kb]
             return sign_a * (wa + wb if hankel else wa - wb) + (shift_a + sign * shift_b + shift)
-        arg = values.get(("pair", d, db, f.kind, sign_a, shift_a, sign_b, shift_b), pair_values)
+        arg = workspace.get(("pair", d, db, f.kind, sign_a, shift_a, sign_b, shift_b), pair_values)
         pairs.multiply(d, db, hankel, arg, f.power)
     return vectors, pairs
 
@@ -278,6 +277,7 @@ def she_moment_residue_form(kpz: KpzParams, tail_tol: float = TAIL_TOL,
 
 # the largest quadrature error, relative to the lattice moment, the bridge returns
 BRIDGE_QUAD_BUDGET = 1e-6
+
 
 def scaled_asep_moment(eps: float, kpz: KpzParams,
                        quad: Optional[QuadratureSpec] = None) -> float:

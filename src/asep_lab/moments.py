@@ -12,7 +12,8 @@ against the half-resolution grid.  A call reduces the diagrams once and
 makes one pass per grid (`_sum_terms`) that takes every site vector it
 needs; q_moment is the one-point case.  A pass builds each diagram's
 operands, contracts them at every site vector and drops them before the
-next diagram, in one `quadrature.Workspace`:
+next diagram, in the call's one `quadrature.Workspace` (`_CircleValues`),
+which serves both passes:
 
 * each kernel F_x(M)/M is a site-free multiplier, folded into its
   dimension's vector, times exp(E(M) + x log P(M)); only the F-kernels
@@ -23,12 +24,12 @@ next diagram, in one `quadrature.Workspace`:
   written into the workspace's buffers;
 * the diagrams of a call share grids and factors, so each node grid,
   monomial, kernel part and factor value is computed once per call and
-  grid (`_CircleValues`);
+  grid, in the workspace's memo;
 * each site vector is contracted on its own, with the 3-D temporaries in
-  the workspace's spares (`quadrature.Spares`).  The 3-D step's matrix
-  product depends on the last dimension's vector alone, so site vectors
-  that agree in it run next to each other and share that product.  A
-  value is bit for bit the same whichever site vectors share its pass.
+  the workspace's buffers (`quadrature.Workspace.fold`).  The 3-D step's
+  matrix product depends on the last dimension's vector alone, so site
+  vectors that agree in it run next to each other and share that product.
+  A value is bit for bit the same whichever site vectors share its pass.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .model import ModelParams, SegmentParams, ValidityError
 from .partitions import Diagram, Partition, canonical_diagrams, partitions_of
-from .quadrature import GridValues, PairProducts, Workspace, circle_nodes, contract_factored
+from .quadrature import PairProducts, Workspace, circle_nodes, contract_factored
 from .residues import (DIFF, EvalContext, F_OVER_Z, Factor, Monomial, ReducedIntegrand,
                        build_phi, factor_value, reduce_by_diagram, time_derivative_terms)
 
@@ -111,16 +112,17 @@ class MomentResult:
         return self.value
 
 
-class _CircleValues(GridValues):
-    """`GridValues` on the circle grids of one moment call: nodes and
-    weights, monomials and F-kernel parts, by (node count, dimension) and
-    monomial exponents.  Diagrams share most of them: the 22 diagram builds
-    of an n = 3 call (fine and half-resolution) have 66 F-factors at 17
-    distinct kernel arguments, and 38 dimensions on 7 node grids.
+class _CircleValues(Workspace):
+    """The `Workspace` of one moment call, whose memo holds the circle grids'
+    nodes and weights, monomials and F-kernel parts, by (node count,
+    dimension) and monomial exponents.  Diagrams share most of them: the 22
+    diagram builds of an n = 3 call (fine and half-resolution) have 66
+    F-factors at 17 distinct kernel arguments, and 38 dimensions on 7 node
+    grids.
     """
 
-    def __init__(self, ctx: EvalContext):
-        super().__init__()
+    def __init__(self, ctx: EvalContext, shapes: Sequence[Tuple[int, int]], rows: int):
+        super().__init__(shapes, rows)
         self.ctx = ctx
         self.radius = 1.0 / math.sqrt(ctx.q)
 
@@ -244,7 +246,7 @@ def _sum_terms(reduced: Sequence[Tuple[Partition, int, Diagram, ReducedIntegrand
     time_derivative, one more entry holds the same for d/dt at points[0].
 
     Each diagram's operands are built, contracted at every site vector and
-    dropped before the next diagram's, in one `Workspace` for the pass.
+    dropped before the next diagram's, in values, the call's workspace.
     slots[j], shape (rows, 1), holds the j-th site of every site vector.
     The F-kernels of all rows come from one exp per dimension of the
     stacked exponents E + X log P, shape (rows, N); every free variable
@@ -256,7 +258,7 @@ def _sum_terms(reduced: Sequence[Tuple[Partition, int, Diagram, ReducedIntegrand
     rate, summed in the order of `time_derivative_terms`.
 
     In three dimensions the rows run grouped by their dimension-2 vector,
-    which alone of the vectors enters the spares' fold (the N^3 step), so
+    which alone of the vectors enters the workspace's fold (the N^3 step), so
     rows that share it share one fold: the site vectors of a
     free_evolution_residuals call that agree in their last site, and the
     first row's d/dt rows of dimensions 0 and 1.
@@ -264,9 +266,7 @@ def _sum_terms(reduced: Sequence[Tuple[Partition, int, Diagram, ReducedIntegrand
     if not points:  # free_evolution_residuals at x = (0, 0, ...) checks no relation
         return []
     slots = np.array(points, dtype=complex).T[:, :, None]  # exact; no cast per product
-    dims = {len(red.free_vars) for *_, red in reduced}
     sums: List[Dict[Partition, complex]] = [{} for _ in range(len(points) + time_derivative)]
-    workspace = Workspace([(d, quad.nodes(d)) for d in dims], len(sums))
     for lam, sign, diagram, red in reduced:
         n_dims = len(red.free_vars)
         nodes, vectors, pairs, scalar, kernels = _factored_operands(red, values,
@@ -287,10 +287,10 @@ def _sum_terms(reduced: Sequence[Tuple[Partition, int, Diagram, ReducedIntegrand
             for i, row in enumerate(rows):
                 groups.setdefault(row[2].tobytes(), []).append(i)
             order = [i for group in groups.values() for i in group]
-        matrices, spares = workspace.term(n_dims, pairs)
+        matrices = values.term(n_dims, pairs)
         row_values = [0j] * len(rows)
         for i in order:
-            row_values[i] = contract_factored(n_dims, rows[i], matrices, scalar, spares)
+            row_values[i] = contract_factored(n_dims, rows[i], matrices, scalar, values)
         if time_derivative:
             total = 0.0 + 0.0j
             for value in row_values[len(points):]:
@@ -312,19 +312,23 @@ def _moment_results(n: int, ctx: EvalContext, quad: QuadratureSpec,
     one on its half-resolution grid, and the fine grid's d/dt at points[0]
     (None without time_derivative).
 
-    Both passes share one reduction and one `_CircleValues`, so each grid,
-    monomial, kernel part and factor value that diagrams share is computed
-    once; nothing is kept between calls.  A dimension whose halved grid is
-    quad's own (16 nodes stay 16) would make quad_error read 0 whatever the
-    error, so it raises ValidityError.
+    Both passes share one reduction and one `_CircleValues`, the call's
+    workspace, sized for the fine grids and all rows: the call allocates
+    one block of N x N buffers, and each grid, monomial, kernel part and
+    factor value that diagrams share is computed once; nothing is kept
+    between calls.  A dimension whose halved grid is quad's own (16 nodes
+    stay 16) would make quad_error read 0 whatever the error, so it raises
+    ValidityError.
     """
     reduced = _diagram_terms(n)
     coarse = quad.halved()
-    for dim in sorted({len(red.free_vars) for *_, red in reduced}):
+    dims = sorted({len(red.free_vars) for *_, red in reduced})
+    for dim in dims:
         if coarse.nodes(dim) >= quad.nodes(dim):
             raise ValidityError(f"{quad.nodes(dim)} nodes in dimension {dim} leave no "
                                 "coarser grid for the error estimate; give more nodes")
-    values = _CircleValues(ctx)
+    values = _CircleValues(ctx, [(d, quad.nodes(d)) for d in dims],
+                           len(points) + time_derivative)
     fine_sums = _sum_terms(reduced, values, quad, points, time_derivative)
     coarse_sums = _sum_terms(reduced, values, coarse, points)
     results = [MomentResult(value=value,
@@ -447,8 +451,9 @@ def free_evolution_residuals(t: float, x: Sequence[int], params: ModelParams,
 
     The points are listed first (x, its 2n neighbours, the collision pairs
     and the boundary pair, without repeats) and evaluated in one fine and
-    one half-resolution pass, the d/dt of (1) in the fine pass.  Each value is bit for bit the one q_moment gives at
-    that point: a point is contracted on its own, whatever shares its pass.
+    one half-resolution pass, the d/dt of (1) in the fine pass.  Each value
+    is bit for bit the one q_moment gives at that point: a point is
+    contracted on its own, whatever shares its pass.
     """
     _validate(params, t, x)
     x = tuple(int(v) for v in x)

@@ -28,11 +28,10 @@ Integrals are contracted factor-wise: an integrand that is a product of
 per-dimension vectors and pair matrices is summed in BLAS matrix products
 instead of being materialised on the full tensor grid.  A call that sums
 many integrands (terms) builds, contracts and drops them one at a time in
-one `Workspace`: each term's pair matrices are written into its buffers,
-and its contraction gets fresh `Spares` there, which keep the
-three-dimensional step's matrix product for the next site vector of the
-same term that shares it.  Each value the terms share is computed once,
-in one `GridValues` memo per call.
+one `Workspace`, its only scratch: each term's pair matrices are written
+into its buffers, the three-dimensional step's matrix product is kept
+there for the next site vector of the same term that shares it, and each
+value the terms share is computed once in its memo.
 """
 
 from __future__ import annotations
@@ -139,22 +138,78 @@ class PairProducts:
         return matrices
 
 
-class GridValues:
-    """Arrays on one call's grids, each computed once.
+class Workspace:
+    """One call's scratch: the N x N complex buffers its terms are contracted
+    in, and a memo of the arrays they share on its grids.
 
-    A memo that lives for one call (one moment's two passes, one SHE
-    evaluation) and is never kept between calls: `get(key, compute)`
-    returns what is stored under key, calling compute() the first time.
-    Keys name the grid (node count, dimension) and the expression (factor
-    kind, monomial exponents).  Values are arrays or tuples of arrays, and
-    `store` keeps them read-only, so a reader that writes into one in place
-    raises instead of changing a later reader's value.  (A subclass on a
-    hot path looks its key up in `_values` and calls `store` on a miss,
-    without a closure.)
+    A call (one moment's two passes, one SHE evaluation) contracts its
+    terms one at a time: each writes its pair matrices into the buffers
+    (`term`), and nothing of a term outlives the next one.  The buffers are
+    views of one block, sized for the largest of shapes, the (dimensions,
+    node count) of the call's terms, so the call allocates once and no term
+    allocates an N x N array.  A block above MAX_WORKSPACE_BYTES raises
+    ValidityError instead.
+
+    A 3-D contraction's N^3 step is the fold (M02 * v2) M12^T, which depends
+    on matrices[(0, 2)], matrices[(1, 2)] and vectors[2] alone.  `fold`
+    computes it into the term's last buffer and remembers it by those two
+    matrices (by identity) and v2 (by its bytes); a later contraction of the
+    same term with the same three reads it back, to the same bits.  `term`
+    forgets it, since the next term's matrices go into the same buffers.  A
+    3-D term contracted at one site vector (rows == 1) reads its (0, 2)
+    matrix once, so that matrix is the fold's free buffer and its fold is
+    never reused; at more rows, and in the d >= 4 sweep, which reads its
+    matrices once per node, the free buffer is one of its own.
+
+    `get(key, compute)` returns what is stored under key, calling compute()
+    the first time.  Keys name the grid (node count, dimension) and the
+    expression (factor kind, monomial exponents).  Values are arrays or
+    tuples of arrays, and `store` keeps them read-only, so a reader that
+    writes into one in place raises instead of changing a later reader's
+    value.  (A subclass on a hot path looks its key up in `_values` and
+    calls `store` on a miss, without a closure.)
     """
 
-    def __init__(self):
+    def __init__(self, shapes: Iterable[Tuple[int, int]], rows: int = 1):
+        self.rows = rows
+        n_dims, n = max(shapes, key=lambda s: self._count(s[0]) * s[1] ** 2, default=(1, 0))
+        size = self._count(n_dims) * n * n
+        if 16 * size > MAX_WORKSPACE_BYTES:  # 16 bytes a complex value
+            raise ValidityError(f"{n_dims}-D terms on {n} nodes need {16 * size / 2 ** 30:.1f} "
+                                "GiB of N x N buffers, above the cap of "
+                                f"{MAX_WORKSPACE_BYTES / 2 ** 30:g} GiB")
+        self._block = np.empty(size, complex)
         self._values: Dict[tuple, object] = {}
+        self._spares: List[np.ndarray] = []  # the term's (free buffer, fold)
+        self._held: Optional[tuple] = None  # (M02, M12, v2 bytes) of the fold
+
+    def _count(self, n_dims: int) -> int:
+        """Buffers of an n_dims term: its pair matrices, then its spares."""
+        spares = 0 if n_dims < 3 else 1 if n_dims == 3 and self.rows == 1 else 2
+        return n_dims * (n_dims - 1) // 2 + spares
+
+    def term(self, n_dims: int, pairs: PairProducts) -> Dict[Tuple[int, int], np.ndarray]:
+        """A term's pair matrices, written into the buffers."""
+        n, count = pairs.n_nodes, self._count(n_dims)
+        buffers = list(self._block[:count * n * n].reshape(count, n, n))
+        n_pairs = n_dims * (n_dims - 1) // 2
+        matrices = pairs.matrices(buffers[:n_pairs])
+        self._spares, self._held = buffers[n_pairs:], None
+        if len(self._spares) == 1:
+            self._spares.insert(0, matrices[(0, 2)])
+        return matrices
+
+    def fold(self, m02: np.ndarray, m12: np.ndarray, v2: np.ndarray
+             ) -> Tuple[np.ndarray, np.ndarray]:
+        """A free N x N buffer and (m02 * v2) m12^T of the current 3-D or larger term."""
+        first, fold = self._spares
+        key = v2.tobytes()
+        held = self._held
+        if held is None or held[0] is not m02 or held[1] is not m12 or held[2] != key:
+            np.multiply(m02, v2, out=first)
+            np.matmul(first, m12.T, out=fold)
+            self._held = None if first is m02 else (m02, m12, key)
+        return first, fold
 
     def get(self, key: tuple, compute: Callable[[], object]):
         value = self._values.get(key)
@@ -168,86 +223,11 @@ class GridValues:
         return value
 
 
-class Spares:
-    """The 3-D step's two N x N buffers, and which fold the second holds.
-
-    A 3-D contraction's N^3 step is the fold (M02 * v2) M12^T, which depends
-    on matrices[(0, 2)], matrices[(1, 2)] and vectors[2] alone.  It is
-    computed into `fold` and remembered by those two matrices (by identity)
-    and v2 (by its bytes); a later contraction with the same three reads it
-    back instead of computing it again, to the same bits.  The matrices must
-    therefore not change while spares hold their fold, so each term of a
-    `Workspace` gets fresh spares: the next term's matrices are written into
-    the same buffers.  `first` takes the other temporaries.  A caller done
-    with its (0, 2) matrix may lend it as `first`: that fold is never
-    reused, since the contraction overwrites the matrix it came from.
-    """
-
-    __slots__ = ("first", "fold", "_held")
-
-    def __init__(self, first: np.ndarray, fold: np.ndarray):
-        self.first, self.fold = first, fold
-        self._held: Optional[tuple] = None  # (M02, M12, v2 bytes) of `fold`
-
-    def fold_of(self, m02: np.ndarray, m12: np.ndarray, v2: np.ndarray) -> np.ndarray:
-        """(m02 * v2) m12^T, in `fold`; may overwrite `first`."""
-        key = v2.tobytes()
-        held = self._held
-        if held is None or held[0] is not m02 or held[1] is not m12 or held[2] != key:
-            first = np.multiply(m02, v2, out=self.first)
-            np.matmul(first, m12.T, out=self.fold)
-            self._held = None if self.first is m02 else (m02, m12, key)
-        return self.fold
-
-
-class Workspace:
-    """The N x N complex buffers of one call whose terms are contracted one at a time.
-
-    Each term writes its pair matrices into the buffers and gets fresh
-    `Spares` in them (`term`); nothing of a term outlives the next one.  The
-    buffers are views of one block, sized for the largest of shapes, the
-    (dimensions, node count) of the call's terms, so the call allocates
-    once and no term allocates an N x N array.  A 3-D term contracted at one
-    site vector (rows == 1) reads its (0, 2) matrix once, so that matrix is
-    its first spare; at more rows, and in the d >= 4 sweep, which reads its
-    matrices once per node, the first spare is a buffer of its own.  A block
-    above MAX_WORKSPACE_BYTES raises ValidityError instead.
-    """
-
-    def __init__(self, shapes: Iterable[Tuple[int, int]], rows: int = 1):
-        self.rows = rows
-        n_dims, n = max(shapes, key=lambda s: self._count(s[0]) * s[1] ** 2, default=(1, 0))
-        size = self._count(n_dims) * n * n
-        if 16 * size > MAX_WORKSPACE_BYTES:  # 16 bytes a complex value
-            raise ValidityError(f"{n_dims}-D terms on {n} nodes need {16 * size / 2 ** 30:.1f} "
-                                "GiB of N x N buffers, above the cap of "
-                                f"{MAX_WORKSPACE_BYTES / 2 ** 30:g} GiB")
-        self._block = np.empty(size, complex)
-
-    def _count(self, n_dims: int) -> int:
-        """Buffers of an n_dims term: its pair matrices, then its spares."""
-        spares = 0 if n_dims < 3 else 1 if n_dims == 3 and self.rows == 1 else 2
-        return n_dims * (n_dims - 1) // 2 + spares
-
-    def term(self, n_dims: int, pairs: PairProducts
-             ) -> Tuple[Dict[Tuple[int, int], np.ndarray], Optional[Spares]]:
-        """A term's pair matrices, written into the buffers, and its spares
-        (None below three dimensions)."""
-        n, count = pairs.n_nodes, self._count(n_dims)
-        buffers = list(self._block[:count * n * n].reshape(count, n, n))
-        n_pairs = n_dims * (n_dims - 1) // 2
-        matrices = pairs.matrices(buffers[:n_pairs])
-        if n_dims < 3:
-            return matrices, None
-        first = buffers[n_pairs] if count - n_pairs == 2 else matrices[(0, 2)]
-        return matrices, Spares(first, buffers[-1])
-
-
 def contract_factored(n_dims: int,
                       vectors: Dict[int, np.ndarray],
                       matrices: Dict[Tuple[int, int], np.ndarray],
                       scalar: complex = 1.0,
-                      spares: Optional[Spares] = None) -> complex:
+                      workspace: Optional[Workspace] = None) -> complex:
     """Sum over the full tensor grid of per-dim vectors times all pair matrices.
 
     vectors[d] has the d-th grid length; matrices[(d, e)] with d < e couples
@@ -259,27 +239,28 @@ def contract_factored(n_dims: int,
     nodes of dimension 0, each a (d-1)-dimensional contraction with that
     node's matrix rows folded into the vectors.
 
-    spares, on grids of one length N, are the 3-D step's workspace: its
-    temporaries go into their buffers with out=, so a caller that contracts
-    many integrands allocates them once, and they keep the step's matrix
-    product, the fold, for the next contraction that has the same (0, 2)
-    and (1, 2) matrices and dimension-2 vector (`Spares`).  They are passed
-    down the d >= 4 sweep.  Without them the step allocates its own.
-    matrices are never written, except a (0, 2) matrix lent as the first
-    spare.  The arithmetic is the same with or without spares, and with or
-    without a held fold, to the bit.
+    workspace, on grids of one length N and after `workspace.term` wrote the
+    matrices, takes the 3-D step's temporaries into its buffers with out=,
+    so a caller that contracts many integrands allocates them once, and it
+    keeps the step's matrix product, the fold, for the next contraction
+    that has the same (0, 2) and (1, 2) matrices and dimension-2 vector
+    (`Workspace.fold`).  It is passed down the d >= 4 sweep.  Without it the
+    step allocates its own.  matrices are never written, except a (0, 2)
+    matrix that the workspace lends as the fold's free buffer.  The
+    arithmetic is the same with or without a workspace, and with or without
+    a held fold, to the bit.
     """
     missing = [(d, e) for d in range(n_dims) for e in range(d + 1, n_dims)
                if (d, e) not in matrices]
     if missing:
         raise ValueError(f"pair graph is not complete: no matrix for dimensions {missing[0]}")
     return scalar * complex(_contract_complete([vectors[d] for d in range(n_dims)], matrices,
-                                               spares))
+                                               workspace))
 
 
 def _contract_complete(vectors: List[np.ndarray],
                        matrices: Dict[Tuple[int, int], np.ndarray],
-                       spares: Optional[Spares]) -> complex:
+                       workspace: Optional[Workspace]) -> complex:
     n_dims = len(vectors)
     if n_dims == 1:
         return vectors[0].sum()
@@ -287,12 +268,11 @@ def _contract_complete(vectors: List[np.ndarray],
         return vectors[0] @ matrices[(0, 1)] @ vectors[1]
     if n_dims == 3:
         # sum_a u_a sum_b (M01 v1)_ab sum_c (M02 v2)_ac M12_bc
-        if spares is None:
+        if workspace is None:
             first = np.multiply(matrices[(0, 2)], vectors[2])
             inner = np.matmul(first, matrices[(1, 2)].T)
         else:
-            first = spares.first
-            inner = spares.fold_of(matrices[(0, 2)], matrices[(1, 2)], vectors[2])
+            first, inner = workspace.fold(matrices[(0, 2)], matrices[(1, 2)], vectors[2])
         m01 = matrices[(0, 1)]
         first = np.multiply(m01, vectors[1], out=first if first.shape == m01.shape else None)
         first *= inner
@@ -301,5 +281,5 @@ def _contract_complete(vectors: List[np.ndarray],
     total = 0.0
     for a, weight in enumerate(vectors[0]):
         folded = [vectors[e] * matrices[(0, e)][a] for e in range(1, n_dims)]
-        total += weight * _contract_complete(folded, rest, spares)
+        total += weight * _contract_complete(folded, rest, workspace)
     return total

@@ -232,6 +232,15 @@ def test_config_without_path_exits_2():
     _assert_one_line_exit_2(run_cli(["moments", "--config"]))
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path):
+    # the file's bytes used to end in a UnicodeDecodeError traceback, exit 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"rho = 0.9\nt = 0.\xff5\n")
+    proc = run_cli(["--config", str(cfg), "moments", "--x", "1"])
+    _assert_one_line_exit_2(proc)
+    assert "not UTF-8" in proc.stderr and "byte 16" in proc.stderr
+
+
 def test_malformed_threads_env_exits_2(monkeypatch):
     monkeypatch.setenv("ASEP_LAB_THREADS", "two")
     proc = run_cli(["simulate", "--t", "0.5", "--rho", "0.9"])
@@ -363,7 +372,9 @@ def test_kpz_refuses_a_nan_eps_in_one_line(capsys):
 
 
 @pytest.mark.parametrize("flags", [["--x", "abc", "--A", "1"],
-                                   ["--x", "1", "--A", "1", "--eps", "0.1,x"]])
+                                   ["--x", "1", "--A", "1", "--eps", "0.1,x"],
+                                   # an empty --eps used to drop the bridge silently, exit 0
+                                   ["--x", "0.5", "--A", "1", "--eps", ""]])
 def test_kpz_rejects_malformed_numbers(flags, capsys):
     assert main(["kpz", "--t", "1"] + flags) == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 1

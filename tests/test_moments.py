@@ -11,7 +11,7 @@ from asep_lab.moments import (QuadratureSpec, _CircleValues, _diagram_terms, _ev
                               _factored_operands, first_moment, free_evolution_residuals,
                               q_moment, second_moment_explicit)
 from asep_lab.partitions import canonical_diagrams, partitions_of
-from asep_lab.quadrature import Spares, circle_nodes
+from asep_lab.quadrature import Workspace, circle_nodes
 from asep_lab.residues import (DIFF, F_OVER_Z, PROD, EvalContext, Factor, Monomial,
                                ReducedIntegrand, build_phi, reduce_by_diagram)
 
@@ -159,7 +159,8 @@ def test_a_value_does_not_depend_on_the_points_that_share_its_pass(x):
     n = len(x)
     ctx = _eval_context(PARAMS, 0.9)
     points = [x] + [x[:i] + (x[i] + s,) + x[i + 1:] for i in range(n) for s in (-1, 1)]
-    reduced, values = _diagram_terms(n), _CircleValues(ctx)
+    shapes = [(d, QuadratureSpec().nodes(d)) for d in range(1, n + 1)]
+    reduced, values = _diagram_terms(n), _CircleValues(ctx, shapes, len(points) + 1)
     for quad in (QuadratureSpec(), QuadratureSpec().halved()):
 
         def evaluate(points, time_derivative=False):
@@ -186,15 +187,15 @@ def test_points_that_share_their_last_site_share_one_fold(monkeypatch):
     # x = (1, 2, 4) needs 7 points and 3 d/dt rows; its last-dimension
     # vectors are those of x_3 - 1, x_3, x_3 + 1 and the d/dt row of dimension 2
     folds = []
-    fold_of = Spares.fold_of
+    fold = Workspace.fold
 
-    def recorded(spares, m02, m12, v2):
+    def recorded(workspace, m02, m12, v2):
         key = (id(m02), id(m12), v2.tobytes())
         if not folds or folds[-1][1] != key:
             folds.append((len(m02), key))
-        return fold_of(spares, m02, m12, v2)
+        return fold(workspace, m02, m12, v2)
 
-    monkeypatch.setattr(Spares, "fold_of", recorded)
+    monkeypatch.setattr(Workspace, "fold", recorded)
     free_evolution_residuals(0.7, (1, 2, 4), PARAMS)
     fine, coarse = QuadratureSpec().nodes(3), QuadratureSpec().halved().nodes(3)
     assert sorted(n for n, _ in folds) == [coarse] * 3 + [fine] * 4
@@ -316,7 +317,7 @@ def test_circle_pair_operands_match_dense_factors(kinds, vpows, vars_):
                            power)
                     for i, (kind, power) in enumerate(kinds))
     reduced = ReducedIntegrand(factors, (1, 2))
-    values = _CircleValues(ctx)
+    values = _CircleValues(ctx, [], 1)  # its memo alone
     _, vectors, pairs, scalar, _ = _factored_operands(reduced, values, 24)
     matrices = pairs.matrices()
     # the vectors carry the trapezoid weights; the dense factors do not

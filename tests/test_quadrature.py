@@ -3,7 +3,7 @@ import string
 import numpy as np
 import pytest
 
-from asep_lab.quadrature import GridValues, PairProducts, Spares, Workspace, contract_factored
+from asep_lab.quadrature import PairProducts, Workspace, contract_factored
 
 GRID_LENGTHS = (7, 5, 9, 6)
 
@@ -56,94 +56,104 @@ def _square_graph(rng, n_dims, n):
     return vectors, matrices
 
 
+def _term(rng, workspace, n_dims, n=6):
+    """Random vectors and a complete graph of Toeplitz and Hankel pair
+    matrices, written into workspace as its current term; also new copies
+    of the matrices."""
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    pairs = PairProducts(n)
+    for a in range(n_dims):
+        for b in range(a + 1, n_dims):
+            pairs.multiply(a, b, (a + b) % 2 == 0, cplx(2 * n - 1), 1)
+    vectors = {d: cplx(n) for d in range(n_dims)}
+    return vectors, workspace.term(n_dims, pairs), pairs.matrices()
+
+
 @pytest.mark.parametrize("n_dims", [3, 4])
 def test_spares_change_no_bit_and_no_matrix(n_dims):
-    vectors, matrices = _square_graph(np.random.default_rng(200 + n_dims), n_dims, 6)
-    before = {k: m.copy() for k, m in matrices.items()}
-    plain = contract_factored(n_dims, vectors, matrices, 0.3 - 0.1j)
-    spares = Spares(*np.full((2, 6, 6), np.nan, complex))  # stale contents must not leak
-    assert contract_factored(n_dims, vectors, matrices, 0.3 - 0.1j, spares) == plain
-    assert all(np.array_equal(matrices[k], before[k]) for k in matrices)
-    if n_dims == 3:
-        # a caller done with its (0, 2) matrix may lend it as the first spare
-        lent = dict(before)
-        lent[(0, 2)] = before[(0, 2)].copy()
-        got = contract_factored(3, vectors, lent, 0.3 - 0.1j, Spares(lent[(0, 2)], spares.fold))
-        assert got == plain
+    for rows in (1, 2):
+        workspace = Workspace([(n_dims, 6)], rows)
+        workspace._block[...] = np.nan  # stale contents must not leak
+        vectors, matrices, fresh = _term(np.random.default_rng(200 + n_dims), workspace, n_dims)
+        plain = contract_factored(n_dims, vectors, fresh, 0.3 - 0.1j)
+        assert contract_factored(n_dims, vectors, matrices, 0.3 - 0.1j, workspace) == plain
+        # only a 3-D term at one row lends its (0, 2) matrix as a spare
+        lent = {(0, 2)} if (n_dims, rows) == (3, 1) else set()
+        assert {k for k in matrices if not np.array_equal(matrices[k], fresh[k])} == lent
 
 
-def _fold_case(seed):
-    """A 3-D graph, spares holding its fold, and a second graph that shares
-    its (0, 2) and (1, 2) matrices and an equal dimension-2 vector."""
+def _fold_case(seed, rows=2):
+    """A workspace whose 3-D term holds its fold, and a second graph of the
+    same term that shares its (0, 2) and (1, 2) matrices and an equal
+    dimension-2 vector."""
     rng = np.random.default_rng(seed)
-    vectors, matrices = _square_graph(rng, 3, 6)
-    spares = Spares(*np.empty((2, 6, 6), complex))
-    contract_factored(3, vectors, matrices, 1.0, spares)
-    other_vectors, other_matrices = _square_graph(rng, 3, 6)
+    workspace = Workspace([(3, 6)], rows)
+    vectors, matrices, _ = _term(rng, workspace, 3)
+    contract_factored(3, vectors, matrices, 1.0, workspace)
+    other_vectors = {d: rng.standard_normal(6) + 1j * rng.standard_normal(6) for d in (0, 1)}
     other_vectors[2] = vectors[2].copy()
-    for pair in ((0, 2), (1, 2)):
-        other_matrices[pair] = matrices[pair]
-    return other_vectors, other_matrices, spares
+    other_matrices = dict(matrices)
+    other_matrices[(0, 1)] = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    return other_vectors, other_matrices, workspace
 
 
-def _contract_on_poisoned_fold(vectors, matrices, spares):
+def _contract_on_poisoned_fold(vectors, matrices, workspace):
     # a held fold that is read back makes the value nan
-    spares.fold[...] = np.nan
-    return contract_factored(3, vectors, matrices, 0.3 - 0.1j, spares)
+    workspace._spares[-1][...] = np.nan
+    return contract_factored(3, vectors, matrices, 0.3 - 0.1j, workspace)
 
 
 def test_a_held_fold_gives_the_bits_of_a_fresh_contraction():
-    vectors, matrices, spares = _fold_case(300)
-    fresh = contract_factored(3, vectors, matrices, 0.3 - 0.1j)
-    assert contract_factored(3, vectors, matrices, 0.3 - 0.1j, spares) == fresh
-    assert np.isnan(_contract_on_poisoned_fold(vectors, matrices, spares))
+    vectors, matrices, workspace = _fold_case(300)
+    fresh = contract_factored(3, vectors, {k: m.copy() for k, m in matrices.items()}, 0.3 - 0.1j)
+    assert contract_factored(3, vectors, matrices, 0.3 - 0.1j, workspace) == fresh
+    assert np.isnan(_contract_on_poisoned_fold(vectors, matrices, workspace))
 
 
 @pytest.mark.parametrize("change", ["v2 entry", "equal M02 copy", "equal M12 copy"])
 def test_a_fold_is_not_reused_for_other_operands(change):
-    vectors, matrices, spares = _fold_case(301)
+    vectors, matrices, workspace = _fold_case(301)
     if change == "v2 entry":
         vectors[2][3] += 1e-12
     else:
         pair = (0, 2) if change == "equal M02 copy" else (1, 2)
         matrices[pair] = matrices[pair].copy()
-    fresh = contract_factored(3, vectors, matrices, 0.3 - 0.1j)
-    assert _contract_on_poisoned_fold(vectors, matrices, spares) == fresh
+    fresh = contract_factored(3, vectors, {k: m.copy() for k, m in matrices.items()}, 0.3 - 0.1j)
+    assert _contract_on_poisoned_fold(vectors, matrices, workspace) == fresh
 
 
 def test_the_fold_of_a_lent_matrix_is_not_reused():
-    vectors, matrices = _square_graph(np.random.default_rng(302), 3, 6)
-    original = matrices[(0, 2)].copy()
-    fresh = contract_factored(3, vectors, matrices, 0.3 - 0.1j)
-    spares = Spares(matrices[(0, 2)], np.empty((6, 6), complex))
-    assert contract_factored(3, vectors, matrices, 0.3 - 0.1j, spares) == fresh
-    # the contraction overwrote the lent matrix; a caller refills it for the next term
-    matrices[(0, 2)][...] = original
-    assert _contract_on_poisoned_fold(vectors, matrices, spares) == fresh
+    workspace = Workspace([(3, 6)], rows=1)
+    vectors, matrices, copies = _term(np.random.default_rng(302), workspace, 3)
+    fresh = contract_factored(3, vectors, copies, 0.3 - 0.1j)
+    assert contract_factored(3, vectors, matrices, 0.3 - 0.1j, workspace) == fresh
+    # the contraction overwrote the lent matrix; a caller refills it for the next row
+    matrices[(0, 2)][...] = copies[(0, 2)]
+    assert _contract_on_poisoned_fold(vectors, matrices, workspace) == fresh
 
 
 @pytest.mark.parametrize("rows", [1, 2])
 def test_a_held_fold_never_outlives_its_term(rows):
     # two 3-D terms with equal dimension-2 vectors write their matrices in
-    # turn into the same buffers; spares shared between them would read the
+    # turn into the same buffers; a fold held across them would read the
     # first term's fold back for the second
     rng = np.random.default_rng(303)
-
-    def cplx(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    workspace, v2, held = Workspace([(3, 6)], rows), cplx(6), []
+    workspace, held = Workspace([(3, 6)], rows), []
+    v2 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     for _ in range(2):
-        pairs = PairProducts(6)
-        for a, b, hankel in ((0, 1, False), (0, 2, True), (1, 2, False)):
-            pairs.multiply(a, b, hankel, cplx(11), 1)
-        vectors = {0: cplx(6), 1: cplx(6), 2: v2}
-        fresh = contract_factored(3, vectors, pairs.matrices(), 0.3 - 0.1j)
-        matrices, spares = workspace.term(3, pairs)
-        held.append(matrices[(1, 2)])
+        vectors, matrices, copies = _term(rng, workspace, 3)
+        vectors[2] = v2
+        fresh = contract_factored(3, vectors, copies, 0.3 - 0.1j)
+        if held and rows > 1:
+            # the first term's matrices view the buffers this term wrote, and
+            # are the ones its held fold was keyed by
+            assert contract_factored(3, vectors, held[0], 0.3 - 0.1j, workspace) == fresh
+        held.append(matrices)
         for _ in range(rows):  # a second row reads its own term's fold back
-            assert contract_factored(3, vectors, matrices, 0.3 - 0.1j, spares) == fresh
-    assert np.shares_memory(*held)
+            assert contract_factored(3, vectors, matrices, 0.3 - 0.1j, workspace) == fresh
+    assert np.shares_memory(held[0][(1, 2)], held[1][(1, 2)])
 
 
 def test_pair_matrices_written_into_buffers_equal_new_ones():
@@ -161,7 +171,7 @@ def test_pair_matrices_written_into_buffers_equal_new_ones():
 
 
 def test_grid_values_are_computed_once_and_read_only():
-    values, calls = GridValues(), []
+    values, calls = Workspace([(1, 16)]), []
 
     def compute():
         calls.append(1)
@@ -182,3 +192,28 @@ def test_workspace_refuses_a_block_above_its_cap_before_allocating():
     # N = 1024 at n = 3, fit
     for shapes in ([(2, 256), (3, 256), (4, 160)], [(4, 366)], [(3, 1024)]):
         Workspace(shapes, rows=2)
+
+
+@pytest.mark.parametrize("call", ["q_moment", "free_evolution_residuals", "she_moment"])
+def test_a_call_constructs_one_workspace(call, monkeypatch):
+    # a moment call's two passes and an SHE call's terms share one block and one memo
+    from fractions import Fraction
+    from asep_lab import kpz, moments
+    from asep_lab.model import ModelParams
+    built = []
+    init = Workspace.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Workspace, "__init__", counted)
+    params = ModelParams.from_density(1, Fraction(1, 2), Fraction(9, 10))
+    quad = moments.QuadratureSpec((64, 48, 32, 32))
+    if call == "q_moment":
+        moments.q_moment(0.5, (1, 3, 4), params, quad)
+    elif call == "free_evolution_residuals":
+        moments.free_evolution_residuals(0.7, (1, 2, 4), params, quad)
+    else:
+        kpz.she_moment_residue_form(kpz.KpzParams(t=0.5, x=(0.1, 0.4), A=1.0))
+    assert len(built) == 1
