@@ -229,14 +229,16 @@ def cmd_verify(args) -> int:
         if args.max_site is not None:
             raise ValidityError("--max-site sets the line window; --mode segment takes --ell")
         args.ell = 4 if args.ell is None else args.ell
+        flag, window = "--ell", args.ell
     else:
         if args.ell is not None:
             raise ValidityError(f"--ell sets the segment length; --mode {args.mode} "
                                 "takes --max-site")
         args.max_site = 5 if args.max_site is None else args.max_site
-        if args.max_site > MAX_VERIFY_SITE:
-            raise ValidityError(f"--max-site {args.max_site} lists 2^{args.max_site} states, "
-                                f"above the cap of {MAX_VERIFY_SITE}")
+        flag, window = "--max-site", args.max_site
+    if window > MAX_VERIFY_SITE:
+        raise ValidityError(f"{flag} {window} lists 2^{window} states, "
+                            f"above the cap of {MAX_VERIFY_SITE}")
     out = sys.stdout if args.output is None else open(args.output, "w")
     checked = failed = 0
     try:
@@ -450,6 +452,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         _check_output(args.output)
         code = args.func(args)
+        sys.stdout.flush()  # so that a failed write is reported here, not at exit
+    except OSError as exc:  # stdout or --output could not take the output
+        if isinstance(exc, BrokenPipeError):  # stdout's reader left; drop what is buffered
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except (ValidityError, ChamberError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

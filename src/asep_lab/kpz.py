@@ -24,11 +24,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import ModelParams, ValidityError
-from .moments import QuadratureSpec, q_moment
+from .moments import QuadratureSpec, _factored_operands, q_moment
 from .partitions import Diagram, canonical_diagrams, partitions_of, substitution_steps
-from .quadrature import PairProducts, Workspace, contract_factored, line_nodes
-from .residues import (DIFF, F_OVER_Z, Factor, Monomial, ReducedIntegrand, build_phi,
-                       reduce_steps)
+from .quadrature import Workspace, contract_factored, line_nodes
+from .residues import DIFF, Factor, Monomial, ReducedIntegrand, build_phi, reduce_steps
 
 ROBIN = "robin"
 DIRICHLET = "dirichlet"
@@ -132,15 +131,13 @@ def _prefactor(kpz: KpzParams) -> float:
 
 
 def _she_value(kpz: KpzParams, form: str, grids: Sequence[Tuple[np.ndarray, np.ndarray]],
-               terms: Iterable[Tuple[int, ReducedIntegrand]]) -> float:
-    """_prefactor(kpz) times the sum of sign times each reduced integrand on grids.
+               terms: Iterable[ReducedIntegrand]) -> float:
+    """_prefactor(kpz) times the sum of the reduced integrands read on grids.
 
-    Every term is built, contracted and dropped in one `quadrature.Workspace`
-    for the call, sized for an n-dimensional term: at n = 3 the call holds
-    four N x N arrays and no term allocates one.  The terms' F-kernels and
-    factor values on the line grids come from the same workspace's memo
-    (`_line_operands`), since the diagrams of the residue form share most
-    of them.
+    Every term is built (`moments._factored_operands`), contracted and
+    dropped in the call's one `_LineValues`, sized for an n-dimensional
+    term: at n = 3 the call holds four N x N arrays and no term allocates
+    one.  Its memo holds the kernels and factor values the terms share.
 
     Both SHE forms' one refusal tail: ValidityError for n > 4 before a term
     is reduced, and 0.0 at a Dirichlet wall, where Z(t, 0) = 0.  Z(t, x) > 0
@@ -152,14 +149,13 @@ def _she_value(kpz: KpzParams, form: str, grids: Sequence[Tuple[np.ndarray, np.n
         raise ValidityError(f"{form} evaluation supported for n <= 4")
     if kpz.boundary == DIRICHLET and kpz.x[0] == 0.0:
         return 0.0
-    workspace = Workspace([(kpz.n, len(grids[0][0]))])
-    total = 0.0
+    workspace, n_nodes, total = _LineValues(kpz, grids), len(grids[0][0]), 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
-        for sign, reduced in terms:
+        for reduced in terms:
             n_dims = len(reduced.free_vars)
-            vectors, pairs = _line_operands(reduced, kpz, grids, workspace)
+            _, vectors, pairs, scalar, _ = _factored_operands(reduced, workspace, n_nodes)
             matrices = workspace.term(n_dims, pairs)
-            total += contract_factored(n_dims, vectors, matrices, complex(sign), workspace).real
+            total += contract_factored(n_dims, vectors, matrices, scalar, workspace).real
     value = float(_prefactor(kpz) * total)
     if not (math.isfinite(value) and value > 0):
         raise ArithmeticError(f"the {form} form gives {value:.3e} at t={kpz.t:g} for a "
@@ -183,7 +179,7 @@ def she_moment_nested(kpz: KpzParams, contours: Optional[ContourSpec] = None) ->
     grids = she_grids(kpz.t, contours.offsets, max(contours.offsets), contours.tail_tol,
                       contours.spacing_factor)
     unreduced = ReducedIntegrand(tuple(build_phi(range(n))), tuple(range(1, n + 1)))
-    return _she_value(kpz, "nested", grids, [(1, unreduced)])
+    return _she_value(kpz, "nested", grids, [unreduced])
 
 
 # ---------------------------------------------------------------------------
@@ -199,55 +195,51 @@ def _reduce_additive(diagram: Diagram, phi: Sequence[Factor]) -> ReducedIntegran
     return reduce_steps(phi, substitution_steps(diagram), diagram.pivots)
 
 
-def _line_operands(reduced: ReducedIntegrand, kpz: KpzParams,
-                   grids: Sequence[Tuple[np.ndarray, np.ndarray]], workspace: Workspace):
-    """Per-dimension vectors and pair products of a lattice integrand read additively.
+class _LineValues(Workspace):
+    """The line reading of `moments._factored_operands`, and the `Workspace`
+    of one SHE call: dimension d integrates on grids[d], all of length N.
 
-    The k-th free variable is integrated on the line nodes and weights
-    grids[k].  F-factors become the SHE kernel at kpz.x[site], and a pair
-    factor whose slots share one variable scales that variable's vector;
-    the others are evaluated on the 2N - 1 entries of a `PairProducts`, for
-    the caller to write out as N x N matrices.  A pair factor reads
-    (L_A - L_B)^power (DIFF) or (L_A + L_B - 1)^power (PROD) for the affine
-    forms L of its slots; the prefactor monomials have no additive reading.
-    Each kernel and factor value is computed once per call: the call's
-    workspace memo keys it by its dimensions and its slots' affine forms.
+    A monomial reads as its affine form L (`_affine`) and an F-factor as the
+    SHE kernel at kpz.x[site], kept in the memo.  A pair factor reads
+    (L_A - L_B)^power (DIFF) or (L_A + L_B - 1)^power (PROD), with no scale:
+    s_a w_a + sign s_b w_b is s_a (w_a + w_b), Hankel, or s_a (w_a - w_b),
+    Toeplitz.  A prefactor monomial reads -1, since a consumed
+    1/(L_A + L_B - 1) has limit +1 where 1/(1 - A B) has -1/A.
     """
-    dims = {v: d for d, v in enumerate(reduced.free_vars)}
-    vectors = {d: grids[d][1] for d in dims.values()}
-    pairs = PairProducts(len(grids[0][0]))
-    for f in reduced.factors:
-        d = dims[f.a.var]
-        sign_a, shift_a = _affine(f.a)
-        if f.kind == F_OVER_Z:
-            kernel = workspace.get(
-                ("kernel", d, sign_a, shift_a, f.site),
-                lambda: _kernel(sign_a * grids[d][0] + shift_a, kpz.x[f.site], kpz.t, kpz.A,
-                                kpz.boundary))
-            vectors[d] = vectors[d] * kernel
-            continue
+
+    def __init__(self, kpz: KpzParams, grids: Sequence[Tuple[np.ndarray, np.ndarray]]):
+        super().__init__([(kpz.n, len(grids[0][0]))])
+        self.kpz, self.grids = kpz, grids
+
+    def grid(self, n_nodes: int, d: int) -> Tuple[np.ndarray, np.ndarray]:
+        return self.grids[d]
+
+    def prefactor(self, m: Monomial, n_nodes: int, d: int) -> float:
+        return -1.0
+
+    def kernel(self, f: Factor, n_nodes: int, d: int):
+        kpz, (sign, shift) = self.kpz, _affine(f.a)
+        kernel = self.get(("kernel", d, sign, shift, f.site),
+                          lambda: _kernel(sign * self.grids[d][0] + shift, kpz.x[f.site], kpz.t,
+                                          kpz.A, kpz.boundary))
+        return kernel, None, None
+
+    def single(self, f: Factor, n_nodes: int, d: int) -> np.ndarray:
+        (sign_a, shift_a), (sign_b, shift_b) = _affine(f.a), _affine(f.b)
         sign, shift = (-1, 0) if f.kind == DIFF else (1, -1)
-        sign_b, shift_b = _affine(f.b)
-        if f.b.var == f.a.var:
+        w = self.grids[d][0]
+        arg = sign_a * w + shift_a + sign * (sign_b * w + shift_b) + shift
+        return arg if f.power == 1 else 1.0 / arg
 
-            def single():
-                w = grids[d][0]
-                arg = sign_a * w + shift_a + sign * (sign_b * w + shift_b) + shift
-                return arg if f.power == 1 else 1.0 / arg
-            vectors[d] = vectors[d] * workspace.get(
-                ("factor", d, f.kind, f.power, sign_a, shift_a, sign_b, shift_b), single)
-            continue
-        # s_a w_a + sign s_b w_b is s_a (w_a + w_b), Hankel, or s_a (w_a - w_b), Toeplitz
-        db = dims[f.b.var]
-        hankel = f.hankel
+    def scale(self, f: Factor, n_nodes: int, d: int) -> None:
+        return None
 
-        def pair_values():
-            ka, kb = pairs.entries(d, db, hankel)
-            wa, wb = grids[d][0][ka], grids[db][0][kb]
-            return sign_a * (wa + wb if hankel else wa - wb) + (shift_a + sign * shift_b + shift)
-        arg = workspace.get(("pair", d, db, f.kind, sign_a, shift_a, sign_b, shift_b), pair_values)
-        pairs.multiply(d, db, hankel, arg, f.power)
-    return vectors, pairs
+    def pair(self, f: Factor, n_nodes: int, da: int, db: int, ka: np.ndarray,
+             kb: np.ndarray) -> np.ndarray:
+        (sign_a, shift_a), (_, shift_b) = _affine(f.a), _affine(f.b)
+        sign, shift = (-1, 0) if f.kind == DIFF else (1, -1)
+        wa, wb = self.grids[da][0][ka], self.grids[db][0][kb]
+        return sign_a * (wa + wb if f.hankel else wa - wb) + (shift_a + sign * shift_b + shift)
 
 
 def she_moment_residue_form(kpz: KpzParams, tail_tol: float = TAIL_TOL,
@@ -265,10 +257,8 @@ def she_moment_residue_form(kpz: KpzParams, tail_tol: float = TAIL_TOL,
     n = kpz.n
     grids = she_grids(kpz.t, (0.0,) * n, n - 1.0, tail_tol, spacing_factor)
     phi = build_phi(range(n))
-    reduced = (_reduce_additive(diagram, phi)
-               for lam in partitions_of(n) for diagram in canonical_diagrams(lam))
-    # a consumed 1/(w + w' - 1) has limit +1 where 1/(1 - M M') has -1/M
-    terms = ((r.sign * (-1) ** len(r.prefactor_monos), r) for r in reduced)
+    terms = (_reduce_additive(diagram, phi)
+             for lam in partitions_of(n) for diagram in canonical_diagrams(lam))
     return _she_value(kpz, "residue", grids, terms)
 
 

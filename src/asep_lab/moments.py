@@ -13,15 +13,16 @@ makes one pass per grid (`_sum_terms`) that takes every site vector it
 needs; q_moment is the one-point case.  A pass builds each diagram's
 operands, contracts them at every site vector and drops them before the
 next diagram, in the call's one `quadrature.Workspace` (`_CircleValues`),
-which serves both passes:
+which serves both passes.  `_factored_operands` is the one operand builder,
+here and for the SHE lines (`kpz`); `_CircleValues` is its circle reading:
 
 * each kernel F_x(M)/M is a site-free multiplier, folded into its
   dimension's vector, times exp(E(M) + x log P(M)); only the F-kernels
   depend on the sites, and the site vectors of a diagram cost one exp
-  per dimension of the stacked exponents (`_factored_operands`);
+  per dimension of the stacked exponents;
 * each pair factor is a per-node scale times a Toeplitz or Hankel matrix
-  built from 2N - 1 values (`_circle_pair`, `quadrature.PairProducts`),
-  written into the workspace's buffers;
+  built from 2N - 1 values (`quadrature.PairProducts`), written into the
+  workspace's buffers;
 * the diagrams of a call share grids and factors, so each node grid,
   monomial, kernel part and factor value is computed once per call and
   grid, in the workspace's memo;
@@ -113,12 +114,18 @@ class MomentResult:
 
 
 class _CircleValues(Workspace):
-    """The `Workspace` of one moment call, whose memo holds the circle grids'
-    nodes and weights, monomials and F-kernel parts, by (node count,
-    dimension) and monomial exponents.  Diagrams share most of them: the 22
-    diagram builds of an n = 3 call (fine and half-resolution) have 66
-    F-factors at 17 distinct kernel arguments, and 38 dimensions on 7 node
-    grids.
+    """The circle reading of `_factored_operands`, and the `Workspace` of one
+    moment call, whose memo holds the grids' nodes and weights, monomials
+    and F-kernel parts by (node count, dimension) and monomial exponents.
+    Diagrams share most of them: the 22 diagram builds of an n = 3 call
+    (fine and half-resolution) have 66 F-factors at 17 distinct kernel
+    arguments, and 38 dimensions on 7 node grids.
+
+    With A = q^e z_a^{s_a}, B = q^e' z_b^{s_b} on nodes z_d[k] = r e^{2 pi i
+    (k + o_d)/N}, B/A and A B each depend on k_a - k_b alone or on k_a + k_b
+    alone (`Factor.hankel`).  (A - B)^p is A^p (1 - B/A)^p: A is a DIFF
+    pair's per-node scale, and 1 - B/A, or 1 - A B for (1 - A B)^p, its
+    pair values.
     """
 
     def __init__(self, ctx: EvalContext, shapes: Sequence[Tuple[int, int]], rows: int):
@@ -137,10 +144,24 @@ class _CircleValues(Workspace):
         return self.get(("monomial", n_nodes, d, m.qexp, m.vpow),
                         lambda: m.value(self.ctx.q, {m.var: self.grid(n_nodes, d)[0]}))
 
-    def kernel_parts(self, m: Monomial, n_nodes: int, d: int):
-        key = ("kernel", n_nodes, d, m.qexp, m.vpow)
+    prefactor = monomial
+
+    def kernel(self, f: Factor, n_nodes: int, d: int):
+        key = ("kernel", n_nodes, d, f.a.qexp, f.a.vpow)
         return (self._values.get(key)
-                or self.store(key, self.ctx.kernel_parts(self.monomial(m, n_nodes, d))))
+                or self.store(key, self.ctx.kernel_parts(self.monomial(f.a, n_nodes, d))))
+
+    def single(self, f: Factor, n_nodes: int, d: int) -> np.ndarray:
+        return factor_value(f, self.ctx, {f.a.var: self.grid(n_nodes, d)[0]})
+
+    def scale(self, f: Factor, n_nodes: int, d: int) -> Optional[np.ndarray]:
+        return self.monomial(f.a, n_nodes, d) if f.kind == DIFF else None
+
+    def pair(self, f: Factor, n_nodes: int, da: int, db: int, ka: np.ndarray,
+             kb: np.ndarray) -> np.ndarray:
+        a = self.monomial(f.a, n_nodes, da)[ka]
+        b = f.b.value(self.ctx.q, {f.b.var: self.grid(n_nodes, db)[0][kb]})
+        return 1.0 - b / a if f.kind == DIFF else 1.0 - a * b
 
 
 def _exponents(f: Factor) -> tuple:
@@ -149,23 +170,26 @@ def _exponents(f: Factor) -> tuple:
     return (f.kind, f.a.qexp, f.a.vpow, f.b.qexp, f.b.vpow)
 
 
-def _factored_operands(reduced: ReducedIntegrand, values: _CircleValues, n_nodes: int):
+def _factored_operands(reduced: ReducedIntegrand, values, n_nodes: int):
     """Group the site-independent factors into per-dim vectors and pair products.
 
-    Each dimension d integrates on values.grid(n_nodes, d), whose nodes are
-    returned first.  Each F-factor's site-free multiplier goes into its
-    dimension's vector.  Its exponent is summed per dimension, and its log
-    step kept with its site slot, as kernels {dim: [summed exponent,
-    [(slot, log step), ...]]} to be exponentiated once per dimension when
-    the sites are known.  Summing
+    values reads the factors on one kind of grid, the circles
+    (`_CircleValues`) or the SHE lines (`kpz._LineValues`), and is the
+    call's `Workspace`.  Dimension d integrates on values.grid(n_nodes, d),
+    whose nodes are returned first.  Each prefactor monomial,
+    single-variable factor and F-factor multiplier goes into its
+    dimension's vector, in factor order.  A deferred F-factor exponent (the
+    circle's) is summed per dimension, and its log step kept with its site
+    slot, as kernels {dim: [summed exponent, [(slot, log step), ...]]} to be
+    exponentiated once per dimension when the sites are known.  Summing
     first matters: along a diagram row the exponents telescope to a sum
     with bounded real part on the contour, while a single E reaches about
-    (1-q)pt/(1-sqrt q) and overflows under weak-asymmetry scaling.  Pair
-    factors are built from 2N - 1 values each (see `_circle_pair`) into a
-    `PairProducts`, for the caller to write out as matrices.  Every array of
-    one grid that another factor or diagram could share comes from values.
+    (1-q)pt/(1-sqrt q) and overflows under weak-asymmetry scaling.  A pair
+    factor's per-node scale, where its reading has one, goes into its first
+    dimension's vector to its power, and its values on the 2N - 1 entries
+    of its `Factor.hankel` type into a `PairProducts`, for the caller to
+    write out as matrices.  Factor values are kept in values' memo.
     """
-    ctx = values.ctx
     dims, nodes, vectors = {}, {}, {}
     for d, v in enumerate(reduced.free_vars):
         dims[v] = d
@@ -175,55 +199,30 @@ def _factored_operands(reduced: ReducedIntegrand, values: _CircleValues, n_nodes
     kernels: Dict[int, list] = {}
     for m in reduced.prefactor_monos:
         d = dims[m.var]
-        vectors[d] *= values.monomial(m, n_nodes, d)
+        vectors[d] *= values.prefactor(m, n_nodes, d)
     for f in reduced.factors:
         fvars = f.vars()
+        d = dims[fvars[0]]
         if f.kind == F_OVER_Z:
-            d = dims[fvars[0]]
-            multiplier, exponent, log_step = values.kernel_parts(f.a, n_nodes, d)
+            multiplier, exponent, log_step = values.kernel(f, n_nodes, d)
             vectors[d] *= multiplier
-            if d in kernels:
+            if exponent is not None and d in kernels:
                 kernels[d][0] = kernels[d][0] + exponent
                 kernels[d][1].append((f.site, log_step))
-            else:
+            elif exponent is not None:
                 kernels[d] = [exponent, [(f.site, log_step)]]
         elif len(fvars) == 1:
-            d = dims[fvars[0]]
-            vectors[d] *= values.get(
-                ("factor", n_nodes, d, f.power) + _exponents(f),
-                lambda: factor_value(f, ctx, {fvars[0]: values.grid(n_nodes, d)[0]}))
+            vectors[d] *= values.get(("factor", n_nodes, d, f.power) + _exponents(f),
+                                     lambda: values.single(f, n_nodes, d))
         else:
-            _circle_pair(f, dims, values, n_nodes, vectors, pairs)
+            db, hankel = dims[fvars[1]], f.hankel
+            g = values.get(("pair", n_nodes, d, db) + _exponents(f),
+                           lambda: values.pair(f, n_nodes, d, db, *pairs.entries(d, db, hankel)))
+            scale = values.scale(f, n_nodes, d)
+            if scale is not None:
+                (np.multiply if f.power == 1 else np.divide)(vectors[d], scale, out=vectors[d])
+            pairs.multiply(d, db, hankel, g, f.power)
     return nodes, vectors, pairs, complex(reduced.sign), kernels
-
-
-def _circle_pair(f: Factor, dims: Dict[int, int], values: _CircleValues, n_nodes: int,
-                 vectors: Dict[int, np.ndarray], pairs: PairProducts):
-    """Split a two-variable factor into a per-node scale and 2N - 1 pair values.
-
-    With A = q^e z_a^{s_a}, B = q^e' z_b^{s_b} on nodes z_d[k] = r e^{2 pi i
-    (k + o_d)/N}, B/A and A B each depend on k_a - k_b alone or on k_a + k_b
-    alone (`Factor.hankel`).  (A - B)^p is A^p (1 - B/A)^p, and A^p scales
-    vectors[a].  1 - B/A, or 1 - A B for (1 - A B)^p, is evaluated on the
-    2N - 1 entries of `PairProducts`, once per grid pair and exponents
-    (values), and multiplied in to the power p.
-    """
-    da, db = dims[f.a.var], dims[f.b.var]
-    hankel = f.hankel
-    a_nodes = values.monomial(f.a, n_nodes, da)
-
-    def pair_values():
-        ka, kb = pairs.entries(da, db, hankel)
-        b = f.b.value(values.ctx.q, {f.b.var: values.grid(n_nodes, db)[0][kb]})
-        return 1.0 - b / a_nodes[ka] if f.kind == DIFF else 1.0 - a_nodes[ka] * b
-
-    g = values.get(("pair", n_nodes, da, db) + _exponents(f), pair_values)
-    if f.kind == DIFF:
-        if f.power == 1:
-            vectors[da] *= a_nodes
-        else:
-            vectors[da] /= a_nodes
-    pairs.multiply(da, db, hankel, g, f.power)
 
 
 def _eval_context(params: ModelParams, t: float, kernel: str = "plain") -> EvalContext:

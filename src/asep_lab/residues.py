@@ -25,9 +25,8 @@ affine form L = s w + e + [s < 0], so q z becomes w + 1 and 1/z becomes
     PROD  (1 - A B)^power    ->  (L_A + L_B - 1)^power
 
 and F_OVER_Z, F_x(A)/A, is the SHE kernel at the point of the factor's
-site; the prefactor monomials drop out.  A consumed 1/(L_A + L_B - 1) has
-limit +1 where 1/(1 - A z) has -1/A, so the additive sign is the lattice
-sign times (-1)^(number of prefactor monomials).
+site.  A consumed 1/(L_A + L_B - 1) has limit +1 where 1/(1 - A z) has
+-1/A, so a prefactor monomial reads -1 (`kpz._LineValues`).
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ import time
 from fractions import Fraction as F
 
 import numpy as np
-import pytest
 
 from asep_lab.duality import (chamber_vectors, exhaustive_states,
                               negative_control_no_liggett,
@@ -24,7 +23,6 @@ from asep_lab.moments import (QuadratureSpec, first_moment,
                               free_evolution_residuals, q_moment,
                               second_moment_explicit)
 from asep_lab.partitions import count_diagrams, enumerate_diagrams, partitions_of
-from asep_lab.quadrature import circle_nodes
 from asep_lab.segment_ode import solve_u
 from asep_lab.simulate import SimConfig, dual_reweighted_estimate, estimate
 

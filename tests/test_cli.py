@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -545,14 +546,47 @@ def test_flag_the_run_would_ignore_exits_2(argv, monkeypatch, capsys):
     ["moments", "--x", "1,3", "--t", "1", "--rho", "9/10", "--nodes", "100000"],
     ["kpz", "--x", "0.1,0.4", "--t", "1e6", "--A", "1"],
     ["verify", "--mode", "halfline", "--max-site", "24"],
+    ["verify", "--mode", "segment", "--ell", "30"],
 ])
 def test_run_too_large_for_memory_exits_2(argv, capsys):
     # the first two ended in numpy's MemoryError for a 37.3 GiB workspace, the
-    # third listed 2^24 states before its first identity
+    # third listed 2^24 states before its first identity, and the fourth ran
+    # on through 2^29 occupation vectors, about 4.9e12 identities
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
     assert "above the cap" in captured.err
+
+
+def _one_line_refusal(code, err):
+    assert code == 2 and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_a_reader_that_closes_stdout_ends_the_run_in_one_line():
+    # `asep-lab verify --mode halfline --points 3 | head -n 1` ended in a
+    # BrokenPipeError traceback, exit 1
+    proc = subprocess.Popen(RUN + ["verify", "--mode", "halfline", "--points", "3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith('{"manifest"')
+    proc.stdout.close()
+    err = proc.stderr.read()
+    _one_line_refusal(proc.wait(), err)
+    assert "Broken pipe" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("to_output", [True, False])
+def test_a_full_device_ends_the_run_in_one_line(to_output):
+    # --output /dev/full ended in an ENOSPC traceback, exit 1; where /dev is
+    # not writable, the --output case is refused before the run, also exit 2
+    args = ["moments", "--rho", "9/10", "--t", "1", "--x", "1"]
+    with open("/dev/full", "w") as full:
+        res = subprocess.run(RUN + args + (["--output", "/dev/full"] if to_output else []),
+                             stdout=subprocess.PIPE if to_output else full,
+                             stderr=subprocess.PIPE, text=True)
+    _one_line_refusal(res.returncode, res.stderr)
+    assert not to_output or res.stdout == ""
 
 
 @pytest.mark.parametrize("mode, used, default, unused", [("halfline", "max_site", 5, "ell"),

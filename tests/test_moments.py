@@ -11,7 +11,7 @@ from asep_lab.moments import (QuadratureSpec, _CircleValues, _diagram_terms, _ev
                               _factored_operands, first_moment, free_evolution_residuals,
                               q_moment, second_moment_explicit)
 from asep_lab.partitions import canonical_diagrams, partitions_of
-from asep_lab.quadrature import Workspace, circle_nodes
+from asep_lab.quadrature import Workspace, circle_nodes, line_nodes
 from asep_lab.residues import (DIFF, F_OVER_Z, PROD, EvalContext, Factor, Monomial,
                                ReducedIntegrand, build_phi, reduce_by_diagram)
 
@@ -307,27 +307,43 @@ def _dense_moment(ctx, quad, x):
     return total.real
 
 
+def _dense_line_pair(f, assign):
+    """(L_A - L_B)^power or (L_A + L_B - 1)^power, L = s w + e + [s < 0], written out."""
+    a, b = ((m.vpow * assign[m.var] + m.qexp + (m.vpow < 0)) for m in (f.a, f.b))
+    base = a - b if f.kind == DIFF else a + b - 1.0
+    return base if f.power == 1 else 1.0 / base
+
+
 @pytest.mark.parametrize("kinds", [[k] for k in PAIR_FORMS] + [list(PAIR_FORMS)])
 @pytest.mark.parametrize("vpows", list(itertools.product((1, -1), repeat=2)))
 @pytest.mark.parametrize("vars_", [(1, 2), (2, 1)])
 def test_circle_pair_operands_match_dense_factors(kinds, vpows, vars_):
+    # the one builder on both readings: circles, and lines read additively
+    from asep_lab.kpz import KpzParams, _LineValues
     ctx = EvalContext(q=0.5, p=1.0, rho=0.9, t=0.7)
     (va, vb), (sa, sb) = vars_, vpows
     factors = tuple(Factor(kind, Monomial(1 + i % 2, va, sa), Monomial(2 * (i % 2), vb, sb),
                            power)
                     for i, (kind, power) in enumerate(kinds))
     reduced = ReducedIntegrand(factors, (1, 2))
-    values = _CircleValues(ctx, [], 1)  # its memo alone
-    _, vectors, pairs, scalar, _ = _factored_operands(reduced, values, 24)
-    matrices = pairs.matrices()
-    # the vectors carry the trapezoid weights; the dense factors do not
-    u, v = (vectors[d] / values.grid(24, d)[1] for d in range(2))
-    got = scalar * u[:, None] * matrices[(0, 1)] * v[None, :]
     assign, _ = _mesh(reduced, ctx.q, 24)
-    want = 1.0
-    for f in factors:
-        want = want * _dense_pair(f, f.a.value(ctx.q, assign), f.b.value(ctx.q, assign))
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    # 24 nodes on Re w = 0.25 and 1.6: no additive pair factor comes near 0
+    lines = [line_nodes(r, 3.0, 0.25, d) for d, r in enumerate((0.25, 1.6))]
+    line_assign = {1: lines[0][0][:, None], 2: lines[1][0][None, :]}
+    for values, dense in (
+            (_CircleValues(ctx, [], 1),  # its memo alone
+             lambda f: _dense_pair(f, f.a.value(ctx.q, assign), f.b.value(ctx.q, assign))),
+            (_LineValues(KpzParams(t=0.5, x=(0.1, 0.4), A=1.0), lines),
+             lambda f: _dense_line_pair(f, line_assign))):
+        _, vectors, pairs, scalar, _ = _factored_operands(reduced, values, 24)
+        matrices = pairs.matrices()
+        # the vectors carry the trapezoid weights; the dense factors do not
+        u, v = (vectors[d] / values.grid(24, d)[1] for d in range(2))
+        got = scalar * u[:, None] * matrices[(0, 1)] * v[None, :]
+        want = 1.0
+        for f in factors:
+            want = want * dense(f)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 SMALL_GRID = QuadratureSpec((64, 48, 32, 32))
