@@ -67,8 +67,10 @@ def _manifest(subcommand: str, args: argparse.Namespace, extra: Optional[dict] =
     return man
 
 
-def _emit(args, manifest: dict, columns: Sequence[str], rows: List[dict],
-          json_extra: Optional[dict] = None):
+def _emit(args, manifest: dict, rows: List[dict], json_extra: Optional[dict] = None):
+    """Write the manifest and rows as JSON, or as CSV under the manifest's
+    "# " lines: the keys of rows[0] are the header, and each row's values
+    follow in its own key order, so every row must have rows[0]'s keys."""
     out = sys.stdout if args.output is None else open(args.output, "w")
     try:
         if args.format == "json":
@@ -79,9 +81,9 @@ def _emit(args, manifest: dict, columns: Sequence[str], rows: List[dict],
         else:
             for line in json.dumps(manifest, sort_keys=True, default=str).splitlines():
                 out.write(f"# {line}\n")
-            out.write(",".join(columns) + "\n")
+            out.write(",".join(rows[0]) + "\n")
             for row in rows:
-                out.write(",".join(str(row.get(c, "")) for c in columns) + "\n")
+                out.write(",".join(map(str, row.values())) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
@@ -98,18 +100,17 @@ def _check_output(path: Optional[str]):
         raise ValidityError(f"cannot write --output {path}: it is a directory")
 
 
-def _parse_sites(text: str) -> tuple:
+def _parse_list(text: str, kind, what: str) -> tuple:
+    """The comma-separated values of text, each read by kind."""
     try:
-        return tuple(int(v) for v in text.split(","))
+        return tuple(kind(v) for v in text.split(","))
     except ValueError as exc:
-        raise ValidityError(f"bad site list {text!r}: {exc}")
+        raise ValidityError(f"bad {what} list {text!r}: {exc}")
 
 
-def _parse_floats(text: str) -> tuple:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ValidityError(f"bad number list {text!r}: {exc}")
+def _sites(x: Sequence) -> dict:
+    """The row entries x1, ..., xn of a site vector."""
+    return {f"x{i}": xi for i, xi in enumerate(x, 1)}
 
 
 def _model_params(args) -> ModelParams:
@@ -142,17 +143,13 @@ def _quad(args) -> QuadratureSpec:
 
 def cmd_moments(args) -> int:
     params = _model_params(args)
-    x = check_chamber(_parse_sites(args.x))
-    quad = _quad(args)
-    res = q_moment(args.t, x, params, quad)
-    row = {"n": len(x), "t": args.t, "value": repr(res.value), "quad_err": repr(res.quad_error)}
-    for i, xi in enumerate(x):
-        row[f"x{i + 1}"] = xi
-    columns = ["n", "t"] + [f"x{i + 1}" for i in range(len(x))] + ["value", "quad_err"]
+    x = check_chamber(_parse_list(args.x, int, "site"))
+    res = q_moment(args.t, x, params, _quad(args))
+    row = {"n": len(x), "t": args.t, **_sites(x), "value": repr(res.value),
+           "quad_err": repr(res.quad_error)}
     manifest = _manifest("moments", args, {"nodes_by_dim": list(res.nodes_by_dim)})
     breakdown = {"+".join(map(str, lam)): v for lam, v in res.per_partition.items()}
-    _emit(args, manifest, columns, [row],
-          {"per_partition": breakdown, "imag_residual": res.imag_residual})
+    _emit(args, manifest, [row], {"per_partition": breakdown, "imag_residual": res.imag_residual})
     return EXIT_OK
 
 
@@ -166,14 +163,13 @@ def cmd_simulate(args) -> int:
                             "they need --ell")
     else:
         params = _model_params(args)
-    observables = tuple(_parse_sites(s) for s in args.observable) or ((1,),)
+    observables = tuple(_parse_list(s, int, "site") for s in args.observable) or ((1,),)
     config = SimConfig(params, args.t, args.trajectories, args.seed, observables)
     ests = estimate(config, threads=args.threads)
     rows = [{"observable": " ".join(map(str, e.observable)), "mean": repr(e.mean),
              "std_error": repr(e.std_error), "trajectories": e.trajectories,
              "seed": args.seed} for e in ests]
-    _emit(args, _manifest("simulate", args),
-          ["observable", "mean", "std_error", "trajectories", "seed"], rows)
+    _emit(args, _manifest("simulate", args), rows)
     return EXIT_OK
 
 
@@ -257,19 +253,14 @@ def cmd_verify(args) -> int:
 def cmd_segment(args) -> int:
     params = _segment_params(args)
     sol = solve_u(args.t, SegmentState.empty(params.ell), params, args.n)
-    rows = []
-    for x in sol.dual.vectors:
-        row = {"t": args.t, "value": repr(sol.value(x)), "solver_err": repr(sol.solver_error)}
-        for i, xi in enumerate(x):
-            row[f"x{i + 1}"] = xi
-        rows.append(row)
-    columns = ["t"] + [f"x{i + 1}" for i in range(args.n)] + ["value", "solver_err"]
-    _emit(args, _manifest("segment", args), columns, rows)
+    rows = [{"t": args.t, **_sites(x), "value": repr(value), "solver_err": repr(sol.solver_error)}
+            for x, value in zip(sol.dual.vectors, sol.values.tolist())]
+    _emit(args, _manifest("segment", args), rows)
     return EXIT_OK
 
 
 def cmd_kpz(args) -> int:
-    x = _parse_floats(args.x)
+    x = _parse_list(args.x, float, "number")
     boundary = DIRICHLET if args.boundary == "dirichlet" else ROBIN
     kpz = KpzParams(t=args.t, x=x, A=args.A, boundary=boundary)
     rows = []
@@ -277,22 +268,14 @@ def cmd_kpz(args) -> int:
         if args.form == "residue":
             raise ValidityError("--eps compares against the nested form; drop --form residue")
         limit = she_moment_nested(kpz)
-        for eps in _parse_floats(args.eps):
+        for eps in _parse_list(args.eps, float, "number"):
             val = scaled_asep_moment(eps, kpz)
             rows.append({"eps": eps, "value": repr(val), "limit": repr(limit),
                          "abs_diff": repr(abs(val - limit))})
-        columns = ["eps", "value", "limit", "abs_diff"]
     else:
-        if args.form == "residue":
-            val = she_moment_residue_form(kpz)
-        else:
-            val = she_moment_nested(kpz)
-        row = {"t": args.t, "form": args.form, "value": repr(val)}
-        for i, xi in enumerate(x):
-            row[f"x{i + 1}"] = xi
-        rows.append(row)
-        columns = ["t"] + [f"x{i + 1}" for i in range(len(x))] + ["form", "value"]
-    _emit(args, _manifest("kpz", args), columns, rows)
+        form = she_moment_residue_form if args.form == "residue" else she_moment_nested
+        rows.append({"t": args.t, **_sites(x), "form": args.form, "value": repr(form(kpz))})
+    _emit(args, _manifest("kpz", args), rows)
     return EXIT_OK
 
 
@@ -360,10 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--observable", action="append", default=[],
                    help="comma-separated sites; repeatable")
     s.add_argument("--ell", type=int, default=None, help="simulate the segment model")
-    s.add_argument("--beta", default=None)
-    s.add_argument("--delta", default=None)
-    s.add_argument("--rho0", default=None)
-    s.add_argument("--rho-ell", dest="rho_ell", default=None)
     s.set_defaults(func=cmd_simulate)
 
     v = subs.add_parser("verify", help="exact duality residuals as JSON lines")
@@ -386,11 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--ell", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--t", type=float, required=True)
-    g.add_argument("--beta", default=None)
-    g.add_argument("--delta", default=None)
-    g.add_argument("--rho0", default=None)
-    g.add_argument("--rho-ell", dest="rho_ell", default=None)
     g.set_defaults(func=cmd_segment)
+    for sub in (s, g):  # the segment's right-end rates and its two boundary densities
+        for flag in ("--beta", "--delta", "--rho0", "--rho-ell"):
+            sub.add_argument(flag, default=None)
 
     k = subs.add_parser("kpz", help="stochastic-heat-equation moments")
     _add_output(k)

@@ -317,7 +317,8 @@ def _moment_results(n: int, ctx: EvalContext, quad: QuadratureSpec,
     factor value that diagrams share is computed once; nothing is kept
     between calls.  A dimension whose halved grid is quad's own (16 nodes
     stay 16) would make quad_error read 0 whatever the error, so it raises
-    ValidityError.
+    ValidityError.  An overflow or invalid value in either pass raises
+    ArithmeticError, naming t and the grid.
     """
     reduced = _diagram_terms(n)
     coarse = quad.halved()
@@ -328,8 +329,12 @@ def _moment_results(n: int, ctx: EvalContext, quad: QuadratureSpec,
                                 "coarser grid for the error estimate; give more nodes")
     values = _CircleValues(ctx, [(d, quad.nodes(d)) for d in dims],
                            len(points) + time_derivative)
-    fine_sums = _sum_terms(reduced, values, quad, points, time_derivative)
-    coarse_sums = _sum_terms(reduced, values, coarse, points)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            fine_sums = _sum_terms(reduced, values, quad, points, time_derivative)
+            coarse_sums = _sum_terms(reduced, values, coarse, points)
+    except FloatingPointError as exc:
+        raise ArithmeticError(f"{exc} at t = {ctx.t} on the {quad.nodes_by_dim} grid") from None
     results = [MomentResult(value=value,
                             per_partition={lam: v.real for lam, v in per_part.items()},
                             nodes_by_dim=quad.nodes_by_dim,
@@ -448,54 +453,45 @@ def free_evolution_residuals(t: float, x: Sequence[int], params: ModelParams,
         whenever x_{i+1} = x_i + 1;
     (3) v(0, x_2, ...) = (rho q + 1 - rho) v(1, x_2, ...).
 
-    The points are listed first (x, its 2n neighbours, the collision pairs
-    and the boundary pair, without repeats) and evaluated in one fine and
-    one half-resolution pass, the d/dt of (1) in the fine pass.  Each value
-    is bit for bit the one q_moment gives at that point: a point is
-    contracted on its own, whatever shares its pass.
+    Each relation is one list of (coefficient, site vector) terms whose sum
+    is 0 (for (1), dv/dt).  The pass's points are the terms' site vectors,
+    without repeats and in the relations' order, so x comes first when (1)
+    applies; they are evaluated in one fine and one half-resolution pass,
+    the d/dt of (1) in the fine pass.  Each value is bit for bit the one
+    q_moment gives at that point: a point is contracted on its own,
+    whatever shares its pass.  A residual is the absolute sum of its
+    terms, less dv/dt for (1).
     """
     _validate(params, t, x)
     x = tuple(int(v) for v in x)
     report = FreeEvolutionReport(x=x)
-    p = float(params.p_rate)
-    qr = float(params.q_rate)
-    n = len(x)
-    time_derivative = all(v_ >= 1 for v_ in x)
-    collisions = [i for i in range(n - 1) if x[i + 1] == x[i] + 1]
-    boundary = n == 1 or x[1] >= 2
+    p, qr, n = float(params.p_rate), float(params.q_rate), len(x)
 
     def shifted(i, site):
         return x[:i] + (site,) + x[i + 1:]
 
-    points = []
-    if time_derivative:
-        points.append(x)
-        for i in range(n):
-            points += [shifted(i, x[i] - 1), shifted(i, x[i] + 1)]
-    for i in collisions:
-        points += [shifted(i + 1, x[i]), shifted(i, x[i] + 1), x]
-    if boundary:
-        points += [(0,) + x[1:], (1,) + x[1:]]
-    points = list(dict.fromkeys(points))
+    lattice = [(-n * (p + qr), x)] + [(c, shifted(i, x[i] + step)) for i in range(n)
+                                      for c, step in ((p, -1), (qr, 1))]
+    if min(x) < 1:
+        lattice = []
+    adjacent = {i: [(p, shifted(i + 1, x[i])), (qr, shifted(i, x[i] + 1)), (-(p + qr), x)]
+                for i in range(n - 1) if x[i + 1] == x[i] + 1}
+    c_left = float(params.rho) * float(params.q) + 1.0 - float(params.rho)
+    boundary = [(1.0, (0,) + x[1:]), (-c_left, (1,) + x[1:])] if n == 1 or x[1] >= 2 else []
+    relations = [lattice, *adjacent.values(), boundary]
+    points = list(dict.fromkeys(xs for terms in relations for _, xs in terms))
     results, dvdt = _moment_results(n, _eval_context(params, t), quad or QuadratureSpec(),
-                                    points, time_derivative)
+                                    points, bool(lattice))
     for xs, res in zip(points, results):
         report.values[xs] = res.value
         report.quad_error = max(report.quad_error, res.quad_error)
-    v = report.values.__getitem__
 
-    if time_derivative:
-        lattice = -n * (p + qr) * v(x)
-        for i in range(n):
-            lattice += p * v(shifted(i, x[i] - 1)) + qr * v(shifted(i, x[i] + 1))
-        report.time_derivative = abs(dvdt - lattice)
+    def total(terms):
+        return sum(c * report.values[xs] for c, xs in terms)
 
-    for i in collisions:
-        report.adjacent[i] = abs(p * v(shifted(i + 1, x[i])) + qr * v(shifted(i, x[i] + 1))
-                                 - (p + qr) * v(x))
-
+    if lattice:
+        report.time_derivative = abs(total(lattice) - dvdt)
+    report.adjacent = {i: abs(total(terms)) for i, terms in adjacent.items()}
     if boundary:
-        c_left = float(params.rho) * float(params.q) + 1.0 - float(params.rho)
-        report.boundary = abs(v((0,) + x[1:]) - c_left * v((1,) + x[1:]))
-
+        report.boundary = abs(total(boundary))
     return report

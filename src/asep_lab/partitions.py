@@ -159,22 +159,18 @@ def count_diagrams(lam: Sequence[int]) -> int:
 
 
 def substitution_map(diagram: Diagram) -> SubstitutionMap:
-    """Final variable assignment encoded by a diagram.
+    """Final variable assignment encoded by a diagram: `substitution_steps`
+    composed backwards from the pivots.
 
-    Distance-k-left labels map to q^k z_pivot, distance-k-right labels to
-    q^{k-1} z_pivot^{-1}, pivots to themselves.
+    A step z_label = q^qe z_v^s whose v is already mapped to q^qe2
+    z_pivot^s2 gives z_label = q^(qe + s qe2) z_pivot^(s s2).  So a
+    distance-k-left label maps to q^k z_pivot, a distance-k-right label to
+    q^{k-1} z_pivot^{-1}, and pivots to themselves.
     """
-    out: SubstitutionMap = {}
-    for row in diagram.rows:
-        p = row.index(min(row))
-        pivot = row[p]
-        for j, lab in enumerate(row):
-            if j < p:
-                out[lab] = (p - j, pivot, +1)
-            elif j == p:
-                out[lab] = (0, pivot, +1)
-            else:
-                out[lab] = (j - p - 1, pivot, -1)
+    out: SubstitutionMap = {pivot: (0, pivot, +1) for pivot in diagram.pivots}
+    for label, (qe, v, s) in reversed(substitution_steps(diagram)):
+        qe2, pivot, s2 = out[v]
+        out[label] = (qe + s * qe2, pivot, s * s2)
     return out
 
 

@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -151,8 +151,7 @@ def _propagate(matrix: csr_array, v: np.ndarray, t: float, steps: int) -> np.nda
     return v
 
 
-def solve_u(t: float, initial: SegmentState, params: SegmentParams, n: int,
-            dual: Optional[DualMatrix] = None) -> OdeSolution:
+def solve_u(t: float, initial: SegmentState, params: SegmentParams, n: int) -> OdeSolution:
     """u(t) = exp(t M) u(0) with u(0; x) = H(initial; x).
 
     The exponential acts on the vector u(0) in sub-steps of one Taylor
@@ -167,7 +166,7 @@ def solve_u(t: float, initial: SegmentState, params: SegmentParams, n: int,
     if not params.liggett2_ok():
         raise ValidityError("segment ODE characterization requires Liggett's "
                             "condition at both boundaries")
-    dual = dual or build_dual_matrix(params, n)
+    dual = build_dual_matrix(params, n)
     matrix = dual.matrix
     u0 = _initial_vector(dual, initial)
     if t == 0:

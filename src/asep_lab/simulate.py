@@ -51,6 +51,15 @@ from .model import (AsepState, ModelParams, SegmentParams, SegmentState, Validit
                     check_chamber, h_exponent_segment)
 
 
+# the largest run, as max(trajectories, 256) x SimConfig.events_bound(); a
+# lockstep step costs about the same up to 256 running trajectories.  Timed on
+# 2 cores, one BLAS thread: 20-25 s at 4,096 trajectories (segment and dual,
+# ell = 100), 48 s (segment) and 62 s (half line, t = 755) at 256.  An event
+# costs more on a wider walk: the dual at ell = 1,000, n = 500 took 60 s at a
+# tenth of the cap
+MAX_SIMULATION_WORK = 10 ** 8
+
+
 @dataclass(frozen=True)
 class SimConfig:
     params: Union[ModelParams, SegmentParams]
@@ -72,6 +81,27 @@ class SimConfig:
         # a NaN or infinite end time would never stop the event loops
         if not 0 <= self.t_end < math.inf:
             raise ValidityError("t_end must be finite and nonnegative")
+        work = max(self.trajectories, 256) * self.events_bound()
+        if work > MAX_SIMULATION_WORK:
+            raise ValidityError(f"t_end = {self.t_end} with {self.trajectories} trajectories "
+                                f"has a work bound of {work:.3g} events, above the cap of "
+                                f"{MAX_SIMULATION_WORK:.0e}")
+
+    def events_bound(self) -> float:
+        """An upper bound on one trajectory's expected number of events up to t_end.
+
+        On the half line: max(alpha, gamma) t for site 1's boundary moves, plus
+        (p + q) alpha t^2 / 2 for the particles' moves, each particle moving at
+        rate at most p + q after it is injected at rate alpha.  On the segment:
+        t times max(alpha, gamma) + max(beta, delta) + (ell - 1) max(p, q), the
+        largest total rate of the segment walk and of its dual alike.
+        """
+        r, t = self.params, self.t_end
+        p, q, alpha, gamma = (float(v) for v in (r.p_rate, r.q_rate, r.alpha, r.gamma))
+        if not isinstance(r, SegmentParams):
+            return max(alpha, gamma) * t + (p + q) * alpha * t * t / 2
+        rate = max(alpha, gamma) + max(float(r.beta), float(r.delta)) + (r.ell - 1) * max(p, q)
+        return rate * t
 
 
 @dataclass(frozen=True)

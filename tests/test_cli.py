@@ -477,18 +477,23 @@ MINIMAL_RUNS = {
 
 
 def _stub_library(monkeypatch):
+    import numpy as np
+
     import asep_lab.cli as cli
     from asep_lab.moments import MomentResult
+    from asep_lab.simulate import McEstimate
 
+    # one row per table command: the CSV header is the first row's keys
     report = SimpleNamespace(ok=True, to_json=lambda: "{}")
     monkeypatch.setattr(cli, "q_moment", lambda *args, **kwargs: MomentResult(
         value=0.5, per_partition={(1,): 0.5}, nodes_by_dim=(8,), quad_error=0.0))
-    monkeypatch.setattr(cli, "estimate", lambda *args, **kwargs: [])
+    monkeypatch.setattr(cli, "estimate", lambda *args, **kwargs: [McEstimate((1,), 0.5, 0.0, 1)])
     for mode in cli._LINE_VERIFIERS:
         monkeypatch.setitem(cli._LINE_VERIFIERS, mode, lambda *args: report)
     monkeypatch.setattr(cli, "verify_segment_duality", lambda *args: report)
     monkeypatch.setattr(cli, "solve_u", lambda *args: SimpleNamespace(
-        dual=SimpleNamespace(vectors=[]), solver_error=0.0))
+        dual=SimpleNamespace(vectors=[(1,)]), values=np.array([0.5]),
+        solver_error=0.0))
     for name in ("she_moment_nested", "she_moment_residue_form", "scaled_asep_moment"):
         monkeypatch.setattr(cli, name, lambda *args: 1.0)
 
@@ -556,6 +561,24 @@ def test_run_too_large_for_memory_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
     assert "above the cap" in captured.err
+
+
+def test_simulate_above_the_work_cap_exits_2_in_one_line():
+    # it was still running after 20 s; the timeout fails the test instead of hanging
+    res = subprocess.run(RUN + ["simulate", "--t", "1e300", "--rho", "9/10", "--trajectories",
+                                "10"], capture_output=True, text=True, timeout=60)
+    _one_line_refusal(res.returncode, res.stderr)
+    assert res.stdout == "" and "above the cap" in res.stderr
+
+
+@pytest.mark.parametrize("t, x", [("1", "100000"), ("1e308", "1")])
+def test_moment_overflow_exits_3_in_one_line(t, x):
+    # the first printed three numpy RuntimeWarnings (six lines) before its
+    # refusal; the second an overflow warning, then 0.0 with quad_err 0.0, exit 0
+    res = run_cli(["moments", "--rho", "9/10", "--t", t, "--x", x])
+    assert res.returncode == 3 and res.stdout == ""
+    assert len(res.stderr.strip().splitlines()) == 1
+    assert f"at t = {float(t)} on the" in res.stderr and "RuntimeWarning" not in res.stderr
 
 
 def _one_line_refusal(code, err):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -22,6 +23,15 @@ def test_initial_condition_is_one_small_n():
     for x in ((2,), (1, 3), (1, 2, 4)):
         res = q_moment(0.0, x, PARAMS)
         assert abs(res.value - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("t, x", [(1.0, (100000,)), (1e308, (1,))])
+def test_overflow_in_a_pass_raises_arithmetic_error(t, x, recwarn):
+    # the first ended in a non-finite contribution after three numpy warnings,
+    # the second returned 0.0 with quad_error 0.0 after an overflow warning
+    with pytest.raises(ArithmeticError, match=re.escape(f"at t = {t} on the")):
+        q_moment(t, x, PARAMS)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_value_equals_partition_sum():
@@ -317,7 +327,7 @@ def _dense_line_pair(f, assign):
 @pytest.mark.parametrize("kinds", [[k] for k in PAIR_FORMS] + [list(PAIR_FORMS)])
 @pytest.mark.parametrize("vpows", list(itertools.product((1, -1), repeat=2)))
 @pytest.mark.parametrize("vars_", [(1, 2), (2, 1)])
-def test_circle_pair_operands_match_dense_factors(kinds, vpows, vars_):
+def test_pair_operands_match_dense_factors_on_both_readings(kinds, vpows, vars_):
     # the one builder on both readings: circles, and lines read additively
     from asep_lab.kpz import KpzParams, _LineValues
     ctx = EvalContext(q=0.5, p=1.0, rho=0.9, t=0.7)

@@ -64,11 +64,11 @@ def test_solve_t0_returns_initial_observable():
 
 def test_semigroup_property():
     dm = build_dual_matrix(SEG, 2)
-    s1 = solve_u(0.7, SegmentState.empty(4), SEG, 2, dm)
+    s1 = solve_u(0.7, SegmentState.empty(4), SEG, 2)
     mid = s1.values
     prop = scipy.linalg.expm(0.5 * dm.matrix.toarray())
     two_step = prop @ mid
-    direct = solve_u(1.2, SegmentState.empty(4), SEG, 2, dm).values
+    direct = solve_u(1.2, SegmentState.empty(4), SEG, 2).values
     assert np.max(np.abs(two_step - direct)) < 1e-10
 
 
@@ -180,9 +180,9 @@ def test_solve_matches_dense_exponential(ell):
     for n in (1, 2, 3):
         dm = build_dual_matrix(sp, n)
         dense = dm.matrix.toarray()
-        u0 = solve_u(0.0, initial, sp, n, dm).values
+        u0 = solve_u(0.0, initial, sp, n).values
         for t in (0.0, 0.7, 2.0):
-            sol = solve_u(t, initial, sp, n, dm)
+            sol = solve_u(t, initial, sp, n)
             assert np.max(np.abs(sol.values - scipy.linalg.expm(t * dense) @ u0)) < 1e-13
             assert sol.solver_error < 1e-13
 
@@ -195,14 +195,13 @@ def test_solve_is_sparse_deterministic_and_leaves_global_rng_alone():
     before = np.random.get_state()
     tracemalloc.start()
     try:
-        dm = build_dual_matrix(sp, 6)
-        first = solve_u(20.0, SegmentState.empty(12), sp, 6, dm)
+        first = solve_u(20.0, SegmentState.empty(12), sp, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     second = solve_u(20.0, SegmentState.empty(12), sp, 6)
     after = np.random.get_state()
-    assert scipy.sparse.issparse(dm.matrix) and dm.dimension == 924
+    assert scipy.sparse.issparse(first.dual.matrix) and first.dual.dimension == 924
     assert peak < 924 * 924 * 8 / 2  # no dense dim x dim float array
     assert first.values.tobytes() == second.values.tobytes()
     assert first.solver_error == second.solver_error < 1e-13
@@ -222,7 +221,7 @@ def test_truncated_segment_reproduces_halfline_moment(x, t):
         sp = SegmentParams.from_densities(1, F(1, 2), F(9, 10), F(1, 2), ell)
         assert (sp.alpha, sp.gamma) == (half.alpha, half.gamma)
         sol = solve_u(t, SegmentState.empty(ell), sp, len(x))
-        assert np.all(solve_u(0.0, SegmentState.empty(ell), sp, len(x), sol.dual).values == 1)
+        assert np.all(solve_u(0.0, SegmentState.empty(ell), sp, len(x)).values == 1)
         values.append(sol.value(x))
     assert abs(values[0] - values[1]) < 1e-12  # the truncation at ell = 16 is confirmed
     assert abs(values[0] - q_moment(t, x, half).value) < 1e-12

@@ -153,6 +153,38 @@ def test_dual_reweighted_estimate_rejects_initial_state_of_another_segment():
     assert 0 < est.mean
 
 
+@pytest.mark.parametrize("walk", ["halfline", "segment", "dual"])
+def test_run_above_the_work_cap_is_refused_before_any_block(walk, monkeypatch):
+    # at t_end = 1e300 each walk ran on until it was stopped by hand
+    def no_block(*args):
+        raise AssertionError("a block ran")
+
+    monkeypatch.setattr(simulate, "_run_open", no_block)
+    with pytest.raises(ValidityError, match="above the cap"):
+        if walk == "dual":
+            dual_reweighted_estimate(SEG, (1, 3), 1e300, 10, seed=1)
+        else:
+            estimate(SimConfig(PARAMS if walk == "halfline" else SEG, 1e300, 10, seed=1,
+                               observables=((1,),)))
+
+
+def test_work_cap_counts_the_events_bound_of_each_trajectory():
+    bound = SimConfig(PARAMS, 2.0, 1, seed=0).events_bound()
+    alpha, gamma = float(PARAMS.alpha), float(PARAMS.gamma)
+    assert bound == max(alpha, gamma) * 2.0 + 1.5 * alpha * 2.0
+    # the segment's bound covers its walk and the dual's: ell - 1 = 3 bonds at max(p, q) = 1
+    rates = max(float(SEG.alpha), float(SEG.gamma)) + max(float(SEG.beta), float(SEG.delta))
+    assert SimConfig(SEG, 2.0, 1, seed=0).events_bound() == (rates + 3) * 2.0
+    most = simulate.MAX_SIMULATION_WORK // math.ceil(bound)
+    SimConfig(PARAMS, 2.0, most, seed=0)
+    with pytest.raises(ValidityError, match="above the cap"):
+        SimConfig(PARAMS, 2.0, 2 * most, seed=0)
+    # one trajectory to t = 1,000 bounds 6.8e5 events, but below 256 trajectories
+    # a lockstep step costs about the same, so the cap counts 256 of them
+    with pytest.raises(ValidityError, match="above the cap"):
+        SimConfig(PARAMS, 1000.0, 1, seed=0)
+
+
 def test_segment_empirical_distribution_reaches_stationarity():
     sp = SegmentParams.from_densities(1, F(1, 2), F(3, 4), F(1, 3), 3)
     pi = stationary_distribution(sp)
