@@ -67,32 +67,46 @@ class KpzParams:
         return len(self.x)
 
 
-# defaults of both SHE forms' line grids (`she_grids`)
+# the line grids' tail cut (both forms), and the nested form's default node
+# spacing in units of 1/sqrt(t); the residue form spaces its nodes by
+# `_residue_spacing` unless given a spacing factor
 TAIL_TOL = 1e-12
 SPACING_FACTOR = 0.05
+# the most nodes `she_grids` lays on one line: an n = 2 call's one N x N
+# buffer then stays within quadrature.MAX_WORKSPACE_BYTES, and an n = 1 call,
+# which holds no such buffer, still gets a refusal before its grids
+MAX_LINE_NODES = 2 ** 13
 
 
-def _check_grid_rule(tail_tol: float, spacing_factor: float):
+def _check_grid_rule(tail_tol: float, spacing_factor: Optional[float]):
     if not 0.0 < tail_tol < 1.0:
         raise ValidityError("tail_tol must lie in (0, 1)")
-    if not 0.0 < spacing_factor < math.inf:
+    if spacing_factor is not None and not 0.0 < spacing_factor < math.inf:
         raise ValidityError("spacing_factor must be positive and finite")
 
 
 def she_grids(t: float, offsets: Sequence[float], reach: float, tail_tol: float,
-              spacing_factor: float) -> List[Tuple[np.ndarray, np.ndarray]]:
+              spacing: float) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Line nodes and weights, one grid per dimension at real part offsets[d].
 
-    Every grid has spacing spacing_factor / sqrt(t) and half-height
+    Every grid has node spacing `spacing` and half-height
     sqrt(reach^2 + 2 log(1e3 / tail_tol) / t), where |e^{t w^2 / 2}| at
     real part reach is tail_tol / 1e3; reach is the largest real part the
-    integrand's Gaussian factors see.  Raises ValidityError for a tail_tol
-    outside (0, 1) or a spacing_factor that is not positive and finite.
+    integrand's Gaussian factors see.  Raises ValidityError, before any
+    grid is built, for a tail_tol outside (0, 1), a spacing that is
+    negative or not finite, or more than MAX_LINE_NODES nodes on a line
+    (a spacing of 0 needs infinitely many).
     """
-    _check_grid_rule(tail_tol, spacing_factor)
-    h = spacing_factor / math.sqrt(t)
+    _check_grid_rule(tail_tol, None)
+    if not 0.0 <= spacing < math.inf:
+        raise ValidityError(f"line spacing {spacing} is negative or not finite")
     y_max = math.sqrt(reach * reach + 2.0 * math.log(1e3 / tail_tol) / t)
-    return [line_nodes(r, y_max, h, d) for d, r in enumerate(offsets)]
+    steps = y_max / spacing if spacing > 0.0 else math.inf
+    if steps > MAX_LINE_NODES // 2:
+        nodes = 2 * math.ceil(steps) if steps < math.inf else "infinitely many"
+        raise ValidityError(f"t={t:g} needs {nodes} line nodes per dimension, above the "
+                            f"cap of {MAX_LINE_NODES}")
+    return [line_nodes(r, y_max, spacing, d) for d, r in enumerate(offsets)]
 
 
 @dataclass(frozen=True)
@@ -177,7 +191,7 @@ def she_moment_nested(kpz: KpzParams, contours: Optional[ContourSpec] = None) ->
     if len(contours.offsets) != n:
         raise ValidityError("need one contour offset per point")
     grids = she_grids(kpz.t, contours.offsets, max(contours.offsets), contours.tail_tol,
-                      contours.spacing_factor)
+                      contours.spacing_factor / math.sqrt(kpz.t))
     unreduced = ReducedIntegrand(tuple(build_phi(range(n))), tuple(range(1, n + 1)))
     return _she_value(kpz, "nested", grids, [unreduced])
 
@@ -242,20 +256,65 @@ class _LineValues(Workspace):
         return sign_a * (wa + wb if f.hankel else wa - wb) + (shift_a + sign * shift_b + shift)
 
 
+def _residue_spacing(kpz: KpzParams, tail_tol: float) -> float:
+    """The residue form's node spacing h, from the nearest pole and the Gaussian's growth.
+
+    The trapezoid error on a line falls like e^{-2 pi d / h} times the
+    integrand's size on the strip |Re w| < d (Trefethen & Weideman, SIAM
+    Rev. 56 (2014)).  On the axis every pair or single-variable pole of a
+    reduced term lies at least 1 away, and the Robin kernel's at A + e for
+    its shift e >= 0 (tests/test_kpz.py walks every term for n <= 3), so d
+    is min(1, A), or 1 for Dirichlet, capped at sqrt(2 budget / (t n)), past
+    which the Gaussian's growth over the strip outruns the budget.  h solves
+    2 pi d / h = budget + growth, where:
+
+    * budget is log(1e3 / tail_tol), plus t n (n-1)^2 / 8, the log of the
+      largest term, e^{t sum e^2 / 2} at shifts e = 0..n-1, over the
+      moment's e^{t n (n^2-1) / 24}, plus sum x^2 / (2t), the log of the
+      integrand's size over the moment's at small t;
+    * growth is that of the worst variable's n kernels, at shifts 0..n-1,
+      from the axis to the strip's edge: t (n d^2 + n (n-1) d) / 2 + d sum x.
+    """
+    n, t, x = kpz.n, kpz.t, kpz.x
+    budget = (math.log(1e3 / tail_tol) + t * n * (n - 1) ** 2 / 8.0
+              + sum(v * v for v in x) / (2.0 * t))
+    d_pole = min(1.0, kpz.A) if kpz.boundary == ROBIN else 1.0
+    d = min(d_pole, math.sqrt(2.0 * budget / (t * n)))
+    growth = t * (n * d * d + n * (n - 1) * d) / 2.0 + d * sum(x)
+    return 2.0 * math.pi * d / (budget + growth)
+
+
+def _residue_grids(kpz: KpzParams, tail_tol: float = TAIL_TOL,
+                   spacing_factor: Optional[float] = None) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The residue form's `she_grids`: on the axis, cut for real parts up to
+    n - 1, which the additive shifts reach, and spaced by `_residue_spacing`
+    or, given a spacing_factor, by spacing_factor / sqrt(t)."""
+    _check_grid_rule(tail_tol, spacing_factor)
+    if spacing_factor is None:
+        spacing = _residue_spacing(kpz, tail_tol)
+    else:
+        spacing = spacing_factor / math.sqrt(kpz.t)
+    return she_grids(kpz.t, (0.0,) * kpz.n, kpz.n - 1.0, tail_tol, spacing)
+
+
 def she_moment_residue_form(kpz: KpzParams, tail_tol: float = TAIL_TOL,
-                            spacing_factor: float = SPACING_FACTOR) -> float:
+                            spacing_factor: Optional[float] = None) -> float:
     """Robin or Dirichlet moment as the diagram-indexed residue expansion on the axis.
 
     The nested form's prefactor, 2^n (Robin) or 4^n (Dirichlet), times the
     sum over partitions and canonical diagrams of the reduced integrands
     over one imaginary-axis contour per surviving variable; equals the
-    nested form.  The grids are `she_grids` on the axis, cut for real parts
-    up to n - 1, which the additive shifts reach.  Refusals and the
-    Dirichlet wall's 0.0 come from the tail it shares with the nested form
-    (`_she_value`).
+    nested form.  The grids (`_residue_grids`) are spaced by the nearest
+    pole and the Gaussian's growth (`_residue_spacing`): at n = 3 and t in
+    [0.5, 1], 116-164 nodes per dimension for A >= 1 or Dirichlet and
+    214-308 for A = 0.5, more as t -> 0.  An explicit spacing_factor spaces
+    them at spacing_factor / sqrt(t), the nested form's rule.  A grid above
+    MAX_LINE_NODES raises ValidityError before it is built.  Refusals and
+    the Dirichlet wall's 0.0 come from the tail it shares with the nested
+    form (`_she_value`).
     """
     n = kpz.n
-    grids = she_grids(kpz.t, (0.0,) * n, n - 1.0, tail_tol, spacing_factor)
+    grids = _residue_grids(kpz, tail_tol, spacing_factor)
     phi = build_phi(range(n))
     terms = (_reduce_additive(diagram, phi)
              for lam in partitions_of(n) for diagram in canonical_diagrams(lam))

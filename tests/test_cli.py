@@ -186,6 +186,16 @@ def test_kpz_dirichlet_residue_form(tmp_path):
     assert _kpz_value(a) == pytest.approx(_kpz_value(b), rel=1e-6)
 
 
+@pytest.mark.parametrize("x", ["0.5", "0.1,0.4,0.9"])
+def test_kpz_residue_grid_above_the_node_cap_exits_2(x, capsys):
+    # the grid rule would lay about 3e17 nodes a line; it is refused before
+    # any is built
+    assert main(["kpz", "--form", "residue", "--A", "1", "--t", "1e-12", "--x", x]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+    assert "t=1e-12 needs" in captured.err and "above the cap" in captured.err
+
+
 def test_kpz_bridge_rows(tmp_path):
     out = tmp_path / "bridge.csv"
     assert main(["kpz", "--A", "1.0", "--t", "1.0", "--x", "1.0",

@@ -182,17 +182,12 @@ def test_rannacher_startup_profile_is_smooth():
 # ---------------------------------------------------------------------------
 # both SHE forms against a per-factor dense evaluation of every pair matrix
 
-def _dense_grids(kpz, offsets, tail_tol, spacing_factor, r_max):
-    from asep_lab.kpz import she_grids
-    return she_grids(kpz.t, offsets, r_max, tail_tol, spacing_factor)
-
-
 def _dense_nested(kpz, contours):
-    from asep_lab.kpz import _kernel
+    from asep_lab.kpz import _kernel, she_grids
     from asep_lab.quadrature import contract_factored
     n = kpz.n
-    grids = _dense_grids(kpz, contours.offsets, contours.tail_tol,
-                         contours.spacing_factor, max(contours.offsets))
+    grids = she_grids(kpz.t, contours.offsets, max(contours.offsets), contours.tail_tol,
+                      contours.spacing_factor / math.sqrt(kpz.t))
     vectors = {d: wt * _kernel(w, kpz.x[d], kpz.t, kpz.A, kpz.boundary)
                for d, (w, wt) in enumerate(grids)}
     matrices = {}
@@ -225,12 +220,12 @@ def _dense_factor(f, kpz, assign):
 
 
 def _dense_residue(kpz):
-    from asep_lab.kpz import _reduce_additive
+    from asep_lab.kpz import _reduce_additive, _residue_grids
     from asep_lab.partitions import canonical_diagrams, partitions_of
     from asep_lab.quadrature import contract_factored
     from asep_lab.residues import build_phi
     n = kpz.n
-    grids = _dense_grids(kpz, (0.0,) * n, 1e-12, 0.05, n - 1.0)
+    grids = _residue_grids(kpz)     # the grids the call builds
     phi = build_phi(range(n))
     total = 0.0
     for lam in partitions_of(n):
@@ -282,6 +277,122 @@ def test_nested_form_equals_dense_pair_reference(n, boundary):
     for spec in specs:
         want = _dense_nested(kpz, spec or ContourSpec.default(n))
         assert she_moment_nested(kpz, spec) == pytest.approx(want, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the residue form's grid rule (`kpz._residue_spacing`)
+
+def _affine_form(f):
+    """A factor's additive reading as ({var: coefficient}, constant), and its
+    power: L_A - L_B (DIFF), L_A + L_B - 1 (PROD), or for a kernel its
+    argument L, a zero of both kernels (the Robin pole at L = -A is bounded
+    through the kernel's shift)."""
+    from asep_lab.kpz import _affine
+    from asep_lab.residues import DIFF, F_OVER_Z
+    sign_a, shift_a = _affine(f.a)
+    coeffs = {f.a.var: sign_a}
+    if f.kind == F_OVER_Z:
+        return coeffs, shift_a, 1
+    sign_b, shift_b = _affine(f.b)
+    other = -1 if f.kind == DIFF else 1
+    coeffs[f.b.var] = coeffs.get(f.b.var, 0) + other * sign_b
+    return coeffs, shift_a + other * shift_b - (f.kind != DIFF), f.power
+
+
+def _poles_and_kernel_shifts(reduced):
+    """Each pole of a reduced term as its distance from the axis, and each
+    variable's kernel shifts.
+
+    Forms are scaled so that their first variable has coefficient 1, and
+    their powers summed: a pole cancelled by a zero of the same form is
+    dropped.  The scaling makes the 1/(2w) of a PROD factor at w = 0 the
+    same form as the zero of a kernel at shift 0 on that variable.  A pole
+    of w_a +- w_b + c or w + c lies |c| from the axis in w_a or w.
+    """
+    from fractions import Fraction
+    from asep_lab.residues import F_OVER_Z
+    net, shifts = {}, {}
+    for f in reduced.factors:
+        coeffs, const, power = _affine_form(f)
+        if f.kind == F_OVER_Z:
+            shifts.setdefault(f.a.var, []).append(const)
+        live = sorted((v, c) for v, c in coeffs.items() if c)
+        if not live:
+            assert const != 0, f"{f} reads 0"
+            continue
+        lead = live[0][1]
+        key = (tuple((v, Fraction(c, lead)) for v, c in live), Fraction(const, lead))
+        net[key] = net.get(key, 0) + power
+    poles = [abs(const) for (_, const), power in net.items() if power < 0]
+    return poles, shifts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_residue_terms_meet_the_grid_rules_bounds(n):
+    # `_residue_spacing` assumes, for every term of n <= 3: every pole at
+    # least 1 from the axis, and the kernels' shifts e in 0..n-1, at most n
+    # a variable, summing to at most n(n-1)/2 on a variable (its growth
+    # term) and in squares to at most sum_{e<n} e^2 over the term (its
+    # cancellation term), which some term attains.  The Robin kernel's pole
+    # at L = -A then lies A + e >= A from the axis.  At n = 4 the same walk
+    # finds poles on the axis (ROADMAP item 3's on-contour poles), so the
+    # rule bounds nothing there; its n = 4 values are checked against a
+    # finer spacing instead (CHANGES.md).
+    from asep_lab.kpz import _reduce_additive
+    from asep_lab.partitions import canonical_diagrams, partitions_of
+    from asep_lab.residues import build_phi
+    phi, squares = build_phi(range(n)), []
+    for lam in partitions_of(n):
+        for diagram in canonical_diagrams(lam):
+            poles, shifts = _poles_and_kernel_shifts(_reduce_additive(diagram, phi))
+            assert all(d >= 1 for d in poles), (diagram, poles)
+            for es in shifts.values():
+                assert len(es) <= n and all(0 <= e <= n - 1 for e in es), (diagram, shifts)
+                assert sum(es) <= n * (n - 1) // 2, (diagram, shifts)
+            squares.append(sum(e * e for es in shifts.values() for e in es))
+    assert max(squares) == sum(e * e for e in range(n)) == (0, 1, 5)[n - 1]
+
+
+# the residue form at t = 0.05, A = 0.5 on the 0.05 / sqrt(t) spacing read
+# 2.7e-6 (n = 1), 2e-6 (n = 2) and 7e-4 (n = 3) off
+FINE_SPACING = 0.0125
+SWEEP_T = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
+SWEEP_BOUNDARY = [dict(A=0.5), dict(A=1.0), dict(A=2.0), dict(boundary=DIRICHLET)]
+
+
+def _against_a_finer_spacing(kpz):
+    fine = she_moment_residue_form(kpz, spacing_factor=FINE_SPACING)
+    return abs(she_moment_residue_form(kpz) - fine) / fine
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_residue_form_right_at_small_t(n):
+    kpz = KpzParams(t=0.05, x=DENSE_X[n], A=0.5)
+    assert _against_a_finer_spacing(kpz) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_residue_form_matches_a_finer_spacing(n):
+    for t in SWEEP_T:
+        for boundary in SWEEP_BOUNDARY:
+            kpz = KpzParams(t=t, x=DENSE_X[n], **boundary)
+            assert _against_a_finer_spacing(kpz) < 1e-12, (t, boundary)
+
+
+@pytest.mark.parametrize("t, boundary", [(0.1, dict(A=1.0)), (0.2, dict(A=0.5)),
+                                         (1.0, dict(boundary=DIRICHLET)), (2.0, dict(A=2.0))])
+def test_three_point_residue_form_matches_a_finer_spacing(t, boundary):
+    # a Tier-1-sized subset of the n = 3 sweep; from t = 5 the values sit at
+    # the residue form's cancellation floor (CHANGES.md)
+    assert _against_a_finer_spacing(KpzParams(t=t, x=DENSE_X[3], **boundary)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_residue_form_refuses_a_grid_above_the_node_cap(n):
+    # at t = 1e-12 the rule asks for about 3e17 nodes a line; n = 1 holds no
+    # N x N buffer, so no workspace cap would stop it first
+    with pytest.raises(ValidityError, match=r"t=1e-12 needs \d+ line nodes .* cap of 8192"):
+        she_moment_residue_form(KpzParams(t=1e-12, x=DENSE_X[n], A=1.0))
 
 
 @pytest.mark.parametrize("kwargs", [dict(t=math.inf, x=(0.5,), A=1.0),
@@ -403,13 +514,19 @@ THREE_POINTS = (0.1, 0.4, 0.9)
     (she_moment_nested, ContourSpec.default(3).offsets, 2.5),
     (she_moment_residue_form, (0.0,) * 3, 2.0)])
 def test_she_call_holds_one_workspace(form, offsets, reach):
-    # n(n-1)/2 pair matrices and two spares at most: each term used to get
-    # new pair matrices and contraction temporaries (a peak of 8.9 MiB at this input)
+    # n(n-1)/2 pair matrices and two spares at most, on the grid the call
+    # builds: each term used to get new pair matrices and contraction
+    # temporaries (a peak of 8.9 MiB at A = 1 on 338 nodes).  At A = 1 the
+    # residue rule lays 152 nodes, where numpy's 128 KiB ufunc buffers and
+    # the memo's O(N) values outweigh the one free N x N array of the bound;
+    # the pole at -0.5 doubles that count
     import tracemalloc
-    from asep_lab.kpz import SPACING_FACTOR, TAIL_TOL, she_grids
-    kpz = KpzParams(t=0.5, x=THREE_POINTS, A=1.0)
-    n_nodes = len(she_grids(kpz.t, offsets, reach, TAIL_TOL, SPACING_FACTOR)[0][0])
-    assert n_nodes in (338, 340)
+    from asep_lab.kpz import SPACING_FACTOR, TAIL_TOL, _residue_spacing, she_grids
+    kpz = KpzParams(t=0.5, x=THREE_POINTS, A=0.5)
+    residue = form is she_moment_residue_form
+    spacing = _residue_spacing(kpz, TAIL_TOL) if residue else SPACING_FACTOR / math.sqrt(kpz.t)
+    n_nodes = len(she_grids(kpz.t, offsets, reach, TAIL_TOL, spacing)[0][0])
+    assert n_nodes == (288 if residue else 340)
     tracemalloc.start()
     try:
         form(kpz)
