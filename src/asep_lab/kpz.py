@@ -67,11 +67,16 @@ class KpzParams:
         return len(self.x)
 
 
-# the line grids' tail cut (both forms), and the nested form's default node
-# spacing in units of 1/sqrt(t); the residue form spaces its nodes by
-# `_residue_spacing` unless given a spacing factor
+# the line grids' tail cut (both forms), and the node spacing, in units of
+# 1/sqrt(t), of an explicit ContourSpec and of the nested form where its
+# offsets stay at 1.25 k; both forms' default grids are otherwise spaced by
+# `_line_spacing`
 TAIL_TOL = 1e-12
 SPACING_FACTOR = 0.05
+# the log of what the default nested form may lose to cancellation between
+# its lines' Gaussians (`_cancellation`) when it widens its offsets past
+# 1.25 k: three digits
+NESTED_CANCELLATION = math.log(1e3)
 # the most nodes `she_grids` lays on one line: an n = 2 call's one N x N
 # buffer then stays within quadrature.MAX_WORKSPACE_BYTES, and an n = 1 call,
 # which holds no such buffer, still gets a refusal before its grids
@@ -111,7 +116,10 @@ def she_grids(t: float, offsets: Sequence[float], reach: float, tail_tol: float,
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Vertical-line offsets and truncation for the nested integrals."""
+    """Vertical-line offsets and truncation for the nested integrals, spaced
+    at spacing_factor / sqrt(t).  The nested form's default grid is not a
+    ContourSpec (`_nested_grids`), except where its offsets stay at
+    `default(n)`'s 1.25 k."""
 
     offsets: Tuple[float, ...]
     tail_tol: float = TAIL_TOL
@@ -131,6 +139,85 @@ class ContourSpec:
     @classmethod
     def default(cls, n: int) -> "ContourSpec":
         return cls(tuple(1.25 * k for k in range(n)))
+
+
+def _cancellation(t: float, reals: Sequence[float], n: int) -> float:
+    """The log of the integrand's size over the moment's from its Gaussians:
+    e^{t sum r^2 / 2} for kernels at real parts r over e^{t n (n^2-1) / 24}."""
+    return t * (sum(r * r for r in reals) - n * (n * n - 1) / 12.0) / 2.0
+
+
+def _line_spacing(kpz: KpzParams, reals: Sequence[float], d: float, tail_tol: float) -> float:
+    """Both forms' node spacing h, from the nearest pole and the Gaussians' growth.
+
+    The trapezoid error on a line falls like e^{-2 pi d / h} times the
+    integrand's size on the strip of half-width d about it, d the distance
+    to the nearest pole (Trefethen & Weideman, SIAM Rev. 56 (2014)).  reals
+    are the real parts of the kernels e^{t w^2 / 2 - x w}: the residue
+    form's shifts 0..n-1 on the axis, or the nested form's offsets.  d is
+    capped at sqrt(2 budget / (t n)), past which the Gaussians' growth over
+    the strip outruns the budget.  h solves 2 pi d / h = budget + growth:
+
+    * budget is log(1e3 / tail_tol), plus `_cancellation`, plus
+      sum x^2 / (2t), the log of the integrand's size over the moment's at
+      small t;
+    * growth is that of the kernels from their real parts r to the strip's
+      edge, t sum (2 r d + d^2) / 2 + d sum x.
+    """
+    n, t, x = kpz.n, kpz.t, kpz.x
+    budget = (math.log(1e3 / tail_tol) + _cancellation(t, reals, n)
+              + sum(v * v for v in x) / (2.0 * t))
+    d = min(d, math.sqrt(2.0 * budget / (t * n)))
+    growth = t * (n * d * d + 2.0 * sum(reals) * d) / 2.0 + d * sum(x)
+    return 2.0 * math.pi * d / (budget + growth)
+
+
+def _nearest_pole(kpz: KpzParams, pair_distance: float) -> float:
+    """d of `_line_spacing`: the pair poles' distance from the lines, or A,
+    that of the Robin kernel's pole at w = -A from the axis, if nearer."""
+    return min(pair_distance, kpz.A) if kpz.boundary == ROBIN else pair_distance
+
+
+def _nested_lines(kpz: KpzParams) -> Optional[Tuple[Tuple[float, ...], float]]:
+    """The default nested form's offsets delta k and d, the lines' distance
+    to the nearest pole, or None where it keeps `ContourSpec.default`.
+
+    A pair pole of the nested integrand lies delta - 1 from a line, so
+    delta is the largest in [1.25, 1.5] whose `_cancellation` is at most
+    NESTED_CANCELLATION; None where even 1.25 exceeds it (n = 4 from
+    t ~ 0.8, n = 3 from t ~ 2.4, n = 2 from t ~ 13).  At n = 1 the
+    integrand is the residue form's one term on the same line, so it takes
+    that form's d.
+    """
+    n = kpz.n
+    if n == 1:
+        return (0.0,), _nearest_pole(kpz, 1.0)
+    # at offsets delta k, `_cancellation` is its value at k plus (delta^2 - 1) t squares / 2
+    squares = sum(k * k for k in range(n))
+    spare = NESTED_CANCELLATION - _cancellation(kpz.t, range(n), n)
+    widest = 1.0 + 2.0 * spare / (kpz.t * squares)
+    if widest < 1.25 ** 2:
+        return None
+    delta = min(1.5, math.sqrt(widest))
+    return tuple(delta * k for k in range(n)), _nearest_pole(kpz, delta - 1.0)
+
+
+def _nested_grids(kpz: KpzParams, contours: Optional[ContourSpec] = None
+                  ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The nested form's `she_grids`, cut for real parts up to its last
+    offset: on contours' lines at their spacing_factor / sqrt(t), or by
+    default on `_nested_lines` spaced by `_line_spacing`."""
+    lines = _nested_lines(kpz) if contours is None else None
+    if lines is None:
+        contours = contours or ContourSpec.default(kpz.n)
+        if len(contours.offsets) != kpz.n:
+            raise ValidityError("need one contour offset per point")
+        offsets, tail_tol = contours.offsets, contours.tail_tol
+        spacing = contours.spacing_factor / math.sqrt(kpz.t)
+    else:
+        (offsets, d), tail_tol = lines, TAIL_TOL
+        spacing = _line_spacing(kpz, offsets, d, tail_tol)
+    return she_grids(kpz.t, offsets, max(offsets), tail_tol, spacing)
 
 
 def _kernel(w, x: float, t: float, A: Optional[float], boundary: str):
@@ -183,15 +270,20 @@ def she_moment_nested(kpz: KpzParams, contours: Optional[ContourSpec] = None) ->
     2^n (Robin) or 4^n (Dirichlet) times the integral over lines
     Re w_k = r_k of prod_{i<j} (w_i-w_j)/(w_i-w_j+1) (w_i+w_j)/(w_i+w_j-1)
     prod_i e^{t w_i^2/2 - x_i w_i} k(w_i), the unreduced integrand that the
-    residue expansion starts from.  Refusals and the Dirichlet wall's 0.0
-    come from the tail it shares with the residue form (`_she_value`).
+    residue expansion starts from.  By default (`_nested_grids`) the lines
+    sit at r_k = delta k with delta up to 1.5 (`_nested_lines`), so each
+    pair pole is delta - 1 from a line, and are spaced by that distance and
+    the Gaussians' growth (`_line_spacing`): at n = 3 and t in [0.5, 1],
+    delta = 1.5 and 242-328 nodes per dimension, where 1.25 k on
+    0.05 / sqrt(t) laid 340-348.  Where delta = 1.25 would already cost
+    more than NESTED_CANCELLATION, and for explicit contours, the lines
+    are spaced at spacing_factor / sqrt(t).  A grid above
+    MAX_LINE_NODES raises ValidityError before it is built.  Refusals and
+    the Dirichlet wall's 0.0 come from the tail it shares with the residue
+    form (`_she_value`).
     """
     n = kpz.n
-    contours = contours or ContourSpec.default(n)
-    if len(contours.offsets) != n:
-        raise ValidityError("need one contour offset per point")
-    grids = she_grids(kpz.t, contours.offsets, max(contours.offsets), contours.tail_tol,
-                      contours.spacing_factor / math.sqrt(kpz.t))
+    grids = _nested_grids(kpz, contours)
     unreduced = ReducedIntegrand(tuple(build_phi(range(n))), tuple(range(1, n + 1)))
     return _she_value(kpz, "nested", grids, [unreduced])
 
@@ -256,42 +348,21 @@ class _LineValues(Workspace):
         return sign_a * (wa + wb if f.hankel else wa - wb) + (shift_a + sign * shift_b + shift)
 
 
-def _residue_spacing(kpz: KpzParams, tail_tol: float) -> float:
-    """The residue form's node spacing h, from the nearest pole and the Gaussian's growth.
-
-    The trapezoid error on a line falls like e^{-2 pi d / h} times the
-    integrand's size on the strip |Re w| < d (Trefethen & Weideman, SIAM
-    Rev. 56 (2014)).  On the axis every pair or single-variable pole of a
-    reduced term lies at least 1 away, and the Robin kernel's at A + e for
-    its shift e >= 0 (tests/test_kpz.py walks every term for n <= 3), so d
-    is min(1, A), or 1 for Dirichlet, capped at sqrt(2 budget / (t n)), past
-    which the Gaussian's growth over the strip outruns the budget.  h solves
-    2 pi d / h = budget + growth, where:
-
-    * budget is log(1e3 / tail_tol), plus t n (n-1)^2 / 8, the log of the
-      largest term, e^{t sum e^2 / 2} at shifts e = 0..n-1, over the
-      moment's e^{t n (n^2-1) / 24}, plus sum x^2 / (2t), the log of the
-      integrand's size over the moment's at small t;
-    * growth is that of the worst variable's n kernels, at shifts 0..n-1,
-      from the axis to the strip's edge: t (n d^2 + n (n-1) d) / 2 + d sum x.
-    """
-    n, t, x = kpz.n, kpz.t, kpz.x
-    budget = (math.log(1e3 / tail_tol) + t * n * (n - 1) ** 2 / 8.0
-              + sum(v * v for v in x) / (2.0 * t))
-    d_pole = min(1.0, kpz.A) if kpz.boundary == ROBIN else 1.0
-    d = min(d_pole, math.sqrt(2.0 * budget / (t * n)))
-    growth = t * (n * d * d + n * (n - 1) * d) / 2.0 + d * sum(x)
-    return 2.0 * math.pi * d / (budget + growth)
-
-
 def _residue_grids(kpz: KpzParams, tail_tol: float = TAIL_TOL,
                    spacing_factor: Optional[float] = None) -> List[Tuple[np.ndarray, np.ndarray]]:
     """The residue form's `she_grids`: on the axis, cut for real parts up to
-    n - 1, which the additive shifts reach, and spaced by `_residue_spacing`
-    or, given a spacing_factor, by spacing_factor / sqrt(t)."""
+    n - 1, which the additive shifts reach, and spaced by `_line_spacing`
+    or, given a spacing_factor, by spacing_factor / sqrt(t).
+
+    On the axis every pair or single-variable pole of a reduced term lies at
+    least 1 away, and the Robin kernel's at A + e for its shift e >= 0; the
+    worst variable carries n kernels at shifts 0..n-1, and the largest term
+    has those shifts (tests/test_kpz.py walks every term for n <= 3).  So
+    the rule reads reals 0..n-1 and d = min(1, A), or 1 for Dirichlet.
+    """
     _check_grid_rule(tail_tol, spacing_factor)
     if spacing_factor is None:
-        spacing = _residue_spacing(kpz, tail_tol)
+        spacing = _line_spacing(kpz, range(kpz.n), _nearest_pole(kpz, 1.0), tail_tol)
     else:
         spacing = spacing_factor / math.sqrt(kpz.t)
     return she_grids(kpz.t, (0.0,) * kpz.n, kpz.n - 1.0, tail_tol, spacing)
@@ -305,10 +376,11 @@ def she_moment_residue_form(kpz: KpzParams, tail_tol: float = TAIL_TOL,
     sum over partitions and canonical diagrams of the reduced integrands
     over one imaginary-axis contour per surviving variable; equals the
     nested form.  The grids (`_residue_grids`) are spaced by the nearest
-    pole and the Gaussian's growth (`_residue_spacing`): at n = 3 and t in
+    pole and the Gaussians' growth (`_line_spacing`): at n = 3 and t in
     [0.5, 1], 116-164 nodes per dimension for A >= 1 or Dirichlet and
     214-308 for A = 0.5, more as t -> 0.  An explicit spacing_factor spaces
-    them at spacing_factor / sqrt(t), the nested form's rule.  A grid above
+    them at spacing_factor / sqrt(t), as an explicit ContourSpec does the
+    nested form's.  A grid above
     MAX_LINE_NODES raises ValidityError before it is built.  Refusals and
     the Dirichlet wall's 0.0 come from the tail it shares with the nested
     form (`_she_value`).

@@ -132,9 +132,14 @@ class PairProducts:
         matrices = {}
         for i, (pair, v) in enumerate(views.items()):
             out = None if buffers is None else buffers[i]
-            # np.positive copies the single view exactly
-            matrices[pair] = (np.multiply(v[0], v[1], out=out) if len(v) == 2
-                              else np.positive(v[0], out=out))
+            if len(v) == 2:
+                matrices[pair] = np.multiply(v[0], v[1], out=out)
+            elif out is None:
+                matrices[pair] = v[0].copy()
+            else:
+                # a copy, unlike a ufunc, needs no iterator buffer for the view
+                np.copyto(out, v[0])
+                matrices[pair] = out
         return matrices
 
 

@@ -183,11 +183,10 @@ def test_rannacher_startup_profile_is_smooth():
 # both SHE forms against a per-factor dense evaluation of every pair matrix
 
 def _dense_nested(kpz, contours):
-    from asep_lab.kpz import _kernel, she_grids
+    from asep_lab.kpz import _kernel, _nested_grids
     from asep_lab.quadrature import contract_factored
     n = kpz.n
-    grids = she_grids(kpz.t, contours.offsets, max(contours.offsets), contours.tail_tol,
-                      contours.spacing_factor / math.sqrt(kpz.t))
+    grids = _nested_grids(kpz, contours)     # the grids the call builds
     vectors = {d: wt * _kernel(w, kpz.x[d], kpz.t, kpz.A, kpz.boundary)
                for d, (w, wt) in enumerate(grids)}
     matrices = {}
@@ -275,7 +274,7 @@ def test_nested_form_equals_dense_pair_reference(n, boundary):
                     A=1.0 if boundary == ROBIN else None, boundary=boundary)
     specs = [None] + ([ContourSpec((0.0, 1.35, 2.7)[:n])] if n > 1 else [])
     for spec in specs:
-        want = _dense_nested(kpz, spec or ContourSpec.default(n))
+        want = _dense_nested(kpz, spec)
         assert she_moment_nested(kpz, spec) == pytest.approx(want, rel=1e-13)
 
 
@@ -353,6 +352,47 @@ def test_residue_terms_meet_the_grid_rules_bounds(n):
     assert max(squares) == sum(e * e for e in range(n)) == (0, 1, 5)[n - 1]
 
 
+def _nested_pole_distances(n, offsets, A):
+    """The distance from each line to every pole of the unreduced integrand,
+    with every variable but one on its line: |L(r)| for a pair factor
+    1/L(w), and |L(r) + A| for the Robin kernel's pole at L = -A."""
+    from asep_lab.residues import F_OVER_Z, build_phi
+    distances = []
+    for f in build_phi(range(n)):
+        coeffs, const, power = _affine_form(f)
+        assert {abs(c) for c in coeffs.values()} == {1}, f
+        real = sum(c * offsets[v - 1] for v, c in coeffs.items()) + const
+        if f.kind == F_OVER_Z:
+            if A is not None:
+                distances.append(abs(real + A))
+        elif power < 0:
+            distances.append(abs(real))
+    return distances
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("boundary", [dict(A=0.3), dict(A=1.0), dict(boundary=DIRICHLET)])
+def test_nested_lines_keep_the_rules_distance_from_every_pole(n, boundary):
+    # `_line_spacing` assumes every pole of the nested integrand at least d
+    # from each line, at the offsets delta k that `_nested_lines` picks
+    from asep_lab.kpz import _nested_lines
+    picked = set()
+    for t in (0.05, 0.5, 0.7, 2.0, 10.0):
+        kpz = KpzParams(t=t, x=(0.1, 0.4, 0.9, 1.2)[:n], **boundary)
+        lines = _nested_lines(kpz)
+        if lines is None:           # delta = 1.25 costs too much: ContourSpec.default
+            continue
+        offsets, d = lines
+        delta = offsets[1] if n > 1 else 0.0
+        picked.add(delta)
+        assert offsets == tuple(delta * k for k in range(n))
+        distances = _nested_pole_distances(n, offsets, kpz.A)
+        assert all(dist >= d - 1e-15 for dist in distances), (t, offsets, d, distances)
+        if n > 1:   # at n = 1, d is the residue form's min(1, A), attained for A <= 1
+            assert min(distances) == pytest.approx(d, abs=1e-15), (t, offsets, d, distances)
+    assert n == 1 or 1.5 in picked and len(picked) > 1
+
+
 # the residue form at t = 0.05, A = 0.5 on the 0.05 / sqrt(t) spacing read
 # 2.7e-6 (n = 1), 2e-6 (n = 2) and 7e-4 (n = 3) off
 FINE_SPACING = 0.0125
@@ -393,6 +433,51 @@ def test_residue_form_refuses_a_grid_above_the_node_cap(n):
     # N x N buffer, so no workspace cap would stop it first
     with pytest.raises(ValidityError, match=r"t=1e-12 needs \d+ line nodes .* cap of 8192"):
         she_moment_residue_form(KpzParams(t=1e-12, x=DENSE_X[n], A=1.0))
+
+
+# the default nested form on 0.05 / sqrt(t) with offsets 1.25 k read 2.7e-6
+# (n = 1), 2.4e-3 (n = 2) and 5.1e-4 (n = 3) off a 2x finer grid at t = 0.05
+NESTED_T = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
+
+
+def _nested_against_a_finer_grid(kpz):
+    """The default nested value against the same lines at half its spacing."""
+    from asep_lab.kpz import _nested_grids
+    grids = _nested_grids(kpz)
+    w = grids[0][0]
+    spacing = (w[1] - w[0]).imag
+    finer = ContourSpec(tuple(g[0][0].real for g in grids),
+                        spacing_factor=spacing * math.sqrt(kpz.t) / 2)
+    fine = she_moment_nested(kpz, finer)
+    return abs(she_moment_nested(kpz) - fine) / fine
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_nested_form_matches_a_finer_grid(n):
+    for t in NESTED_T:
+        for boundary in SWEEP_BOUNDARY:
+            kpz = KpzParams(t=t, x=DENSE_X[n], **boundary)
+            assert _nested_against_a_finer_grid(kpz) < 1e-12, (t, boundary)
+
+
+@pytest.mark.parametrize("t, boundary", [(0.05, dict(A=1.0)), (0.1, dict(boundary=DIRICHLET)),
+                                         (0.2, dict(A=0.5)), (0.5, dict(A=2.0)),
+                                         (1.0, dict(A=0.5)), (2.0, dict(boundary=DIRICHLET))])
+def test_three_point_nested_form_matches_a_finer_grid(t, boundary):
+    # a Tier-1-sized subset of the n = 3 sweep
+    assert _nested_against_a_finer_grid(KpzParams(t=t, x=DENSE_X[3], **boundary)) < 1e-12
+
+
+@pytest.mark.parametrize("A", [0.01, 0.1])
+def test_nested_form_near_the_robin_pole_is_right_or_refused(A):
+    # on 0.05 / sqrt(t) these read +0.56 % (A = 0.01) and 8.4e-7 (A = 0.1) off
+    exact = robin_halfline_first_moment_exact(A, 1.0, 0.5)
+    try:
+        value = she_moment_nested(KpzParams(t=1.0, x=(0.5,), A=A))
+    except ValidityError as refusal:
+        assert "line nodes" in str(refusal)
+        return
+    assert abs(value - exact) < 1e-10 * exact
 
 
 @pytest.mark.parametrize("kwargs", [dict(t=math.inf, x=(0.5,), A=1.0),
@@ -511,7 +596,7 @@ THREE_POINTS = (0.1, 0.4, 0.9)
 
 
 @pytest.mark.parametrize("form, offsets, reach", [
-    (she_moment_nested, ContourSpec.default(3).offsets, 2.5),
+    (she_moment_nested, (0.0, 1.5, 3.0), 3.0),
     (she_moment_residue_form, (0.0,) * 3, 2.0)])
 def test_she_call_holds_one_workspace(form, offsets, reach):
     # n(n-1)/2 pair matrices and two spares at most, on the grid the call
@@ -521,12 +606,15 @@ def test_she_call_holds_one_workspace(form, offsets, reach):
     # the memo's O(N) values outweigh the one free N x N array of the bound;
     # the pole at -0.5 doubles that count
     import tracemalloc
-    from asep_lab.kpz import SPACING_FACTOR, TAIL_TOL, _residue_spacing, she_grids
+    from asep_lab.kpz import TAIL_TOL, _nested_grids, _residue_grids
     kpz = KpzParams(t=0.5, x=THREE_POINTS, A=0.5)
     residue = form is she_moment_residue_form
-    spacing = _residue_spacing(kpz, TAIL_TOL) if residue else SPACING_FACTOR / math.sqrt(kpz.t)
-    n_nodes = len(she_grids(kpz.t, offsets, reach, TAIL_TOL, spacing)[0][0])
-    assert n_nodes == (288 if residue else 340)
+    grids = (_residue_grids if residue else _nested_grids)(kpz)
+    w = grids[0][0]
+    y_max = math.sqrt(reach ** 2 + 2 * math.log(1e3 / TAIL_TOL) / kpz.t)
+    assert tuple(g[0][0].real for g in grids) == offsets
+    n_nodes = len(w)
+    assert n_nodes == 2 * math.ceil(y_max / (w[1] - w[0]).imag) == (288 if residue else 308)
     tracemalloc.start()
     try:
         form(kpz)

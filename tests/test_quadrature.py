@@ -170,6 +170,26 @@ def test_pair_matrices_written_into_buffers_equal_new_ones():
     assert sorted(map(id, written.values())) == sorted(map(id, buffers))
 
 
+@pytest.mark.parametrize("hankel", [False, True])
+def test_a_one_factor_pair_matrix_is_copied_without_a_ufunc_buffer(hankel):
+    # np.positive, which wrote these, allocated numpy's 128 KiB iterator
+    # buffer for the strided view on every term
+    import tracemalloc
+    n = 152
+    pairs = PairProducts(n)
+    pairs.multiply(0, 1, hankel, np.linspace(1, 2, 2 * n - 1) + 1j, 1)
+    buffers = [np.empty((n, n), complex)]
+    fresh = pairs.matrices()
+    tracemalloc.start()
+    try:
+        written = pairs.matrices(buffers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written[(0, 1)] is buffers[0] and np.array_equal(written[(0, 1)], fresh[(0, 1)])
+    assert peak < 16 * 1024
+
+
 def test_grid_values_are_computed_once_and_read_only():
     values, calls = Workspace([(1, 16)]), []
 
