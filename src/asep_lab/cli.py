@@ -40,7 +40,10 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
 
 # the widest line window of `verify`: its 2^16 states list in 0.23 s and 47 MB
-# (2^18: 1.2 s, 190 MB) on 2 cores, and one point checks 55 million identities
+# (2^18: 1.2 s, 190 MB) on 2 cores, and one point checks 55 million identities.
+# `verify` writes each report's sides, so it checks 25-28 thousand halfline
+# identities a second at --max-site 10-11 (2 cores): about 35 minutes a
+# point at the cap, extrapolated
 MAX_VERIFY_SITE = 16
 
 

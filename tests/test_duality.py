@@ -1,14 +1,18 @@
 import itertools
+import json
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from asep_lab import duality
 from asep_lab.duality import (apply_generator, chamber_vectors, dual_boundary_diagonal,
                               dual_moves, dual_segment_diagonal, exclusion_moves,
                               exhaustive_states, halfline_moves, negative_control_no_liggett,
                               segment_moves, verify_fictitious_site, verify_fullspace_duality,
                               verify_halfline_duality, verify_segment_duality)
-from asep_lab.model import ModelParams, SegmentParams, h_product, h_product_segment
+from asep_lab.model import (ChamberError, ModelParams, SegmentParams, ValidityError,
+                            h_product, h_product_segment)
 from asep_lab.segment_ode import occupancy_generator
 
 PARAMS = ModelParams.from_density(1, F(1, 2), F(3, 4))
@@ -316,11 +320,11 @@ def test_integer_q_powers_scale_back_and_raise_outside_bounds():
     for q, lo, hi in ((F(1, 2), 0, 6), (F(3, 7), -3, 4)):
         pw = _QPowers(q, lo, hi)
         for e in range(lo, hi + 1):
-            assert type(pw(e)) is int
-            assert pw(e) * pw.scale == q ** e
+            assert type(pw[e]) is int
+            assert pw[e] * pw.scale == q ** e
         for e in (lo - 1, hi + 1):
             with pytest.raises(ArithmeticError):
-                pw(e)
+                pw[e]
 
 
 def test_params_compare_hash_and_pickle_by_fields_only():
@@ -340,3 +344,123 @@ def test_params_compare_hash_and_pickle_by_fields_only():
         if isinstance(back, SegmentParams):
             again += [back.rho0, back.rho_ell, back.liggett2_ok()]
         assert again == derived
+
+
+def _bond_moves(params, eta, low=None):
+    """Exclusion moves listed bond by bond: each bond (x, x+1), x >= low, with
+    a particle on exactly one end, in increasing x."""
+    out = []
+    for x in range(min(eta) - 1, max(eta) + 1) if eta else ():
+        if low is not None and x < low:
+            continue
+        if x in eta and x + 1 not in eta:
+            out.append((params.p_rate, (eta - {x}) | {x + 1}))
+        elif x + 1 in eta and x not in eta:
+            out.append((params.q_rate, (eta - {x + 1}) | {x}))
+    return out
+
+
+def test_exclusion_moves_come_in_bond_order():
+    for eta in exhaustive_states(6):
+        for shift in (-3, 0):
+            moved = frozenset(s + shift for s in eta)
+            for low in (None, -1, 0, 1, 2):
+                assert exclusion_moves(PARAMS, moved, low) == _bond_moves(PARAMS, moved, low)
+
+
+# --- refusals outside each identity, and a failing identity ----------------
+
+BAD = ModelParams(1, F(1, 3), F(1, 2), F(1, 2))  # alpha/p + gamma/q != 1
+
+
+@pytest.mark.parametrize("call, error, named", [
+    # x must be nonempty and strictly increasing, in every mode
+    (lambda: verify_halfline_duality(PARAMS, {2}, ()), ChamberError, "x=()"),
+    (lambda: verify_halfline_duality(PARAMS, {2}, (2, 2)), ChamberError, "x=(2, 2)"),
+    (lambda: verify_fullspace_duality(PARAMS, {2}, (3, 1)), ChamberError, "x=(3, 1)"),
+    (lambda: verify_fictitious_site(PARAMS, {2}, (4, 2)), ChamberError, "x=(4, 2)"),
+    (lambda: negative_control_no_liggett(BAD, {2}, ()), ChamberError, "x=()"),
+    (lambda: verify_segment_duality(SEG, (1, 0, 1), 0, (3, 2)), ChamberError, "x=(3, 2)"),
+    # x_1 >= 1 on the half line and the segment, x_n <= ell on the segment
+    (lambda: verify_halfline_duality(PARAMS, {2}, (0, 3)), ChamberError, "x=(0, 3)"),
+    (lambda: verify_fictitious_site(PARAMS, {2}, (0,)), ChamberError, "x=(0,)"),
+    (lambda: negative_control_no_liggett(BAD, {2}, (-1, 2)), ChamberError, "x=(-1, 2)"),
+    (lambda: verify_segment_duality(SEG, (1, 0, 1), 0, (0, 2)), ChamberError, "x=(0, 2)"),
+    (lambda: verify_segment_duality(SEG, (1, 0, 1), 0, (2, 5)), ChamberError, "x=(2, 5)"),
+    # a half-line eta holds sites >= 1 only
+    (lambda: verify_halfline_duality(PARAMS, {0, 2}, (1,)), ValidityError, "eta=[0, 2]"),
+    (lambda: verify_fictitious_site(PARAMS, {0}, (1,)), ValidityError, "eta=[0]"),
+    (lambda: negative_control_no_liggett(BAD, {-1, 3}, (2,)), ValidityError, "eta=[-1, 3]"),
+    # a segment eta is 0/1 of length ell - 1
+    (lambda: verify_segment_duality(SEG, (2, 0, 1), 0, (1, 2)), ValidityError, "eta=(2, 0, 1)"),
+    (lambda: verify_segment_duality(SEG, (1, 0), 0, (1, 2)), ValidityError, "eta=(1, 0)"),
+    (lambda: verify_segment_duality(SEG, (1, 0, 1, 0), 0, (1, 2)), ValidityError,
+     "eta=(1, 0, 1, 0)"),
+])
+def test_verifiers_refuse_input_outside_their_identity(call, error, named):
+    # each of these used to return a nonzero residual or raise IndexError
+    with pytest.raises(error) as info:
+        call()
+    assert named in str(info.value)
+
+
+def _truncate(monkeypatch, name):
+    """Drop the last move of duality's `name` move function, for the verifiers
+    and for this module's per-transition reference alike."""
+    moves = getattr(duality, name)
+    truncated = lambda *args, **kwargs: moves(*args, **kwargs)[:-1]
+    monkeypatch.setattr(duality, name, truncated)
+    monkeypatch.setattr(sys.modules[__name__], name, truncated)
+
+
+def _assert_fails_as_reference(rep, lhs, rhs):
+    assert lhs != rhs
+    assert rep.ok is False
+    assert type(rep.residual) is F and rep.residual == lhs - rhs
+    _assert_sides(rep, lhs, rhs)
+    assert json.loads(rep.to_json())["ok"] is False
+
+
+# the fictitious-site identity has no dual, so its closed-line moves are cut instead
+@pytest.mark.parametrize("mode, eta, x, truncated", [
+    ("halfline", {2}, (1, 2), "dual_moves"),
+    ("fullspace", {2}, (1, 2), "dual_moves"),
+    ("fictitious", set(), (1, 2), "exclusion_moves"),
+])
+def test_a_failing_line_identity_still_fails(mode, eta, x, truncated, monkeypatch):
+    _truncate(monkeypatch, truncated)
+    rep = LINE_VERIFIERS[mode](PARAMS, eta, x)
+    _assert_fails_as_reference(rep, *_reference_line(mode, PARAMS, eta, x))
+
+
+def test_a_failing_segment_identity_still_fails(monkeypatch):
+    _truncate(monkeypatch, "dual_moves")
+    for n_ell in (0, 2):
+        rep = verify_segment_duality(SEG, (1, 0, 1), n_ell, (1, 3))
+        _assert_fails_as_reference(rep, *_reference_segment(SEG, (1, 0, 1), n_ell, (1, 3)))
+
+
+def test_a_failing_corrected_identity_still_fails(monkeypatch):
+    _truncate(monkeypatch, "dual_moves")
+    rep = negative_control_no_liggett(BAD, {2}, (1, 2))
+    lhs, rhs, plain_residual = _reference_line("no-liggett", BAD, {2}, (1, 2))
+    _assert_fails_as_reference(rep.corrected_report, lhs, rhs)
+    assert type(rep.plain_residual) is F and rep.plain_residual == plain_residual
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_residual_reads_the_same_before_or_after_the_sides(failing, monkeypatch):
+    if failing:
+        _truncate(monkeypatch, "dual_moves")
+    makers = (lambda: verify_halfline_duality(PARAMS, {2, 3}, (1, 3)),
+              lambda: verify_fictitious_site(PARAMS, set(), (1, 2)),
+              lambda: verify_segment_duality(SEG, (1, 0, 1), 0, (1, 3)),
+              lambda: negative_control_no_liggett(BAD, {2}, (1, 2)).corrected_report)
+    for make in makers:
+        rep = make()
+        first = (rep.residual, rep.lhs, rep.rhs)
+        rep = make()
+        lhs, rhs = rep.lhs, rep.rhs
+        second = (rep.residual, lhs, rhs)
+        assert first == second
+        assert [type(v) for v in first] == [type(v) for v in second] == [F, F, F]
