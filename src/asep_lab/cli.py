@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -40,11 +41,17 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
 
 # the widest line window of `verify`: its 2^16 states list in 0.23 s and 47 MB
-# (2^18: 1.2 s, 190 MB) on 2 cores, and one point checks 55 million identities.
-# `verify` writes each report's sides, so it checks 25-28 thousand halfline
-# identities a second at --max-site 10-11 (2 cores): about 35 minutes a
-# point at the cap, extrapolated
+# (2^18: 1.2 s, 190 MB) on 2 cores.  This bounds memory, not time: one point
+# at --max-site 16 checks 55 million identities
 MAX_VERIFY_SITE = 16
+# the most identities one `verify` run checks (points x states x chambers),
+# counted before anything is written.  `verify` writes each report's sides,
+# so it checks 25-28 thousand halfline identities a second at --max-site
+# 10-11 (2 cores): the cap is about a minute of checking, and one point at
+# --max-site 16 would take about 35 minutes.  (The five modes at --max-site
+# 10 or --ell 10 measured 17-23 thousand a second on a loaded 2-core host,
+# which puts the cap at 65-88 s.)
+MAX_VERIFY_IDENTITIES = 1_500_000
 
 
 def _versions() -> Dict[str, str]:
@@ -221,6 +228,15 @@ def _verify_reports(args) -> Iterator[DualityReport]:
                     for x in chamber_vectors(1, args.max_site + 1, n))
 
 
+def _identities_per_point(args) -> int:
+    """The identities `_verify_reports` checks at one point: states times chambers."""
+    if args.mode == "segment":  # 2^(ell - 1) eta, each with n_ell = 0 and 1
+        states, sites = 2 ** args.ell, args.ell
+    else:
+        states, sites = 2 ** args.max_site, args.max_site + 1
+    return states * sum(math.comb(sites, n) for n in range(1, min(args.max_n, sites) + 1))
+
+
 def cmd_verify(args) -> int:
     # the segment mode reads --ell (default 4), the others --max-site (default
     # 5); the default goes into args so that the manifest records it
@@ -238,6 +254,11 @@ def cmd_verify(args) -> int:
     if window > MAX_VERIFY_SITE:
         raise ValidityError(f"{flag} {window} lists 2^{window} states, "
                             f"above the cap of {MAX_VERIFY_SITE}")
+    identities = args.points * _identities_per_point(args)
+    if identities > MAX_VERIFY_IDENTITIES:
+        raise ValidityError(f"--points {args.points} at {flag} {window} and --max-n "
+                            f"{args.max_n} check {identities} identities, above the cap "
+                            f"of {MAX_VERIFY_IDENTITIES}")
     out = sys.stdout if args.output is None else open(args.output, "w")
     checked = failed = 0
     try:

@@ -8,13 +8,15 @@ the 1/(m_1! m_2! ...) multiplicities cancel.
 
 Quadrature is the tensor-product trapezoid rule, which converges
 geometrically here; the error estimate is the Richardson difference
-against the half-resolution grid.  A call reduces the diagrams once and
-makes one pass per grid (`_sum_terms`) that takes every site vector it
-needs; q_moment is the one-point case.  A pass builds each diagram's
-operands, contracts them at every site vector and drops them before the
-next diagram, in the call's one `quadrature.Workspace` (`_CircleValues`),
-which serves both passes.  `_factored_operands` is the one operand builder,
-here and for the SHE lines (`kpz`); `_CircleValues` is its circle reading:
+against the half grid, the fine grid's even-indexed nodes with doubled
+weights.  A call reduces the diagrams once and makes one pass
+(`_sum_terms`) that takes every site vector it needs; q_moment is the
+one-point case.  The pass builds each diagram's operands once, on the
+fine grid, contracts them at every site vector, reads the half grid's
+value from the same operands (every other node) and drops them before
+the next diagram, in the call's one `quadrature.Workspace`
+(`_CircleValues`).  `_factored_operands` is the one operand builder, here
+and for the SHE lines (`kpz`); `_CircleValues` is its circle reading:
 
 * each kernel F_x(M)/M is a site-free multiplier, folded into its
   dimension's vector, times exp(E(M) + x log P(M)); only the F-kernels
@@ -22,10 +24,11 @@ here and for the SHE lines (`kpz`); `_CircleValues` is its circle reading:
   per dimension of the stacked exponents;
 * each pair factor is a per-node scale times a Toeplitz or Hankel matrix
   built from 2N - 1 values (`quadrature.PairProducts`), written into the
-  workspace's buffers;
+  workspace's buffers; the half grid's matrices are written from every
+  other value (`PairProducts.half`);
 * the diagrams of a call share grids and factors, so each node grid,
-  monomial, kernel part and factor value is computed once per call and
-  grid, in the workspace's memo;
+  monomial, kernel part and factor value is computed once per call, in
+  the workspace's memo;
 * each site vector is contracted on its own, with the 3-D temporaries in
   the workspace's buffers (`quadrature.Workspace.fold`).  The 3-D step's
   matrix product depends on the last dimension's vector alone, so site
@@ -50,10 +53,13 @@ from .residues import (DIFF, EvalContext, F_OVER_Z, Factor, Monomial, ReducedInt
 
 # each dimension's node count as a share of the 1D count
 _NODE_SCALE = (1.0, 0.5, 0.5, 0.4375)
+# the fewest nodes a grid may have, and too few for a dimension a moment
+# integrates over (`_moment_results`)
+_MIN_NODES = 16
 
 
 def _node_table(n_1d: int) -> Tuple[int, ...]:
-    return tuple(max(16, 2 * round(n_1d * s / 2)) for s in _NODE_SCALE)
+    return tuple(max(_MIN_NODES, 2 * round(n_1d * s / 2)) for s in _NODE_SCALE)
 
 
 @dataclass(frozen=True)
@@ -62,14 +68,17 @@ class QuadratureSpec:
 
     The defaults, `with_1d_nodes(256)`, shrink with dimension; 1e-8
     accuracy at asymmetry up to 0.6 needs about 128 nodes in 3D and 112 in
-    4D, while 4D at the 1D count would be infeasible.
+    4D, while 4D at the 1D count would be infeasible.  The error estimate's
+    half grid of each dimension is its even-indexed nodes, N/2 of them, so
+    the spec names one grid per dimension; a dimension a moment integrates
+    over needs more than the minimum 16 nodes.
     """
 
     nodes_by_dim: Tuple[int, ...] = _node_table(256)
 
     def __post_init__(self):
-        if any(n < 16 or n % 2 for n in self.nodes_by_dim):
-            raise ValidityError("node counts must be even and >= 16")
+        if any(n < _MIN_NODES or n % 2 for n in self.nodes_by_dim):
+            raise ValidityError(f"node counts must be even and >= {_MIN_NODES}")
 
     @classmethod
     def with_1d_nodes(cls, n: int) -> "QuadratureSpec":
@@ -80,15 +89,15 @@ class QuadratureSpec:
             return self.nodes_by_dim[n_dims - 1]
         return self.nodes_by_dim[-1]
 
-    def halved(self) -> "QuadratureSpec":
-        return QuadratureSpec(tuple(2 * max(8, n // 4) for n in self.nodes_by_dim))
-
 
 @dataclass
 class MomentResult:
     """A q-moment with its quadrature diagnostics.
 
-    `quad_error` is |fine - coarse| between the grid and its halved() grid.
+    `quad_error` is |fine - half| between the grid and its half grid, the
+    even-indexed nodes with doubled weights: N/2 nodes per dimension at half
+    the offset, in units of their own spacing.  It is a signal, not a bound
+    (ROADMAP item 2 measures where it misses).
     `imag_residual` is |Im| of the diagram sum, whose exact value is real.
     For n <= 3 it reads 1e-17 to 1e-14 at q <= 1/2 and stays far below
     `quad_error` elsewhere (2.7e-11 against 1.1e-5 at q=3/5, rho=4/5,
@@ -117,9 +126,9 @@ class _CircleValues(Workspace):
     """The circle reading of `_factored_operands`, and the `Workspace` of one
     moment call, whose memo holds the grids' nodes and weights, monomials
     and F-kernel parts by (node count, dimension) and monomial exponents.
-    Diagrams share most of them: the 22 diagram builds of an n = 3 call
-    (fine and half-resolution) have 66 F-factors at 17 distinct kernel
-    arguments, and 38 dimensions on 7 node grids.
+    Diagrams share most of them: the 11 diagram builds of an n = 3 call
+    have 33 F-factors at 10 distinct kernel arguments, and 19 dimensions on
+    4 node grids.
 
     With A = q^e z_a^{s_a}, B = q^e' z_b^{s_b} on nodes z_d[k] = r e^{2 pi i
     (k + o_d)/N}, B/A and A B each depend on k_a - k_b alone or on k_a + k_b
@@ -243,29 +252,38 @@ def _sum_terms(reduced: Sequence[Tuple[Partition, int, Diagram, ReducedIntegrand
     """(real part, imaginary part, per-partition sums) at each site vector of
     points, in one pass over the diagrams on quad's grids; with
     time_derivative, one more entry holds the same for d/dt at points[0].
+    Then, apart, the same at each site vector on the half grids.
 
-    Each diagram's operands are built, contracted at every site vector and
-    dropped before the next diagram's, in values, the call's workspace.
-    slots[j], shape (rows, 1), holds the j-th site of every site vector.
-    The F-kernels of all rows come from one exp per dimension of the
-    stacked exponents E + X log P, shape (rows, N); every free variable
-    keeps at least one F-kernel.  Each row is then contracted on its own
-    (one `contract_factored` call on 1-D vectors), so its value does not
-    depend on the other rows.  The d/dt multiplier is a sum of
-    single-variable terms, so the derivative is one contraction per
-    dimension, of the first row with that dimension's vector times its
-    rate, summed in the order of `time_derivative_terms`.
+    Each diagram's operands are built once on quad's grids, contracted at
+    every site vector and dropped before the next diagram's, in values, the
+    call's workspace.  slots[j], shape (rows, 1), holds the j-th site of every
+    site vector.  The F-kernels of all rows come from one exp per dimension of
+    the stacked exponents E + X log P, shape (rows, N); every free variable
+    keeps at least one F-kernel.  Each row is then contracted on its own (one
+    `contract_factored` call on 1-D vectors), so its value does not depend on
+    the other rows.  The d/dt multiplier is a sum of single-variable terms, so
+    the derivative is one contraction per dimension, of the first row with
+    that dimension's vector times its rate, summed in the order of
+    `time_derivative_terms`.
+
+    The half grid is the even-indexed nodes k = 2j, so a row's half-grid
+    vectors are its vectors at [::2] times 2 (the weight of N/2 nodes), and
+    its pair matrices the ones `PairProducts.half` reads from every other
+    product; the workspace writes them after the fine rows are done.  The
+    half grid adds no node, so none of its values lands on a removable
+    point, and the fine values do not depend on it.
 
     In three dimensions the rows run grouped by their dimension-2 vector,
     which alone of the vectors enters the workspace's fold (the N^3 step), so
-    rows that share it share one fold: the site vectors of a
+    rows that share it share one fold, on either grid: the site vectors of a
     free_evolution_residuals call that agree in their last site, and the
     first row's d/dt rows of dimensions 0 and 1.
     """
     if not points:  # free_evolution_residuals at x = (0, 0, ...) checks no relation
-        return []
+        return [], []
     slots = np.array(points, dtype=complex).T[:, :, None]  # exact; no cast per product
-    sums: List[Dict[Partition, complex]] = [{} for _ in range(len(points) + time_derivative)]
+    n_fine = len(points) + time_derivative
+    sums: List[Dict[Partition, complex]] = [{} for _ in range(n_fine + len(points))]
     for lam, sign, diagram, red in reduced:
         n_dims = len(red.free_vars)
         nodes, vectors, pairs, scalar, kernels = _factored_operands(red, values,
@@ -275,6 +293,7 @@ def _sum_terms(reduced: Sequence[Tuple[Partition, int, Diagram, ReducedIntegrand
                 exponent = exponent + slots[slot] * log_step
             vectors[d] = vectors[d] * np.exp(exponent)
         rows = [{d: v[s] for d, v in vectors.items()} for s in range(len(points))]
+        half = {d: 2.0 * v[:, ::2] for d, v in vectors.items()}
         if time_derivative:
             for var, mults in time_derivative_terms(red, values.ctx).items():
                 d = red.free_vars.index(var)
@@ -295,52 +314,61 @@ def _sum_terms(reduced: Sequence[Tuple[Partition, int, Diagram, ReducedIntegrand
             for value in row_values[len(points):]:
                 total += value
             row_values[len(points):] = [total]
-        for per_partition, val in zip(sums, row_values):
+        matrices = values.term(n_dims, pairs.half())
+        half_values = [0j] * len(points)
+        for i in order:
+            if i < len(points):
+                half_row = {d: v[i] for d, v in half.items()}
+                half_values[i] = contract_factored(n_dims, half_row, matrices, scalar, values)
+        for k, (per_partition, val) in enumerate(zip(sums, row_values + half_values)):
             if not cmath.isfinite(val):
+                grid = "" if k < n_fine else "half of the "
                 raise ArithmeticError(f"non-finite contribution from diagram {diagram.rows} "
-                                      f"on the {quad.nodes_by_dim} grid")
+                                      f"on the {grid}{quad.nodes_by_dim} grid")
             per_partition[lam] = per_partition.get(lam, 0.0) + sign * val
-    return [(math.fsum(v.real for v in per_partition.values()),
-             math.fsum(v.imag for v in per_partition.values()), per_partition)
-            for per_partition in sums]
+    totals = [(math.fsum(v.real for v in per_partition.values()),
+               math.fsum(v.imag for v in per_partition.values()), per_partition)
+              for per_partition in sums]
+    return totals[:n_fine], totals[n_fine:]
 
 
 def _moment_results(n: int, ctx: EvalContext, quad: QuadratureSpec,
                     points: Sequence[Tuple[int, ...]], time_derivative: bool = False):
-    """MomentResult at each site vector of points, from one pass on quad and
-    one on its half-resolution grid, and the fine grid's d/dt at points[0]
-    (None without time_derivative).
+    """MomentResult at each site vector of points, from one pass on quad's
+    grids and their half grids, and the fine grid's d/dt at points[0] (None
+    without time_derivative).
 
-    Both passes share one reduction and one `_CircleValues`, the call's
-    workspace, sized for the fine grids and all rows: the call allocates
-    one block of N x N buffers, and each grid, monomial, kernel part and
-    factor value that diagrams share is computed once; nothing is kept
-    between calls.  A dimension whose halved grid is quad's own (16 nodes
-    stay 16) would make quad_error read 0 whatever the error, so it raises
-    ValidityError.  An overflow or invalid value in either pass raises
-    ArithmeticError, naming t and the grid.
+    The pass reduces the diagrams once and works in one `_CircleValues`, the
+    call's workspace, sized for the fine grids and all rows: the call
+    allocates one block of N x N buffers, and each grid, monomial, kernel
+    part and factor value that diagrams share is computed once; nothing is
+    kept between calls.  A dimension the moment integrates over on the
+    fewest nodes a grid may have (16) raises ValidityError: its half grid
+    has 8.  (Before the half grid was nested in the fine one, halving kept
+    16 nodes at 16 and quad_error read 0 there; the refusal keeps those
+    grids refused.)  An overflow or invalid value raises ArithmeticError,
+    naming t and the grid.
     """
     reduced = _diagram_terms(n)
-    coarse = quad.halved()
     dims = sorted({len(red.free_vars) for *_, red in reduced})
     for dim in dims:
-        if coarse.nodes(dim) >= quad.nodes(dim):
-            raise ValidityError(f"{quad.nodes(dim)} nodes in dimension {dim} leave no "
-                                "coarser grid for the error estimate; give more nodes")
+        if quad.nodes(dim) <= _MIN_NODES:
+            raise ValidityError(f"{quad.nodes(dim)} nodes in dimension {dim} leave too small "
+                                f"a coarser grid ({quad.nodes(dim) // 2} nodes) for the error "
+                                "estimate; give more nodes")
     values = _CircleValues(ctx, [(d, quad.nodes(d)) for d in dims],
                            len(points) + time_derivative)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            fine_sums = _sum_terms(reduced, values, quad, points, time_derivative)
-            coarse_sums = _sum_terms(reduced, values, coarse, points)
+            fine_sums, half_sums = _sum_terms(reduced, values, quad, points, time_derivative)
     except FloatingPointError as exc:
         raise ArithmeticError(f"{exc} at t = {ctx.t} on the {quad.nodes_by_dim} grid") from None
     results = [MomentResult(value=value,
                             per_partition={lam: v.real for lam, v in per_part.items()},
                             nodes_by_dim=quad.nodes_by_dim,
-                            quad_error=abs(value - coarse_value),
+                            quad_error=abs(value - half_value),
                             imag_residual=abs(imag))
-               for (value, imag, per_part), (coarse_value, _, _) in zip(fine_sums, coarse_sums)]
+               for (value, imag, per_part), (half_value, _, _) in zip(fine_sums, half_sums)]
     return results, (fine_sums[-1][0] if time_derivative else None)
 
 
@@ -426,8 +454,8 @@ class FreeEvolutionReport:
     """Residuals of the lattice ODE characterization at one site vector.
 
     values holds every moment the relations used, by site vector, and
-    quad_error the largest Richardson estimate (fine minus half-resolution
-    grid) among them.
+    quad_error the largest Richardson estimate (fine minus half grid) among
+    them.
     """
 
     x: Tuple[int, ...]
@@ -456,8 +484,8 @@ def free_evolution_residuals(t: float, x: Sequence[int], params: ModelParams,
     Each relation is one list of (coefficient, site vector) terms whose sum
     is 0 (for (1), dv/dt).  The pass's points are the terms' site vectors,
     without repeats and in the relations' order, so x comes first when (1)
-    applies; they are evaluated in one fine and one half-resolution pass,
-    the d/dt of (1) in the fine pass.  Each value is bit for bit the one
+    applies; they are evaluated in one pass, on the fine grids and their
+    half grids, the d/dt of (1) on the fine grids alone.  Each value is bit for bit the one
     q_moment gives at that point: a point is contracted on its own,
     whatever shares its pass.  A residual is the absolute sum of its
     terms, less dv/dt for (1).

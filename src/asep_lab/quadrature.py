@@ -114,6 +114,21 @@ class PairProducts:
         prev = self._products.get(key, 1.0)
         self._products[key] = prev * values if power == 1 else prev / values
 
+    def half(self) -> "PairProducts":
+        """The products on the even-indexed nodes k = 2j of an even N: N/2 x N/2.
+
+        Index difference j_a - j_b on the half grid is 2(j_a - j_b) on this
+        one, at entry 2(j_a - j_b + N/2 - 1) + 1, and a sum j_a + j_b is
+        2(j_a + j_b), so the half grid's values are every other one, from 1
+        (Toeplitz) or 0 (Hankel): views, no copy.
+        """
+        n = self.n_nodes // 2
+        half = PairProducts(n)
+        for (hankel, pair), values in self._products.items():
+            start = 0 if hankel else 1
+            half._products[(hankel, pair)] = values[start::2][:2 * n - 1]
+        return half
+
     def matrices(self, buffers: Optional[List[np.ndarray]] = None
                  ) -> Dict[Tuple[int, int], np.ndarray]:
         """The N x N matrix of every pair that received a factor.
@@ -147,13 +162,15 @@ class Workspace:
     """One call's scratch: the N x N complex buffers its terms are contracted
     in, and a memo of the arrays they share on its grids.
 
-    A call (one moment's two passes, one SHE evaluation) contracts its
-    terms one at a time: each writes its pair matrices into the buffers
-    (`term`), and nothing of a term outlives the next one.  The buffers are
-    views of one block, sized for the largest of shapes, the (dimensions,
-    node count) of the call's terms, so the call allocates once and no term
-    allocates an N x N array.  A block above MAX_WORKSPACE_BYTES raises
-    ValidityError instead.
+    A call (one moment's pass, one SHE evaluation) contracts its terms one
+    at a time: each writes its pair matrices into the buffers (`term`), and
+    nothing of a term outlives the next one; a moment's diagram is two
+    terms in turn, on its fine grid and on the half grid
+    (`PairProducts.half`), which fits in the fine grid's buffers.  The
+    buffers are views of one block, sized for the largest of shapes, the
+    (dimensions, node count) of the call's terms, so the call allocates once
+    and no term allocates an N x N array.  A block above
+    MAX_WORKSPACE_BYTES raises ValidityError instead.
 
     A 3-D contraction's N^3 step is the fold (M02 * v2) M12^T, which depends
     on matrices[(0, 2)], matrices[(1, 2)] and vectors[2] alone.  `fold`

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -571,6 +572,29 @@ def test_run_too_large_for_memory_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
     assert "above the cap" in captured.err
+
+
+def test_verify_above_the_identity_cap_exits_2_before_it_runs(capsys):
+    # one point at --max-site 16 used to run for about 35 minutes
+    started = time.perf_counter()
+    assert main(["verify", "--mode", "halfline", "--max-site", "16", "--points", "1"]) == 2
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+    assert "54591488 identities, above the cap" in captured.err
+
+
+@pytest.mark.parametrize("mode, window", [("halfline", ["--max-site", "4"]),
+                                          ("fullspace", ["--max-site", "2"]),
+                                          ("segment", ["--ell", "3"]),
+                                          ("segment", ["--ell", "5"])])
+@pytest.mark.parametrize("max_n", ["1", "2", "9"])
+def test_the_identity_count_before_a_run_is_the_count_it_checks(mode, window, max_n, capsys):
+    from asep_lab import cli
+    argv = ["verify", "--mode", mode, "--points", "2", "--max-n", max_n, *window]
+    assert main(argv + ["--output", os.devnull]) == 0
+    checked = int(capsys.readouterr().err.split()[1])
+    assert checked == 2 * cli._identities_per_point(cli.build_parser().parse_args(argv))
 
 
 def test_simulate_above_the_work_cap_exits_2_in_one_line():

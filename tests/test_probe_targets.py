@@ -80,6 +80,7 @@ def test_moment_probes_see_every_three_dimensional_contraction():
         installation.restore()
     points = [s.attrs["points"] for s in tracer.kept
               if s.name == "quadrature.contract_factored" and s.attrs["d"] == 3]
-    fine, coarse = moments.QuadratureSpec(), moments.QuadratureSpec().halved()
-    # 7 site vectors and 3 d/dt rows on the fine grid, the 7 site vectors on the coarse
-    assert sorted(points) == [coarse.nodes(3) ** 3] * 7 + [fine.nodes(3) ** 3] * 10
+    fine = moments.QuadratureSpec().nodes(3)
+    # 7 site vectors and 3 d/dt rows on the fine grid, the 7 site vectors on its
+    # half grid of every other node
+    assert sorted(points) == [(fine // 2) ** 3] * 7 + [fine ** 3] * 10

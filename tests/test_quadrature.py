@@ -170,6 +170,21 @@ def test_pair_matrices_written_into_buffers_equal_new_ones():
     assert sorted(map(id, written.values())) == sorted(map(id, buffers))
 
 
+@pytest.mark.parametrize("n", [6, 8])
+def test_half_products_are_the_even_nodes_of_every_pair(n):
+    # N = 6 leaves an odd half grid of 3 nodes; each pair mixes both types
+    rng = np.random.default_rng(n)
+    pairs = PairProducts(n)
+    for a, b, hankel in ((0, 1, False), (1, 0, True), (0, 2, True), (2, 1, False), (1, 2, True)):
+        values = rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1)
+        pairs.multiply(a, b, hankel, values, 1)
+    fine, half = pairs.matrices(), pairs.half().matrices()
+    assert half.keys() == fine.keys()
+    for k, matrix in half.items():
+        assert matrix.shape == (n // 2, n // 2)
+        assert np.array_equal(matrix, fine[k][::2, ::2])
+
+
 @pytest.mark.parametrize("hankel", [False, True])
 def test_a_one_factor_pair_matrix_is_copied_without_a_ufunc_buffer(hankel):
     # np.positive, which wrote these, allocated numpy's 128 KiB iterator
