@@ -18,10 +18,10 @@ int cross-multiplication and builds the Fraction sides, their difference
 and its instance label only when they are read.
 
 Each verifier refuses, with a ChamberError or ValidityError naming the
-input, what lies outside its identity: x must be nonempty and strictly
-increasing, with x_1 >= 1 on the half line and 1 <= x_1, x_n <= ell on the
-segment; a half-line eta (halfline, fictitious and no-liggett identities)
-holds sites >= 1 only, and a segment eta is a 0/1 vector of length ell - 1.
+input, what lies outside its identity: x must pass `model.check_chamber`,
+with x_1 >= 1 on the half line and 1 <= x_1, x_n <= ell on the segment; a
+half-line eta (halfline, fictitious and no-liggett identities) holds sites
+>= 1 only, and a segment eta is a 0/1 vector of length ell - 1.
 The full-line identity takes any integer sites, negative ones included.
 """
 
@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .model import (ChamberError, ModelParams, SegmentParams, ValidityError, h_exponent,
+from .model import (ModelParams, SegmentParams, ValidityError, check_chamber, h_exponent,
                     h_exponent_segment)
 
 Eta = frozenset
@@ -254,19 +253,6 @@ class DualityReport:
         }, sort_keys=True)
 
 
-def _chamber(kind: str, x: Sequence[int], low: Optional[int] = None,
-             high: Optional[int] = None) -> Tuple[int, ...]:
-    """x as a tuple, refused unless nonempty, strictly increasing and in [low, high]
-    (a bound of None being open)."""
-    x = tuple(x)
-    if (x and all(map(operator.lt, x, x[1:]))
-            and (low is None or x[0] >= low) and (high is None or x[-1] <= high)):
-        return x
-    bounds = "".join((f"{low} <= " if low is not None else "", "x_1 < ... < x_n",
-                      f" <= {high}" if high is not None else ""))
-    raise ChamberError(f"{kind} identity needs a nonempty x with {bounds}, got x={x}")
-
-
 def _line_identity(kind: str, params: ModelParams, eta, x: Sequence[int],
                    low: Optional[int] = 1):
     """(eta, x, q-powers, integer rates) of one line identity at eta (a set
@@ -278,7 +264,7 @@ def _line_identity(kind: str, params: ModelParams, eta, x: Sequence[int],
     site 0), so every N_{x_i} stays in [0, |eta| + 1].
     """
     eta = frozenset(getattr(eta, "occupied", eta))
-    x = _chamber(kind, x, low)
+    x = check_chamber(x, low)
     if low is not None and eta and min(eta) < low:
         raise ValidityError(f"{kind} identity needs eta on sites >= {low}, "
                             f"got eta={sorted(eta)}")
@@ -318,7 +304,7 @@ def verify_segment_duality(params: SegmentParams, eta: Sequence[int], n_ell: int
     if not params.liggett2_ok():
         raise ValidityError("segment duality requires Liggett's condition on both sides")
     eta = tuple(eta)
-    x = _chamber("segment", x, 1, params.ell)
+    x = check_chamber(x, 1, params.ell)
     if len(eta) != params.ell - 1 or not set(eta) <= {0, 1}:
         raise ValidityError(f"segment identity needs a 0/1 eta of length ell - 1 = "
                             f"{params.ell - 1}, got eta={eta}")

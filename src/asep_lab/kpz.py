@@ -348,11 +348,11 @@ class _LineValues(Workspace):
         return sign_a * (wa + wb if f.hankel else wa - wb) + (shift_a + sign * shift_b + shift)
 
 
-def _residue_grids(kpz: KpzParams, tail_tol: float = TAIL_TOL,
+def _residue_grids(kpz: KpzParams,
                    spacing_factor: Optional[float] = None) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """The residue form's `she_grids`: on the axis, cut for real parts up to
-    n - 1, which the additive shifts reach, and spaced by `_line_spacing`
-    or, given a spacing_factor, by spacing_factor / sqrt(t).
+    """The residue form's `she_grids`: on the axis, cut at TAIL_TOL for real
+    parts up to n - 1, which the additive shifts reach, and spaced by
+    `_line_spacing` or, given a spacing_factor, by spacing_factor / sqrt(t).
 
     On the axis every pair or single-variable pole of a reduced term lies at
     least 1 away, and the Robin kernel's at A + e for its shift e >= 0; the
@@ -360,16 +360,15 @@ def _residue_grids(kpz: KpzParams, tail_tol: float = TAIL_TOL,
     has those shifts (tests/test_kpz.py walks every term for n <= 3).  So
     the rule reads reals 0..n-1 and d = min(1, A), or 1 for Dirichlet.
     """
-    _check_grid_rule(tail_tol, spacing_factor)
+    _check_grid_rule(TAIL_TOL, spacing_factor)
     if spacing_factor is None:
-        spacing = _line_spacing(kpz, range(kpz.n), _nearest_pole(kpz, 1.0), tail_tol)
+        spacing = _line_spacing(kpz, range(kpz.n), _nearest_pole(kpz, 1.0), TAIL_TOL)
     else:
         spacing = spacing_factor / math.sqrt(kpz.t)
-    return she_grids(kpz.t, (0.0,) * kpz.n, kpz.n - 1.0, tail_tol, spacing)
+    return she_grids(kpz.t, (0.0,) * kpz.n, kpz.n - 1.0, TAIL_TOL, spacing)
 
 
-def she_moment_residue_form(kpz: KpzParams, tail_tol: float = TAIL_TOL,
-                            spacing_factor: Optional[float] = None) -> float:
+def she_moment_residue_form(kpz: KpzParams, spacing_factor: Optional[float] = None) -> float:
     """Robin or Dirichlet moment as the diagram-indexed residue expansion on the axis.
 
     The nested form's prefactor, 2^n (Robin) or 4^n (Dirichlet), times the
@@ -380,13 +379,12 @@ def she_moment_residue_form(kpz: KpzParams, tail_tol: float = TAIL_TOL,
     [0.5, 1], 116-164 nodes per dimension for A >= 1 or Dirichlet and
     214-308 for A = 0.5, more as t -> 0.  An explicit spacing_factor spaces
     them at spacing_factor / sqrt(t), as an explicit ContourSpec does the
-    nested form's.  A grid above
-    MAX_LINE_NODES raises ValidityError before it is built.  Refusals and
-    the Dirichlet wall's 0.0 come from the tail it shares with the nested
-    form (`_she_value`).
+    nested form's; the tail is cut at TAIL_TOL.  A grid above MAX_LINE_NODES
+    raises ValidityError before it is built.  Refusals and the Dirichlet
+    wall's 0.0 come from the tail it shares with the nested form (`_she_value`).
     """
     n = kpz.n
-    grids = _residue_grids(kpz, tail_tol, spacing_factor)
+    grids = _residue_grids(kpz, spacing_factor)
     phi = build_phi(range(n))
     terms = (_reduce_additive(diagram, phi)
              for lam in partitions_of(n) for diagram in canonical_diagrams(lam))

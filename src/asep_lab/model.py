@@ -8,6 +8,8 @@ modules convert to float at their entry points.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
@@ -259,18 +261,22 @@ class SegmentState:
         return cls((0,) * (ell - 1), 0)
 
 
-def check_chamber(x: Sequence[int], low: int = 1, high: int | None = None) -> tuple:
-    """Validate a strictly increasing site vector within [low, high]."""
-    xs = tuple(int(v) for v in x)
-    if not xs:
-        raise ChamberError("site vector must be nonempty")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ChamberError(f"site vector must be strictly increasing, got {xs}")
-    if xs[0] < low:
-        raise ChamberError(f"first site {xs[0]} below {low}")
-    if high is not None and xs[-1] > high:
-        raise ChamberError(f"last site {xs[-1]} above {high}")
-    return xs
+def check_chamber(x: Sequence[int], low: int | None = 1, high: int | None = None) -> tuple:
+    """x as a tuple of ints, refused with ChamberError unless it is nonempty, of
+    integer sites (numpy integers and integral floats included; not 1.5 or NaN)
+    and low <= x_1 < ... < x_n <= high, a bound of None being open."""
+    try:
+        xs = tuple(map(operator.index, x))
+    except TypeError:
+        integral = all(isinstance(v, numbers.Real) and float(v).is_integer() for v in x)
+        xs = tuple(map(int, x)) if integral else ()
+    if (xs and all(map(operator.lt, xs, xs[1:]))
+            and (low is None or xs[0] >= low) and (high is None or xs[-1] <= high)):
+        return xs
+    bounds = "".join((f"{low} <= " if low is not None else "", "x_1 < ... < x_n",
+                      f" <= {high}" if high is not None else ""))
+    raise ChamberError(f"site vector must be nonempty, of integer sites with {bounds} "
+                       f"(strictly increasing), got x={tuple(x)}")
 
 
 def current(state: AsepState, x: int):
@@ -298,8 +304,7 @@ def h_product(occupied: Iterable[int], x: Sequence[int], q):
 
 def observable_h(state: AsepState, x: Sequence[int], q):
     """Duality observable prod_i q^{N_{x_i}} on a strictly increasing chamber vector."""
-    xs = check_chamber(x, low=1)
-    return h_product(state.occupied, xs, q)
+    return h_product(state.occupied, check_chamber(x), q)
 
 
 def current_segment(state: SegmentState, x: int):
@@ -308,10 +313,16 @@ def current_segment(state: SegmentState, x: int):
 
 
 def h_exponent_segment(eta: Sequence[int], n_ell: int, x: Sequence[int]) -> int:
-    """sum_i N_{x_i} on the segment, N_x = sum_{i>=x} eta_i + N_ell."""
-    total = 0
-    for xi in x:
-        total += sum(eta[max(xi - 1, 0):]) + n_ell
+    """sum_i N_{x_i} on the segment, N_x = sum_{i>=x} eta_i + N_ell, at any integer sites,
+    in one walk from the right that adds each eta entry of an increasing x once."""
+    total, start, suffix = len(x) * n_ell, len(eta), 0
+    for xi in reversed(x):
+        i = xi - 1 if xi > 1 else 0
+        if i < start:
+            suffix, start = suffix + sum(eta[i:start]), i
+            total += suffix
+        else:
+            total += suffix - sum(eta[start:i])
     return total
 
 
@@ -322,5 +333,4 @@ def h_product_segment(eta: Sequence[int], n_ell: int, x: Sequence[int], q):
 
 def observable_h_segment(state: SegmentState, x: Sequence[int], q):
     """prod_i q^{N_{x_i}} with N_x = sum_{i>=x} eta_i + N_ell, for 1 <= x_1 < ... <= ell."""
-    xs = check_chamber(x, low=1, high=state.ell)
-    return h_product_segment(state.eta, state.n_ell, xs, q)
+    return h_product_segment(state.eta, state.n_ell, check_chamber(x, 1, state.ell), q)

@@ -20,8 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -85,33 +84,45 @@ class DualMatrix:
         return len(self.vectors)
 
 
-def build_dual_matrix(params: SegmentParams, n: int) -> DualMatrix:
-    """Matrix M with (M f)(x) = dual-generator f(x) on every chamber vector.
+def generator_matrix(states: Sequence, moves: Callable, diagonal: Callable,
+                     denominator: int) -> Tuple[Dict[object, int], csr_array]:
+    """(index, M) with (M f)(x) = sum of rate (f(y) - f(x)) over moves(x), plus
+    diagonal(x) f(x), on `states`; index maps each state to its row.
 
-    Row sums equal -(p-q) rho0 [x_1 = 1] + (p-q) rho_ell [x_n = ell]; with
-    closed boundaries the matrix is an honest generator (zero row sums).
-    Each entry is summed as an int over the denominator D of
-    `params.integer_rates` and divided by D once; int / int division is
-    correctly rounded, so it is the float nearest the exact rational entry.
+    Rates and diagonals are ints over `denominator` (an `integer_rates` view),
+    and moves that reach the same y add.  Each entry is summed as an int and
+    divided once, and int / int division is correctly rounded, so it is the
+    float nearest the exact rational entry.
     """
     from scipy.sparse import csr_array
-    vectors = chamber(params.ell, n)
-    index = {v: i for i, v in enumerate(vectors)}
-    rates = params.integer_rates
-    dim = len(vectors)
-    # the nonzero pattern row by row, at most 2n + 1 entries per row, times D
+    index = {s: i for i, s in enumerate(states)}
     indptr, indices, totals = [0], [], []
-    for i, x in enumerate(vectors):
-        row = {i: dual_segment_diagonal(rates, x)}
-        for rate, y in dual_moves(rates, x, 1, params.ell):
-            row[index[y]] = rate   # distinct moves reach distinct vectors
+    for i, x in enumerate(states):
+        row = {i: diagonal(x)}
+        for rate, y in moves(x):
+            j = index[y]
+            row[j] = row.get(j, 0) + rate
             row[i] -= rate
         for j in sorted(row):
             indices.append(j)
             totals.append(row[j])
         indptr.append(len(indices))
-    data = np.array([v / rates.denominator for v in totals])
-    matrix = csr_array((data, np.array(indices), np.array(indptr)), shape=(dim, dim))
+    data = np.array([v / denominator for v in totals])
+    return index, csr_array((data, np.array(indices), np.array(indptr)), shape=(len(states),) * 2)
+
+
+def build_dual_matrix(params: SegmentParams, n: int) -> DualMatrix:
+    """Matrix M with (M f)(x) = dual-generator f(x) on every chamber vector.
+
+    Row sums equal -(p-q) rho0 [x_1 = 1] + (p-q) rho_ell [x_n = ell]; with
+    closed boundaries the matrix is an honest generator (zero row sums).
+    Its entries are exact rationals rounded once (`generator_matrix`).
+    """
+    vectors = chamber(params.ell, n)
+    rates = params.integer_rates
+    index, matrix = generator_matrix(vectors, lambda x: dual_moves(rates, x, 1, params.ell),
+                                     lambda x: dual_segment_diagonal(rates, x),
+                                     rates.denominator)
     return DualMatrix(params, n, vectors, index, matrix)
 
 
@@ -238,30 +249,23 @@ def check_segment_free_evolution(t: float, initial: SegmentState,
     return SegmentFreeEvolutionReport(residuals)
 
 
-def occupancy_generator(params: SegmentParams):
-    """Master-equation matrix of the occupancy marginal (through-count dropped).
-
-    Returns (states, A) with A[y, x] the rate x -> y and negative column
-    sums of outflow on the diagonal, so columns sum to zero exactly and the
-    forward equation conserves mass.
-    """
-    ell = params.ell
-    states = list(itertools.product((0, 1), repeat=ell - 1))
-    index = {s: i for i, s in enumerate(states)}
-    dim = len(states)
-    A = [[Fraction(0)] * dim for _ in range(dim)]
-    for x_idx, eta in enumerate(states):
-        for rate, (new_eta, _n) in segment_moves(params, (eta, 0)):
-            A[index[new_eta]][x_idx] += rate
-            A[x_idx][x_idx] -= rate
-    return states, A
-
-
 def stationary_distribution(params: SegmentParams) -> Dict[tuple, float]:
-    """Exact stationary occupancy distribution from the master-equation matrix."""
-    states, A = occupancy_generator(params)
-    mat = np.array([[float(v) for v in row] for row in A])
-    # replace one balance row by normalization
+    """Stationary law of the occupations on sites 1..ell-1, through-count dropped.
+
+    The forward equation's matrix is the transposed `generator_matrix` of
+    `segment_moves`; one balance row is replaced by the normalization.  A
+    closed segment (alpha = gamma = beta = delta = 0) keeps its particle
+    number, so it has no unique stationary law and is refused.
+    """
+    if params.alpha == params.gamma == params.beta == params.delta == 0:
+        raise ValidityError("a closed segment (alpha = gamma = beta = delta = 0) conserves "
+                            "its particle number and has no unique stationary law")
+    states = list(itertools.product((0, 1), repeat=params.ell - 1))
+    rates = params.integer_rates
+    _, generator = generator_matrix(
+        states, lambda eta: [(rate, y) for rate, (y, _) in segment_moves(rates, (eta, 0))],
+        lambda eta: 0, rates.denominator)
+    mat = generator.T.toarray()
     mat[-1, :] = 1.0
     rhs = np.zeros(len(states))
     rhs[-1] = 1.0

@@ -3,6 +3,7 @@ import json
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from asep_lab import duality
@@ -13,7 +14,7 @@ from asep_lab.duality import (apply_generator, chamber_vectors, dual_boundary_di
                               verify_halfline_duality, verify_segment_duality)
 from asep_lab.model import (ChamberError, ModelParams, SegmentParams, ValidityError,
                             h_product, h_product_segment)
-from asep_lab.segment_ode import occupancy_generator
+from asep_lab.segment_ode import generator_matrix
 
 PARAMS = ModelParams.from_density(1, F(1, 2), F(3, 4))
 
@@ -137,11 +138,24 @@ def test_fictitious_site_identity():
 
 
 def test_occupancy_master_equation_conserves_mass():
+    # the forward matrix, as stationary_distribution builds it, against a
+    # dense Fraction master-equation matrix A[y][x] = rate x -> y
     for ell in (2, 3, 4, 5):
         sp = SegmentParams.from_densities(1, F(1, 2), F(3, 4), F(1, 3), ell)
-        states, A = occupancy_generator(sp)
-        for j in range(len(states)):
-            assert sum(A[i][j] for i in range(len(states))) == 0
+        states = list(itertools.product((0, 1), repeat=ell - 1))
+        index = {s: i for i, s in enumerate(states)}
+        A = [[F(0)] * len(states) for _ in states]
+        for i, eta in enumerate(states):
+            for rate, (new, _) in segment_moves(sp, (eta, 0)):
+                A[index[new]][i] += rate
+                A[i][i] -= rate
+        assert all(sum(A[i][j] for i in range(len(states))) == 0 for j in range(len(states)))
+        rates = sp.integer_rates
+        _, generator = generator_matrix(
+            states, lambda eta: [(r, y) for r, (y, _) in segment_moves(rates, (eta, 0))],
+            lambda eta: 0, rates.denominator)
+        dense = np.array([[float(v) for v in row] for row in A])
+        assert generator.T.toarray().tobytes() == dense.tobytes()
 
 
 # --- integer-encoded sides against the per-transition Fraction form ---------

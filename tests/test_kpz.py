@@ -508,12 +508,10 @@ def test_contour_spec_rejects_non_finite_or_non_positive(kwargs):
 
 
 @pytest.mark.parametrize("kwargs", [dict(spacing_factor=-0.05), dict(spacing_factor=math.inf),
-                                    dict(spacing_factor=0.0), dict(spacing_factor=math.nan),
-                                    dict(tail_tol=0.0), dict(tail_tol=math.nan),
-                                    dict(tail_tol=1.0)])
+                                    dict(spacing_factor=0.0), dict(spacing_factor=math.nan)])
 def test_residue_form_rejects_the_grids_contour_spec_rejects(kwargs):
-    # a negative or infinite spacing used to return 0.0, a zero one to divide
-    # by zero, and a NaN tail to fail converting NaN to an integer
+    # a negative or infinite spacing used to return 0.0, and a zero one to
+    # divide by zero
     with pytest.raises(ValidityError):
         she_moment_residue_form(KpzParams(t=1.0, x=(0.5,), A=1.0), **kwargs)
 

@@ -1,11 +1,17 @@
+import itertools
+import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from asep_lab.duality import verify_halfline_duality
 from asep_lab.model import (AsepState, ChamberError, ModelParams, SegmentParams,
-                            SegmentState, ValidityError, as_fraction, current,
-                            current_segment, observable_h, observable_h_segment)
+                            SegmentState, ValidityError, as_fraction, check_chamber, current,
+                            current_segment, h_exponent_segment, observable_h,
+                            observable_h_segment)
+from asep_lab.simulate import SimConfig, dual_reweighted_estimate
 
 
 def test_as_fraction_decimal_semantics():
@@ -75,6 +81,46 @@ def test_chamber_violations():
         observable_h(AsepState.empty(), (0, 3), 0.5)
     with pytest.raises(ChamberError):
         observable_h_segment(SegmentState.empty(4), (1, 5), 0.5)
+
+
+HALF = ModelParams.from_density(1, F(1, 2), F(3, 4))
+SEGMENT = SegmentParams.from_densities(1, F(1, 2), F(3, 4), F(1, 3), 6)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SimConfig(HALF, 1.0, 10, seed=0, observables=((1.9,),)),
+    lambda: dual_reweighted_estimate(SEGMENT, (1.2, 3.7), 1.0, 10, seed=0),
+    lambda: observable_h(AsepState({2}), (1.5,), 0.5),
+    lambda: observable_h(AsepState({2}), (math.nan,), 0.5),
+    lambda: observable_h_segment(SegmentState.empty(6), (2, 4.5), 0.5),
+    lambda: verify_halfline_duality(HALF, {2}, (1.5, 3)),
+], ids=["simulate-observable", "dual-reweighted", "observable", "observable-nan",
+        "segment-observable", "verify"])
+def test_non_integer_site_is_refused(call):
+    # each used to run at the truncated sites, or fail outside ChamberError
+    with pytest.raises(ChamberError, match="integer sites"):
+        call()
+
+
+def test_check_chamber_reads_integral_sites_as_ints():
+    xs = check_chamber((np.int64(1), 3.0, np.float64(4), F(6)), 1, 6)
+    assert xs == (1, 3, 4, 6) and all(type(v) is int for v in xs)
+    assert check_chamber([-2, 0], None) == (-2, 0)
+    with pytest.raises(ChamberError, match=r"x=\(-2, 0\)"):
+        check_chamber((-2, 0))
+
+
+def test_segment_exponent_equals_the_per_site_sum():
+    # any sites: unsorted, repeated, below 1 or past ell - 1
+    for ell in range(2, 8):
+        sites = range(-1, ell + 2)
+        xs = [x for k in range(4) for x in itertools.product(sites, repeat=k)]
+        for eta in itertools.product((0, 1), repeat=ell - 1):
+            suffix = [sum(eta[max(s - 1, 0):]) for s in sites]
+            for x in xs:
+                base = sum(suffix[s + 1] for s in x)
+                for n_ell in (-2, 0, 1, 3):
+                    assert h_exponent_segment(eta, n_ell, x) == base + len(x) * n_ell
 
 
 def test_segment_current_counts_sites_at_or_right_of_x_plus_through_count():

@@ -127,6 +127,26 @@ def test_stationary_distribution_is_probability():
     assert (vals > 0).all()
 
 
+def test_two_site_stationary_law_adds_both_boundary_flips():
+    # at ell = 2 injection at site 1 and creation at ell - 1 both fill the one
+    # site, and ejection and annihilation both empty it: the two moves reach
+    # the same state, and their rates must add
+    sp = SegmentParams.from_densities(1, F(1, 2), F(3, 4), F(1, 3), 2)
+    empty = (sp.beta + sp.gamma) / (sp.alpha + sp.beta + sp.gamma + sp.delta)
+    assert empty == F(19, 41)
+    pi = stationary_distribution(sp)
+    assert abs(pi[(0,)] - float(empty)) < 1e-15
+    assert abs(pi[(1,)] - float(1 - empty)) < 1e-15
+
+
+def test_stationary_distribution_refuses_a_closed_segment():
+    # the particle number is conserved, so there is one stationary law per
+    # number; the solve used to fail with numpy's LinAlgError
+    closed = SegmentParams(1, F(1, 2), 0, 0, ell=4, beta=0, delta=0)
+    with pytest.raises(ValidityError, match="closed segment"):
+        stationary_distribution(closed)
+
+
 def test_simulated_time_derivative_consistent_with_generator():
     # central finite difference of the empirical E[H] across t = 1 should
     # agree statistically with the generator applied to the ODE solution
