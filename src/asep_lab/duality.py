@@ -257,7 +257,8 @@ def _line_identity(kind: str, params: ModelParams, eta, x: Sequence[int],
                    low: Optional[int] = 1):
     """(eta, x, q-powers, integer rates) of one line identity at eta (a set
     of sites or an AsepState) and sites x, refusing an x outside the chamber
-    and sites of either below low (None: no bound).
+    and sites of either below low (None: no bound) or, for eta, off the
+    integers.
 
     The q-power bounds: every state the identity reaches holds at most
     |eta| + 1 particles (one injected at site 1 or put on the fictitious
@@ -265,8 +266,12 @@ def _line_identity(kind: str, params: ModelParams, eta, x: Sequence[int],
     """
     eta = frozenset(getattr(eta, "occupied", eta))
     x = check_chamber(x, low)
-    if low is not None and eta and min(eta) < low:
-        raise ValidityError(f"{kind} identity needs eta on sites >= {low}, "
+    # a sum of ints is an int, so only a set holding other numbers is walked
+    # (nan % 1 is nan)
+    if eta and ((low is not None and min(eta) < low)
+                or type(sum(eta)) is not int and any(s % 1 != 0 for s in eta)):
+        bound = f" >= {low}" if low is not None else ""
+        raise ValidityError(f"{kind} identity needs eta on integer sites{bound}, "
                             f"got eta={sorted(eta)}")
     return eta, x, _QPowers(params.q, 0, len(x) * (len(eta) + 1)), params.integer_rates
 

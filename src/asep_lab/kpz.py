@@ -68,14 +68,13 @@ class KpzParams:
 
 
 # the line grids' tail cut (both forms), and the node spacing, in units of
-# 1/sqrt(t), of an explicit ContourSpec and of the nested form where its
-# offsets stay at 1.25 k; both forms' default grids are otherwise spaced by
-# `_line_spacing`
+# 1/sqrt(t), of the nested form where its offsets stay at 1.25 k; both forms'
+# grids are otherwise spaced by `_line_spacing`
 TAIL_TOL = 1e-12
 SPACING_FACTOR = 0.05
-# the log of what the default nested form may lose to cancellation between
-# its lines' Gaussians (`_cancellation`) when it widens its offsets past
-# 1.25 k: three digits
+# the log of what the nested form may lose to cancellation between its
+# lines' Gaussians (`_cancellation`) when it widens its offsets past 1.25 k:
+# three digits
 NESTED_CANCELLATION = math.log(1e3)
 # the most nodes `she_grids` lays on one line: an n = 2 call's one N x N
 # buffer then stays within quadrature.MAX_WORKSPACE_BYTES, and an n = 1 call,
@@ -83,29 +82,21 @@ NESTED_CANCELLATION = math.log(1e3)
 MAX_LINE_NODES = 2 ** 13
 
 
-def _check_grid_rule(tail_tol: float, spacing_factor: Optional[float]):
-    if not 0.0 < tail_tol < 1.0:
-        raise ValidityError("tail_tol must lie in (0, 1)")
-    if spacing_factor is not None and not 0.0 < spacing_factor < math.inf:
-        raise ValidityError("spacing_factor must be positive and finite")
-
-
-def she_grids(t: float, offsets: Sequence[float], reach: float, tail_tol: float,
+def she_grids(t: float, offsets: Sequence[float], reach: float,
               spacing: float) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Line nodes and weights, one grid per dimension at real part offsets[d].
 
     Every grid has node spacing `spacing` and half-height
-    sqrt(reach^2 + 2 log(1e3 / tail_tol) / t), where |e^{t w^2 / 2}| at
-    real part reach is tail_tol / 1e3; reach is the largest real part the
+    sqrt(reach^2 + 2 log(1e3 / TAIL_TOL) / t), where |e^{t w^2 / 2}| at
+    real part reach is TAIL_TOL / 1e3; reach is the largest real part the
     integrand's Gaussian factors see.  Raises ValidityError, before any
-    grid is built, for a tail_tol outside (0, 1), a spacing that is
-    negative or not finite, or more than MAX_LINE_NODES nodes on a line
-    (a spacing of 0 needs infinitely many).
+    grid is built, for a spacing that is negative or not finite, or more
+    than MAX_LINE_NODES nodes on a line (a spacing of 0 needs infinitely
+    many).
     """
-    _check_grid_rule(tail_tol, None)
     if not 0.0 <= spacing < math.inf:
         raise ValidityError(f"line spacing {spacing} is negative or not finite")
-    y_max = math.sqrt(reach * reach + 2.0 * math.log(1e3 / tail_tol) / t)
+    y_max = math.sqrt(reach * reach + 2.0 * math.log(1e3 / TAIL_TOL) / t)
     steps = y_max / spacing if spacing > 0.0 else math.inf
     if steps > MAX_LINE_NODES // 2:
         nodes = 2 * math.ceil(steps) if steps < math.inf else "infinitely many"
@@ -114,40 +105,13 @@ def she_grids(t: float, offsets: Sequence[float], reach: float, tail_tol: float,
     return [line_nodes(r, y_max, spacing, d) for d, r in enumerate(offsets)]
 
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """Vertical-line offsets and truncation for the nested integrals, spaced
-    at spacing_factor / sqrt(t).  The nested form's default grid is not a
-    ContourSpec (`_nested_grids`), except where its offsets stay at
-    `default(n)`'s 1.25 k."""
-
-    offsets: Tuple[float, ...]
-    tail_tol: float = TAIL_TOL
-    spacing_factor: float = SPACING_FACTOR
-
-    def __post_init__(self):
-        r = self.offsets
-        if not all(map(math.isfinite, r)):
-            raise ValidityError("contour offsets must be finite")
-        _check_grid_rule(self.tail_tol, self.spacing_factor)
-        if not r or r[0] != 0.0:
-            raise ValidityError("first contour must sit on the imaginary axis")
-        shifted = [rk - k for k, rk in enumerate(r)]
-        if any(b <= a for a, b in zip(shifted, shifted[1:])):
-            raise ValidityError("need r_k - r_{k-1} > 1 between consecutive contours")
-
-    @classmethod
-    def default(cls, n: int) -> "ContourSpec":
-        return cls(tuple(1.25 * k for k in range(n)))
-
-
 def _cancellation(t: float, reals: Sequence[float], n: int) -> float:
     """The log of the integrand's size over the moment's from its Gaussians:
     e^{t sum r^2 / 2} for kernels at real parts r over e^{t n (n^2-1) / 24}."""
     return t * (sum(r * r for r in reals) - n * (n * n - 1) / 12.0) / 2.0
 
 
-def _line_spacing(kpz: KpzParams, reals: Sequence[float], d: float, tail_tol: float) -> float:
+def _line_spacing(kpz: KpzParams, reals: Sequence[float], d: float) -> float:
     """Both forms' node spacing h, from the nearest pole and the Gaussians' growth.
 
     The trapezoid error on a line falls like e^{-2 pi d / h} times the
@@ -158,14 +122,14 @@ def _line_spacing(kpz: KpzParams, reals: Sequence[float], d: float, tail_tol: fl
     capped at sqrt(2 budget / (t n)), past which the Gaussians' growth over
     the strip outruns the budget.  h solves 2 pi d / h = budget + growth:
 
-    * budget is log(1e3 / tail_tol), plus `_cancellation`, plus
+    * budget is log(1e3 / TAIL_TOL), plus `_cancellation`, plus
       sum x^2 / (2t), the log of the integrand's size over the moment's at
       small t;
     * growth is that of the kernels from their real parts r to the strip's
       edge, t sum (2 r d + d^2) / 2 + d sum x.
     """
     n, t, x = kpz.n, kpz.t, kpz.x
-    budget = (math.log(1e3 / tail_tol) + _cancellation(t, reals, n)
+    budget = (math.log(1e3 / TAIL_TOL) + _cancellation(t, reals, n)
               + sum(v * v for v in x) / (2.0 * t))
     d = min(d, math.sqrt(2.0 * budget / (t * n)))
     growth = t * (n * d * d + 2.0 * sum(reals) * d) / 2.0 + d * sum(x)
@@ -179,13 +143,13 @@ def _nearest_pole(kpz: KpzParams, pair_distance: float) -> float:
 
 
 def _nested_lines(kpz: KpzParams) -> Optional[Tuple[Tuple[float, ...], float]]:
-    """The default nested form's offsets delta k and d, the lines' distance
-    to the nearest pole, or None where it keeps `ContourSpec.default`.
+    """The nested form's offsets delta k and d, the lines' distance to the
+    nearest pole, or None where it keeps offsets 1.25 k (`_nested_grids`).
 
     A pair pole of the nested integrand lies delta - 1 from a line, so
     delta is the largest in [1.25, 1.5] whose `_cancellation` is at most
     NESTED_CANCELLATION; None where even 1.25 exceeds it (n = 4 from
-    t ~ 0.8, n = 3 from t ~ 2.4, n = 2 from t ~ 13).  At n = 1 the
+    t ~ 0.82, n = 3 from t ~ 2.38, n = 2 from t ~ 13.0).  At n = 1 the
     integrand is the residue form's one term on the same line, so it takes
     that form's d.
     """
@@ -202,22 +166,23 @@ def _nested_lines(kpz: KpzParams) -> Optional[Tuple[Tuple[float, ...], float]]:
     return tuple(delta * k for k in range(n)), _nearest_pole(kpz, delta - 1.0)
 
 
-def _nested_grids(kpz: KpzParams, contours: Optional[ContourSpec] = None
-                  ) -> List[Tuple[np.ndarray, np.ndarray]]:
+def _nested_grids(kpz: KpzParams) -> List[Tuple[np.ndarray, np.ndarray]]:
     """The nested form's `she_grids`, cut for real parts up to its last
-    offset: on contours' lines at their spacing_factor / sqrt(t), or by
-    default on `_nested_lines` spaced by `_line_spacing`."""
-    lines = _nested_lines(kpz) if contours is None else None
+    offset: on `_nested_lines` spaced by `_line_spacing`, or where that is
+    None on offsets 1.25 k spaced SPACING_FACTOR / sqrt(t).
+
+    The pole rule at delta = 1.25 would lay more nodes there (538 a line
+    where this lays 366 at n = 4, t = 1), and the t = 20 and t = 200
+    refusals of the nested form are measured on this grid.
+    """
+    lines = _nested_lines(kpz)
     if lines is None:
-        contours = contours or ContourSpec.default(kpz.n)
-        if len(contours.offsets) != kpz.n:
-            raise ValidityError("need one contour offset per point")
-        offsets, tail_tol = contours.offsets, contours.tail_tol
-        spacing = contours.spacing_factor / math.sqrt(kpz.t)
+        offsets = tuple(1.25 * k for k in range(kpz.n))
+        spacing = SPACING_FACTOR / math.sqrt(kpz.t)
     else:
-        (offsets, d), tail_tol = lines, TAIL_TOL
-        spacing = _line_spacing(kpz, offsets, d, tail_tol)
-    return she_grids(kpz.t, offsets, max(offsets), tail_tol, spacing)
+        offsets, d = lines
+        spacing = _line_spacing(kpz, offsets, d)
+    return she_grids(kpz.t, offsets, max(offsets), spacing)
 
 
 def _kernel(w, x: float, t: float, A: Optional[float], boundary: str):
@@ -264,26 +229,25 @@ def _she_value(kpz: KpzParams, form: str, grids: Sequence[Tuple[np.ndarray, np.n
     return value
 
 
-def she_moment_nested(kpz: KpzParams, contours: Optional[ContourSpec] = None) -> float:
+def she_moment_nested(kpz: KpzParams) -> float:
     """Mixed moment E[prod Z(t, x_i)] as a nested vertical-line integral.
 
     2^n (Robin) or 4^n (Dirichlet) times the integral over lines
     Re w_k = r_k of prod_{i<j} (w_i-w_j)/(w_i-w_j+1) (w_i+w_j)/(w_i+w_j-1)
     prod_i e^{t w_i^2/2 - x_i w_i} k(w_i), the unreduced integrand that the
-    residue expansion starts from.  By default (`_nested_grids`) the lines
-    sit at r_k = delta k with delta up to 1.5 (`_nested_lines`), so each
-    pair pole is delta - 1 from a line, and are spaced by that distance and
-    the Gaussians' growth (`_line_spacing`): at n = 3 and t in [0.5, 1],
+    residue expansion starts from.  The lines (`_nested_grids`) sit at
+    r_k = delta k with delta up to 1.5 (`_nested_lines`), so each pair pole
+    is delta - 1 from a line, and are spaced by that distance and the
+    Gaussians' growth (`_line_spacing`): at n = 3 and t in [0.5, 1],
     delta = 1.5 and 242-328 nodes per dimension, where 1.25 k on
     0.05 / sqrt(t) laid 340-348.  Where delta = 1.25 would already cost
-    more than NESTED_CANCELLATION, and for explicit contours, the lines
-    are spaced at spacing_factor / sqrt(t).  A grid above
-    MAX_LINE_NODES raises ValidityError before it is built.  Refusals and
-    the Dirichlet wall's 0.0 come from the tail it shares with the residue
-    form (`_she_value`).
+    more than NESTED_CANCELLATION, the lines sit at 1.25 k spaced
+    SPACING_FACTOR / sqrt(t).  A grid above MAX_LINE_NODES raises
+    ValidityError before it is built.  Refusals and the Dirichlet wall's
+    0.0 come from the tail it shares with the residue form (`_she_value`).
     """
     n = kpz.n
-    grids = _nested_grids(kpz, contours)
+    grids = _nested_grids(kpz)
     unreduced = ReducedIntegrand(tuple(build_phi(range(n))), tuple(range(1, n + 1)))
     return _she_value(kpz, "nested", grids, [unreduced])
 
@@ -348,11 +312,9 @@ class _LineValues(Workspace):
         return sign_a * (wa + wb if f.hankel else wa - wb) + (shift_a + sign * shift_b + shift)
 
 
-def _residue_grids(kpz: KpzParams,
-                   spacing_factor: Optional[float] = None) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """The residue form's `she_grids`: on the axis, cut at TAIL_TOL for real
-    parts up to n - 1, which the additive shifts reach, and spaced by
-    `_line_spacing` or, given a spacing_factor, by spacing_factor / sqrt(t).
+def _residue_grids(kpz: KpzParams) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The residue form's `she_grids`: on the axis, cut for real parts up to
+    n - 1, which the additive shifts reach, and spaced by `_line_spacing`.
 
     On the axis every pair or single-variable pole of a reduced term lies at
     least 1 away, and the Robin kernel's at A + e for its shift e >= 0; the
@@ -360,15 +322,11 @@ def _residue_grids(kpz: KpzParams,
     has those shifts (tests/test_kpz.py walks every term for n <= 3).  So
     the rule reads reals 0..n-1 and d = min(1, A), or 1 for Dirichlet.
     """
-    _check_grid_rule(TAIL_TOL, spacing_factor)
-    if spacing_factor is None:
-        spacing = _line_spacing(kpz, range(kpz.n), _nearest_pole(kpz, 1.0), TAIL_TOL)
-    else:
-        spacing = spacing_factor / math.sqrt(kpz.t)
-    return she_grids(kpz.t, (0.0,) * kpz.n, kpz.n - 1.0, TAIL_TOL, spacing)
+    spacing = _line_spacing(kpz, range(kpz.n), _nearest_pole(kpz, 1.0))
+    return she_grids(kpz.t, (0.0,) * kpz.n, kpz.n - 1.0, spacing)
 
 
-def she_moment_residue_form(kpz: KpzParams, spacing_factor: Optional[float] = None) -> float:
+def she_moment_residue_form(kpz: KpzParams) -> float:
     """Robin or Dirichlet moment as the diagram-indexed residue expansion on the axis.
 
     The nested form's prefactor, 2^n (Robin) or 4^n (Dirichlet), times the
@@ -377,14 +335,12 @@ def she_moment_residue_form(kpz: KpzParams, spacing_factor: Optional[float] = No
     nested form.  The grids (`_residue_grids`) are spaced by the nearest
     pole and the Gaussians' growth (`_line_spacing`): at n = 3 and t in
     [0.5, 1], 116-164 nodes per dimension for A >= 1 or Dirichlet and
-    214-308 for A = 0.5, more as t -> 0.  An explicit spacing_factor spaces
-    them at spacing_factor / sqrt(t), as an explicit ContourSpec does the
-    nested form's; the tail is cut at TAIL_TOL.  A grid above MAX_LINE_NODES
+    214-308 for A = 0.5, more as t -> 0.  A grid above MAX_LINE_NODES
     raises ValidityError before it is built.  Refusals and the Dirichlet
     wall's 0.0 come from the tail it shares with the nested form (`_she_value`).
     """
     n = kpz.n
-    grids = _residue_grids(kpz, spacing_factor)
+    grids = _residue_grids(kpz)
     phi = build_phi(range(n))
     terms = (_reduce_additive(diagram, phi)
              for lam in partitions_of(n) for diagram in canonical_diagrams(lam))

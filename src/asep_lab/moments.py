@@ -382,7 +382,11 @@ def _validate(params: ModelParams, t: float, x: Sequence[int]):
     if not params.formula_ok():
         raise ValidityError(
             f"density {params.rho} outside the validity region (1/(1+sqrt(q)), 1]")
-    if len(x) < 1 or any(int(v) != v or v < 0 for v in x):
+    try:
+        sites = all(int(v) == v >= 0 for v in x)
+    except (ValueError, OverflowError):     # int() of nan or inf
+        sites = False
+    if len(x) < 1 or not sites:
         raise ValidityError("sites must be integers >= 0")
 
 

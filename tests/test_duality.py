@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction as F
 
@@ -410,6 +411,14 @@ BAD = ModelParams(1, F(1, 3), F(1, 2), F(1, 2))  # alpha/p + gamma/q != 1
     (lambda: verify_segment_duality(SEG, (1, 0), 0, (1, 2)), ValidityError, "eta=(1, 0)"),
     (lambda: verify_segment_duality(SEG, (1, 0, 1, 0), 0, (1, 2)), ValidityError,
      "eta=(1, 0, 1, 0)"),
+    # a line eta holds integer sites: these used to report ok, or a residual
+    # (the halfline mode read -1/16 at eta {1.5, 3})
+    (lambda: verify_halfline_duality(PARAMS, {2.5}, (1, 2)), ValidityError, "eta=[2.5]"),
+    (lambda: verify_fictitious_site(PARAMS, {math.nan}, (1, 2)), ValidityError, "eta=[nan]"),
+    (lambda: verify_fullspace_duality(PARAMS, {1.5, 3}, (1, 2)), ValidityError,
+     "eta=[1.5, 3]"),
+    (lambda: negative_control_no_liggett(BAD, {math.inf}, (1, 2)), ValidityError,
+     "eta=[inf]"),
 ])
 def test_verifiers_refuse_input_outside_their_identity(call, error, named):
     # each of these used to return a nonzero residual or raise IndexError

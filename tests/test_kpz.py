@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from asep_lab.kpz import (DIRICHLET, ROBIN, ContourSpec, KpzParams,
+from asep_lab.kpz import (DIRICHLET, ROBIN, KpzParams,
                           robin_halfline_first_moment_exact,
                           robin_pde_first_moment, scaled_asep_moment,
                           she_moment_nested, she_moment_residue_form,
@@ -24,13 +24,29 @@ def test_params_validation():
     KpzParams(t=1.0, x=(0.5,), boundary=DIRICHLET)  # no A needed
 
 
-def test_contour_spec_ordering():
-    with pytest.raises(ValidityError):
-        ContourSpec((0.0, 0.9))     # gap must exceed 1
-    with pytest.raises(ValidityError):
-        ContourSpec((0.5, 2.0))     # first line must be the axis
-    spec = ContourSpec.default(3)
-    assert spec.offsets[0] == 0.0
+def _nested_on(kpz, offsets, spacing, reach=None):
+    """The nested form's integrand read (`kpz._she_value`) on `she_grids`
+    lines at offsets, spaced `spacing` and cut for real parts up to reach,
+    by default the last offset, as the form cuts its own lines."""
+    from asep_lab.kpz import _she_value, she_grids
+    from asep_lab.residues import ReducedIntegrand, build_phi
+    n = kpz.n
+    grids = she_grids(kpz.t, offsets, max(offsets) if reach is None else reach, spacing)
+    unreduced = ReducedIntegrand(tuple(build_phi(range(n))), tuple(range(1, n + 1)))
+    return _she_value(kpz, "nested", grids, [unreduced])
+
+
+def _residue_on(kpz, spacing):
+    """The residue form's terms read on its axis lines, spaced `spacing`."""
+    from asep_lab.kpz import _reduce_additive, _she_value, she_grids
+    from asep_lab.partitions import canonical_diagrams, partitions_of
+    from asep_lab.residues import build_phi
+    n = kpz.n
+    grids = she_grids(kpz.t, (0.0,) * n, n - 1.0, spacing)
+    phi = build_phi(range(n))
+    terms = [_reduce_additive(diagram, phi)
+             for lam in partitions_of(n) for diagram in canonical_diagrams(lam)]
+    return _she_value(kpz, "residue", grids, terms)
 
 
 def test_first_moment_matches_image_kernel_closed_form():
@@ -67,15 +83,19 @@ def test_dirichlet_residue_form_equals_nested(n, tol, xs):
 
 def test_contour_offset_invariance():
     k2 = KpzParams(t=1.0, x=(0.2, 0.7), A=1.0)
-    base = she_moment_nested(k2, ContourSpec((0.0, 1.25)))
-    moved = she_moment_nested(k2, ContourSpec((0.0, 1.35)))
+    base = _nested_on(k2, (0.0, 1.25), 0.05)
+    moved = _nested_on(k2, (0.0, 1.35), 0.05)
     assert abs(base - moved) < 1e-8
 
 
 def test_tail_truncation_controlled():
+    # a reach of sqrt(1.25^2 + 2 log(100) / t) cuts the lines where the tail
+    # is 100 times below TAIL_TOL
     k2 = KpzParams(t=0.5, x=(0.2, 0.7), A=1.0)
-    loose = she_moment_nested(k2, ContourSpec((0.0, 1.25), tail_tol=1e-10))
-    tight = she_moment_nested(k2, ContourSpec((0.0, 1.25), tail_tol=1e-14))
+    spacing = 0.05 / math.sqrt(k2.t)
+    loose = _nested_on(k2, (0.0, 1.25), spacing)
+    tight = _nested_on(k2, (0.0, 1.25), spacing,
+                       reach=math.sqrt(1.25 ** 2 + 2 * math.log(100) / k2.t))
     assert abs(loose - tight) < 1e-10
 
 
@@ -182,11 +202,10 @@ def test_rannacher_startup_profile_is_smooth():
 # ---------------------------------------------------------------------------
 # both SHE forms against a per-factor dense evaluation of every pair matrix
 
-def _dense_nested(kpz, contours):
-    from asep_lab.kpz import _kernel, _nested_grids
+def _dense_nested(kpz, grids):
+    from asep_lab.kpz import _kernel
     from asep_lab.quadrature import contract_factored
     n = kpz.n
-    grids = _nested_grids(kpz, contours)     # the grids the call builds
     vectors = {d: wt * _kernel(w, kpz.x[d], kpz.t, kpz.A, kpz.boundary)
                for d, (w, wt) in enumerate(grids)}
     matrices = {}
@@ -272,14 +291,17 @@ def test_dirichlet_residue_form_equals_dense_pair_reference(n):
 def test_nested_form_equals_dense_pair_reference(n, boundary):
     kpz = KpzParams(t=0.5 if boundary == ROBIN else 1.0, x=DENSE_X[n],
                     A=1.0 if boundary == ROBIN else None, boundary=boundary)
-    specs = [None] + ([ContourSpec((0.0, 1.35, 2.7)[:n])] if n > 1 else [])
-    for spec in specs:
-        want = _dense_nested(kpz, spec)
-        assert she_moment_nested(kpz, spec) == pytest.approx(want, rel=1e-13)
+    from asep_lab.kpz import _nested_grids, she_grids
+    want = _dense_nested(kpz, _nested_grids(kpz))     # the grids the call builds
+    assert she_moment_nested(kpz) == pytest.approx(want, rel=1e-13)
+    if n > 1:
+        offsets, spacing = (0.0, 1.35, 2.7)[:n], 0.05 / math.sqrt(kpz.t)
+        want = _dense_nested(kpz, she_grids(kpz.t, offsets, max(offsets), spacing))
+        assert _nested_on(kpz, offsets, spacing) == pytest.approx(want, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
-# the residue form's grid rule (`kpz._residue_spacing`)
+# the residue form's grid rule (`kpz._residue_grids`)
 
 def _affine_form(f):
     """A factor's additive reading as ({var: coefficient}, constant), and its
@@ -328,7 +350,7 @@ def _poles_and_kernel_shifts(reduced):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_residue_terms_meet_the_grid_rules_bounds(n):
-    # `_residue_spacing` assumes, for every term of n <= 3: every pole at
+    # `_residue_grids` assumes, for every term of n <= 3: every pole at
     # least 1 from the axis, and the kernels' shifts e in 0..n-1, at most n
     # a variable, summing to at most n(n-1)/2 on a variable (its growth
     # term) and in squares to at most sum_{e<n} e^2 over the term (its
@@ -380,7 +402,7 @@ def test_nested_lines_keep_the_rules_distance_from_every_pole(n, boundary):
     for t in (0.05, 0.5, 0.7, 2.0, 10.0):
         kpz = KpzParams(t=t, x=(0.1, 0.4, 0.9, 1.2)[:n], **boundary)
         lines = _nested_lines(kpz)
-        if lines is None:           # delta = 1.25 costs too much: ContourSpec.default
+        if lines is None:           # delta = 1.25 costs too much: offsets 1.25 k
             continue
         offsets, d = lines
         delta = offsets[1] if n > 1 else 0.0
@@ -401,7 +423,7 @@ SWEEP_BOUNDARY = [dict(A=0.5), dict(A=1.0), dict(A=2.0), dict(boundary=DIRICHLET
 
 
 def _against_a_finer_spacing(kpz):
-    fine = she_moment_residue_form(kpz, spacing_factor=FINE_SPACING)
+    fine = _residue_on(kpz, FINE_SPACING / math.sqrt(kpz.t))
     return abs(she_moment_residue_form(kpz) - fine) / fine
 
 
@@ -446,9 +468,7 @@ def _nested_against_a_finer_grid(kpz):
     grids = _nested_grids(kpz)
     w = grids[0][0]
     spacing = (w[1] - w[0]).imag
-    finer = ContourSpec(tuple(g[0][0].real for g in grids),
-                        spacing_factor=spacing * math.sqrt(kpz.t) / 2)
-    fine = she_moment_nested(kpz, finer)
+    fine = _nested_on(kpz, tuple(g[0][0].real for g in grids), spacing / 2)
     return abs(she_moment_nested(kpz) - fine) / fine
 
 
@@ -466,6 +486,21 @@ def test_nested_form_matches_a_finer_grid(n):
 def test_three_point_nested_form_matches_a_finer_grid(t, boundary):
     # a Tier-1-sized subset of the n = 3 sweep
     assert _nested_against_a_finer_grid(KpzParams(t=t, x=DENSE_X[3], **boundary)) < 1e-12
+
+
+@pytest.mark.parametrize("n, t, n_nodes", [(3, 3.0, 376), (2, 14.0, 382)])
+@pytest.mark.parametrize("boundary", [dict(A=1.0), dict(boundary=DIRICHLET)])
+def test_nested_form_right_where_its_offsets_stay_at_one_and_a_quarter(n, t, n_nodes, boundary):
+    # where delta = 1.25 already costs more than NESTED_CANCELLATION the
+    # lines sit at 1.25 k on 0.05 / sqrt(t); these values sit within 3e-13
+    # (Robin) and 7e-12 (Dirichlet) of a 2x finer grid
+    from asep_lab.kpz import _nested_grids, _nested_lines
+    kpz = KpzParams(t=t, x=DENSE_X[n], **boundary)
+    assert _nested_lines(kpz) is None
+    grids = _nested_grids(kpz)
+    assert tuple(g[0][0].real for g in grids) == tuple(1.25 * k for k in range(n))
+    assert {len(w) for w, _ in grids} == {n_nodes}
+    assert she_moment_nested(kpz) == pytest.approx(she_moment_residue_form(kpz), rel=1e-10)
 
 
 @pytest.mark.parametrize("A", [0.01, 0.1])
@@ -492,28 +527,14 @@ def test_params_reject_non_finite(kwargs):
         KpzParams(**kwargs)
 
 
-@pytest.mark.parametrize("kwargs", [dict(offsets=(0.0, math.nan)),
-                                    dict(offsets=(0.0, math.inf)),
-                                    dict(offsets=(0.0,), tail_tol=math.nan),
-                                    dict(offsets=(0.0,), tail_tol=0.0),
-                                    dict(offsets=(0.0,), tail_tol=-1e-12),
-                                    dict(offsets=(0.0,), tail_tol=math.inf),
-                                    dict(offsets=(0.0,), spacing_factor=math.nan),
-                                    dict(offsets=(0.0,), spacing_factor=0.0),
-                                    dict(offsets=(0.0,), spacing_factor=-0.05),
-                                    dict(offsets=(0.0,), spacing_factor=math.inf)])
-def test_contour_spec_rejects_non_finite_or_non_positive(kwargs):
-    with pytest.raises(ValidityError):
-        ContourSpec(**kwargs)
-
-
-@pytest.mark.parametrize("kwargs", [dict(spacing_factor=-0.05), dict(spacing_factor=math.inf),
-                                    dict(spacing_factor=0.0), dict(spacing_factor=math.nan)])
-def test_residue_form_rejects_the_grids_contour_spec_rejects(kwargs):
-    # a negative or infinite spacing used to return 0.0, and a zero one to
-    # divide by zero
-    with pytest.raises(ValidityError):
-        she_moment_residue_form(KpzParams(t=1.0, x=(0.5,), A=1.0), **kwargs)
+@pytest.mark.parametrize("kwargs", [dict(spacing=-0.05), dict(spacing=math.inf),
+                                    dict(spacing=0.0), dict(spacing=math.nan)])
+def test_she_grids_refuse_a_spacing_that_is_not_positive_and_finite(kwargs):
+    # a negative or infinite spacing would lay no nodes and read 0.0, and a
+    # zero one would divide by zero
+    from asep_lab.kpz import she_grids
+    with pytest.raises(ValidityError, match="line spacing|infinitely many"):
+        she_grids(1.0, (0.0,), 0.0, **kwargs)
 
 
 # scaled_asep_moment values taken before the kernels were summed into one
@@ -584,10 +605,10 @@ PINNED_SHE = [
 @pytest.mark.parametrize("boundary, x, t, A, spacing, nested, residue", PINNED_SHE)
 def test_she_values_pinned(boundary, x, t, A, spacing, nested, residue):
     kpz = KpzParams(t=t, x=x, A=A, boundary=boundary)
-    contours = ContourSpec(ContourSpec.default(len(x)).offsets, spacing_factor=spacing)
-    assert she_moment_nested(kpz, contours).hex() == nested
+    spacing /= math.sqrt(t)
+    assert _nested_on(kpz, tuple(1.25 * k for k in range(len(x))), spacing).hex() == nested
     if residue is not None:
-        assert she_moment_residue_form(kpz, spacing_factor=spacing).hex() == residue
+        assert _residue_on(kpz, spacing).hex() == residue
 
 
 THREE_POINTS = (0.1, 0.4, 0.9)
@@ -674,11 +695,6 @@ def test_she_forms_refuse_more_than_four_points():
         she_moment_nested(kpz)
     with pytest.raises(ValidityError, match="n <= 4"):
         she_moment_residue_form(kpz)
-
-
-def test_nested_form_needs_one_contour_per_point():
-    with pytest.raises(ValidityError, match="one contour offset per point"):
-        she_moment_nested(KpzParams(t=1.0, x=(0.1, 0.4), A=1.0), ContourSpec.default(3))
 
 
 def test_pde_oracle_refuses_time_zero():

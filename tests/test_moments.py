@@ -53,6 +53,15 @@ def test_half_line_moments_refuse_segment_params(moment):
         moment(SegmentParams.from_densities(1, F(1, 2), F(9, 10), F(1, 3), 4))
 
 
+@pytest.mark.parametrize("moment", [q_moment, free_evolution_residuals])
+@pytest.mark.parametrize("x", [(math.nan,), (math.inf,), (1, math.nan)])
+def test_half_line_moments_refuse_a_site_that_is_not_a_finite_integer(moment, x):
+    # these used to raise a bare ValueError (nan) or OverflowError (inf), the
+    # latter an ArithmeticError, the type of a quadrature past its budget
+    with pytest.raises(ValidityError, match="sites must be integers >= 0"):
+        moment(1.0, x, PARAMS)
+
+
 def test_first_moment_shares_the_moment_path():
     x = 3
     assert first_moment(1.2, x, PARAMS) == q_moment(1.2, (x,), PARAMS).value
